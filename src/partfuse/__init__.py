@@ -38,10 +38,12 @@ from .fusion import (
     FeatureKind,
     FusionConfig,
     MatchPlan,
+    align,
     assemble_partial_layer,
     features_activation,
     features_weight,
     fixed_point_align,
+    fuse_aligned,
     greedy_align,
     ot_fuse,
     partial_fuse,
@@ -73,7 +75,6 @@ from .transport import (
     Coupling,
     DiscreteMeasure,
     KernelPair,
-    PartialCoupling,
     brute_force_ot,
     cost_matrix,
     coupling_to_kernels,

@@ -190,13 +190,19 @@ def run_cell(
     seed: int = 0,
     cfg_base: Optional[fus.FusionConfig] = None,
     cluster_restarts: int = 1000,
+    alignment: Optional[fus.AlignResult] = None,
 ) -> DenseNetwork:
-    """Build the fused or pruned network for one sweep cell."""
+    """Build the fused or pruned network for one sweep cell.
+
+    A partial-ot cell fuses with `alignment` when given; it must be the
+    alignment of this pair at this alpha, which no lambda changes.
+    """
     base = cfg_base or fus.FusionConfig()
     alphas = fus.FusionConfig(alpha=alpha).alphas(net_a.num_hidden)
     if method == "partial-ot":
-        cfg = replace(base, lam=lam, alpha=alpha)
-        return fus.partial_fuse(net_a, net_b, cfg, data=feature_data)
+        if alignment is None:
+            alignment = fus.align(net_a, net_b, replace(base, alpha=alpha), data=feature_data)
+        return fus.fuse_aligned(net_a, net_b, alignment, lam)
     ensemble = netcore.make_ensemble(net_a, net_b, lam)
     widths = _target_widths(net_a, net_b, alphas)
     if method == "cluster":
@@ -227,13 +233,23 @@ def tradeoff_sweep(
     measure_time: bool = False,
     continue_on_error: bool = True,
 ) -> List[RunRecord]:
-    """Evaluate every (method, alpha, lambda) cell in deterministic grid order."""
+    """Evaluate every (method, alpha, lambda) cell in deterministic grid order.
+
+    A partial-ot alpha is aligned once, in its first lambda's cell, and every
+    lambda fuses with that alignment (a failed alignment is retried, so its
+    error fills each of the alpha's rows).
+    """
+    base = cfg_base or fus.FusionConfig()
     records = []
     for method in methods:
         for alpha in alpha_grid:
+            alignment = None
             for lam in lambda_grid:
                 start = time.perf_counter()
                 try:
+                    if method == "partial-ot" and alignment is None:
+                        cfg = replace(base, alpha=alpha)
+                        alignment = fus.align(net_a, net_b, cfg, data=feature_data)
                     net = run_cell(
                         net_a,
                         net_b,
@@ -244,6 +260,7 @@ def tradeoff_sweep(
                         seed=seed,
                         cfg_base=cfg_base,
                         cluster_restarts=cluster_restarts,
+                        alignment=alignment,
                     )
                     report = count_params(net)
                     acc = netcore.evaluate_accuracy(net, eval_data)

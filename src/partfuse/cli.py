@@ -46,13 +46,17 @@ def _load_mnist_train(args):
 
 def _manifest_path_pairs(manifest: Path):
     pairs = {}
-    for line in manifest.read_text().splitlines():
+    for number, line in enumerate(manifest.read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        path, role = line.rsplit(" ", 1)
-        side, idx = role[0], int(role[1:])
-        pairs.setdefault(idx, {})[side] = manifest.parent / path
+        path, _, role = line.rpartition(" ")
+        if not path or role[:1] not in ("A", "B") or not role[1:].isdecimal():
+            raise datamod.DataFormatError(
+                f"{manifest}, line {number}: expected '<checkpoint> A<k>' or "
+                f"'<checkpoint> B<k>', got {line!r}"
+            )
+        pairs.setdefault(int(role[1:]), {})[role[0]] = manifest.parent / path
     out = []
     for idx in sorted(pairs):
         entry = pairs[idx]
@@ -107,6 +111,8 @@ def _append_record(path: Path, record: RunRecord):
 
 
 def cmd_fuse(args) -> int:
+    if args.export_couplings and args.method != "partial-ot":
+        raise UsageError("--export-couplings applies to --method partial-ot only")
     pairs = _manifest_path_pairs(Path(args.manifest))
     chosen = [p for p in pairs if p[0] == args.pair]
     if not chosen:
@@ -122,13 +128,18 @@ def cmd_fuse(args) -> int:
             feature_data = train.inputs
             eval_data = test
         except FileNotFoundError:
-            pass
+            if args.data_dir:
+                raise  # only a directory from the environment may lack MNIST
     needs_data = args.method in ("cluster",) or (
         args.method == "partial-ot" and args.features == "activations"
     )
     if needs_data and feature_data is None:
         raise UsageError(f"method {args.method}/{args.features} needs data for features")
+    cfg = _fusion_config(args, args.lam, alpha)
     start = time.perf_counter()
+    alignment = None  # aligned here so --export-couplings writes what was fused
+    if args.method == "partial-ot":
+        alignment = fus.align(net_a, net_b, cfg, data=feature_data)
     net = analysis.run_cell(
         net_a,
         net_b,
@@ -137,19 +148,14 @@ def cmd_fuse(args) -> int:
         args.lam,
         feature_data=feature_data,
         seed=idx,
-        cfg_base=_fusion_config(args, args.lam, alpha),
+        cfg_base=cfg,
         cluster_restarts=args.cluster_restarts,
+        alignment=alignment,
     )
     wall = (time.perf_counter() - start) * 1000.0 if args.timing else 0.0
     if args.export_couplings:
-        if args.method != "partial-ot":
-            raise UsageError("--export-couplings applies to --method partial-ot only")
-        cfg = _fusion_config(args, args.lam, alpha)
-        result = fus.fixed_point_align(net_a, net_b, cfg, partial=True) \
-            if cfg.align is fus.AlignMethod.FIXED_POINT \
-            else fus.greedy_align(net_a, net_b, cfg, data=feature_data, partial=True)
         lines = ["layer,row,col,mass"]
-        for layer, coupling in enumerate(result.couplings, start=1):
+        for layer, coupling in enumerate(alignment.couplings, start=1):
             mat = coupling.matrix
             for i in range(mat.shape[0]):
                 for j in range(mat.shape[1]):

@@ -12,18 +12,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import netcore
+from . import netcore, transport
 from .netcore import DenseNetwork, ShapeError
 from .transport import (
     Coupling,
     DiscreteMeasure,
     KernelPair,
-    PartialCoupling,
     cost_matrix,
     coupling_to_kernels,
     restrict_normalize_partial,
-    solve_ot,
-    solve_partial_ot,
 )
 
 # matched mass below this fraction of a neuron's budget counts as unmatched
@@ -40,11 +37,6 @@ class AlignMethod(Enum):
     FIXED_POINT = "fixed-point"
 
 
-class WeightDirection(Enum):
-    OUTGOING = "outgoing"
-    INCOMING = "incoming"
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     lam: float = 0.5
@@ -53,8 +45,6 @@ class FusionConfig:
     align: AlignMethod = AlignMethod.FIXED_POINT
     outer_iterations: int = 10
     activation_sample_count: int = 1000
-    squared_step_costs: bool = False
-    greedy_weight_direction: WeightDirection = WeightDirection.OUTGOING
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -149,7 +139,11 @@ class MatchPlan:
 
 @dataclass(frozen=True)
 class AlignResult:
-    """Per-layer couplings plus the ascent trace of the alignment objective."""
+    """Per-layer couplings plus the ascent trace of the alignment objective.
+
+    Alignment never reads the interpolation factor, so one result can be
+    assembled at any number of lambdas with `fuse_aligned`.
+    """
 
     couplings: tuple
     objective_trace: Tuple[float, ...] = ()
@@ -196,15 +190,20 @@ def features_weight(
     """
     if not 1 <= layer <= net_a.num_hidden:
         raise ShapeError(f"layer {layer} out of range")
-    w_a, w_b = net_a.weights[layer], net_b.weights[layer]
-    if kernels_above is None:
-        moved = w_a
-    else:
-        moved = kernels_above.k_ab @ w_a
-    if moved.shape[0] != w_b.shape[0]:
+    w_a = net_a.weights[layer]
+    moved = w_a if kernels_above is None else kernels_above.k_ab @ w_a
+    return _weight_features(moved, net_b.weights[layer], net_a, net_b, layer)
+
+
+def _weight_features(xa, xb, net_a, net_b, layer: int):
+    """Feature rows of hidden layer `layer` from outgoing weights in a shared space.
+
+    Column i of xa (xb) is A's (B's) neuron i's outgoing weight vector.
+    """
+    if xa.shape[0] != xb.shape[0]:
         raise ShapeError("transferred A-features do not live in B's output space")
-    fa = np.column_stack([moved.T, net_a.biases[layer - 1]])
-    fb = np.column_stack([w_b.T, net_b.biases[layer - 1]])
+    fa = np.column_stack([xa.T, net_a.biases[layer - 1]])
+    fb = np.column_stack([xb.T, net_b.biases[layer - 1]])
     return fa, fb
 
 
@@ -217,11 +216,11 @@ def _subsample(data: np.ndarray, count: int) -> np.ndarray:
 # Block kernels into the joint (isolated-A, fused-B, isolated-B) space
 
 
-def _partition_from_partial(pt: PartialCoupling):
-    matched_a = pt.matched_row_mass()
-    matched_b = pt.matched_col_mass()
-    mu = pt.row_marginal.masses
-    nu = pt.col_marginal.masses
+def _partition(c: Coupling):
+    matched_a = c.matched_row_mass()
+    matched_b = c.matched_col_mass()
+    mu = c.row_marginal.masses
+    nu = c.col_marginal.masses
     iso_a = np.flatnonzero(matched_a <= MATCH_EPS * mu)
     iso_b = np.flatnonzero(matched_b <= MATCH_EPS * nu)
     fused_a = np.setdiff1d(np.arange(len(mu)), iso_a)
@@ -229,22 +228,26 @@ def _partition_from_partial(pt: PartialCoupling):
     return iso_a, fused_a, iso_b, fused_b
 
 
-def _block_feature_kernels(pt: PartialCoupling):
-    """Block embeddings of A's and B's neurons into the joint fused space.
+def _feature_embeddings(c: Coupling):
+    """Embeddings (k_a2f, k_b2f) of A's and B's neurons into a solved layer's joint space.
 
-    Rows are ordered (isolated_a, fused_b, isolated_b).  Fractionally
-    matched neurons are treated as fused here; the hard split only happens
-    when a final match plan is built.
+    A full coupling (alpha = 0) maps A onto B's neurons through its kernel.
+    Otherwise the joint rows are ordered (isolated_a, fused_b, isolated_b);
+    fractionally matched neurons are treated as fused here, and the hard
+    split only happens when a final match plan is built.
     """
-    iso_a, fused_a, iso_b, fused_b = _partition_from_partial(pt)
-    n_a, n_b = pt.matrix.shape
+    if c.alpha == 0.0:
+        k_ab = coupling_to_kernels(c).k_ab
+        return k_ab, np.eye(k_ab.shape[0])
+    iso_a, fused_a, iso_b, fused_b = _partition(c)
+    n_a, n_b = c.matrix.shape
     n_joint = len(iso_a) + len(fused_b) + len(iso_b)
     k_a2f = np.zeros((n_joint, n_a))
     k_b2f = np.zeros((n_joint, n_b))
     k_a2f[np.arange(len(iso_a)), iso_a] = 1.0
     lo = len(iso_a)
     if len(fused_a) and len(fused_b):
-        sub = pt.matrix[np.ix_(fused_a, fused_b)]
+        sub = c.matrix[np.ix_(fused_a, fused_b)]
         k_ab = (sub / sub.sum(axis=1)[:, None]).T  # columns sum to 1
         k_a2f[lo : lo + len(fused_b), fused_a] = k_ab
     k_b2f[lo + np.arange(len(fused_b)), fused_b] = 1.0
@@ -252,41 +255,29 @@ def _block_feature_kernels(pt: PartialCoupling):
     return k_a2f, k_b2f
 
 
-def _full_kernels_from(coupling) -> KernelPair:
-    if isinstance(coupling, PartialCoupling):
-        full = Coupling(coupling.matrix, coupling.row_marginal, coupling.col_marginal)
-    else:
-        full = coupling
-    return coupling_to_kernels(full)
+def _joint_weights(net_a, net_b, couplings, l: int):
+    """W_a[l] and W_b[l] with their rows mapped into one joint space.
 
-
-def _feature_embeddings(coupling, partial: bool):
-    """(k_a2f, k_b2f) for building weight features above a solved layer."""
-    if partial:
-        return _block_feature_kernels(coupling)
-    kp = _full_kernels_from(coupling)
-    return kp.k_ab, np.eye(kp.k_ab.shape[0])
+    That space is hidden layer l + 1's, built from couplings[l]; the output
+    layer (l = L) is shared and needs no mapping.
+    """
+    if l == net_a.num_hidden:
+        return net_a.weights[l], net_b.weights[l]
+    k_a2f, k_b2f = _feature_embeddings(couplings[l])
+    return k_a2f @ net_a.weights[l], k_b2f @ net_b.weights[l]
 
 
 # ---------------------------------------------------------------------------
 # Alignment
 
 
-def _product_coupling(n_a: int, n_b: int, alpha: float, partial: bool):
+def _product_coupling(n_a: int, n_b: int, alpha: float) -> Coupling:
     mu, nu = DiscreteMeasure.uniform(n_a), DiscreteMeasure.uniform(n_b)
     pi = np.full((n_a, n_b), 1.0 / (n_a * n_b))
-    if partial:
-        return PartialCoupling((1.0 - alpha) * pi, alpha, mu, nu)
-    return Coupling(pi, mu, nu)
+    return Coupling((1.0 - alpha) * pi, mu, nu, alpha)
 
 
-def _solve_layer(mu, nu, cost, alpha: float, partial: bool):
-    if partial:
-        return solve_partial_ot(mu, nu, cost, alpha)
-    return solve_ot(mu, nu, cost)
-
-
-def alignment_objective(net_a, net_b, couplings, partial: bool = False) -> float:
+def alignment_objective(net_a, net_b, couplings) -> float:
     """Global cross-layer inner-product objective of a set of couplings.
 
     Sums, over every weight matrix, the coupling-weighted inner products of
@@ -295,16 +286,9 @@ def alignment_objective(net_a, net_b, couplings, partial: bool = False) -> float
     steps maximize exactly this, so it ascends monotonically in the full
     (alpha = 0) case.
     """
-    L = net_a.num_hidden
     total = 0.0
-    for l in range(L + 1):
-        if l == L:
-            k_a2f = np.eye(net_a.output_dim)
-            k_b2f = k_a2f
-        else:
-            k_a2f, k_b2f = _feature_embeddings(couplings[l], partial)
-        xa = k_a2f @ net_a.weights[l]
-        xb = k_b2f @ net_b.weights[l]
+    for l in range(net_a.num_hidden + 1):
+        xa, xb = _joint_weights(net_a, net_b, couplings, l)
         if l == 0:
             total += float(np.sum(xa * xb)) / net_a.input_dim
         else:
@@ -314,9 +298,8 @@ def alignment_objective(net_a, net_b, couplings, partial: bool = False) -> float
     return total
 
 
-def _fixed_point_rewards(net_a, net_b, couplings, layer: int, partial: bool) -> np.ndarray:
+def _fixed_point_rewards(net_a, net_b, couplings, layer: int) -> np.ndarray:
     """Linear reward for the coupling at `layer`, aggregating both adjacent terms."""
-    L = net_a.num_hidden
     n_a_l = net_a.hidden_dims[layer - 1]
     # incoming term: layer-1 weights against the coupling below (the shared
     # input layer couples by the scaled identity)
@@ -328,49 +311,17 @@ def _fixed_point_rewards(net_a, net_b, couplings, layer: int, partial: bool) -> 
         pi_below = couplings[layer - 2].matrix
         reward = n_a_l * (net_a.weights[layer - 1] @ pi_below @ net_b.weights[layer - 1].T)
     # outgoing term: features in the joint space above
-    if layer == L:
-        xa = net_a.weights[layer]
-        xb = net_b.weights[layer]
-    else:
-        k_a2f, k_b2f = _feature_embeddings(couplings[layer], partial)
-        xa = k_a2f @ net_a.weights[layer]
-        xb = k_b2f @ net_b.weights[layer]
+    xa, xb = _joint_weights(net_a, net_b, couplings, layer)
     reward = reward + xa.T @ xb
     reward = reward + np.outer(net_a.biases[layer - 1], net_b.biases[layer - 1])
     return reward
-
-
-def _squared_step_cost(net_a, net_b, couplings, layer: int, partial: bool) -> np.ndarray:
-    """Optional squared-distance step cost, each side scaled by 1/||W_b||_F."""
-    L = net_a.num_hidden
-    if layer == 1:
-        t_a = np.eye(net_a.input_dim)
-        t_b = np.eye(net_b.input_dim)
-    else:
-        t_a, t_b = _feature_embeddings(couplings[layer - 2], partial)
-    a_in = np.column_stack(
-        [net_a.weights[layer - 1] @ t_a.T, net_a.biases[layer - 1]]
-    )
-    b_in = np.column_stack(
-        [net_b.weights[layer - 1] @ t_b.T, net_b.biases[layer - 1]]
-    )
-    if layer == L:
-        xa, xb = net_a.weights[layer].T, net_b.weights[layer].T
-    else:
-        k_a2f, k_b2f = _feature_embeddings(couplings[layer], partial)
-        xa = (k_a2f @ net_a.weights[layer]).T
-        xb = (k_b2f @ net_b.weights[layer]).T
-    s_in = 1.0 / max(np.linalg.norm(net_b.weights[layer - 1]), 1e-12)
-    s_out = 1.0 / max(np.linalg.norm(net_b.weights[layer]), 1e-12)
-    return s_in * cost_matrix(a_in, b_in) + s_out * cost_matrix(xa, xb)
 
 
 def fixed_point_align(
     net_a: DenseNetwork,
     net_b: DenseNetwork,
     cfg: FusionConfig,
-    partial: bool = False,
-    initial: Optional[Sequence] = None,
+    initial: Optional[Sequence[Coupling]] = None,
 ) -> AlignResult:
     """Coordinate ascent over per-layer couplings of the global objective.
 
@@ -383,32 +334,29 @@ def fixed_point_align(
     if cfg.features is not FeatureKind.WEIGHTS:
         raise ValueError("the fixed-point aligner requires weight features")
     L = net_a.num_hidden
-    alphas = cfg.alphas(L) if partial else (0.0,) * L
+    alphas = cfg.alphas(L)
     if initial is not None:
         if len(initial) != L:
             raise ShapeError("one initial coupling per hidden layer required")
         couplings = list(initial)
     else:
         couplings = [
-            _product_coupling(net_a.hidden_dims[l], net_b.hidden_dims[l], alphas[l], partial)
+            _product_coupling(net_a.hidden_dims[l], net_b.hidden_dims[l], alphas[l])
             for l in range(L)
         ]
-    trace = [alignment_objective(net_a, net_b, couplings, partial)]
+    trace = [alignment_objective(net_a, net_b, couplings)]
     converged = None
     for sweep in range(1, cfg.outer_iterations + 1):
         changed = False
         for layer in range(1, L + 1):
-            if cfg.squared_step_costs:
-                cost = _squared_step_cost(net_a, net_b, couplings, layer, partial)
-            else:
-                cost = -_fixed_point_rewards(net_a, net_b, couplings, layer, partial)
+            cost = -_fixed_point_rewards(net_a, net_b, couplings, layer)
             mu = couplings[layer - 1].row_marginal
             nu = couplings[layer - 1].col_marginal
-            new = _solve_layer(mu, nu, cost, alphas[layer - 1], partial)
+            new = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
             if not np.array_equal(new.matrix, couplings[layer - 1].matrix):
                 changed = True
             couplings[layer - 1] = new
-            trace.append(alignment_objective(net_a, net_b, couplings, partial))
+            trace.append(alignment_objective(net_a, net_b, couplings))
         if not changed:
             converged = sweep
             break
@@ -420,18 +368,17 @@ def greedy_align(
     net_b: DenseNetwork,
     cfg: FusionConfig,
     data: Optional[np.ndarray] = None,
-    partial: bool = False,
 ) -> AlignResult:
     """Single-pass alignment: every layer is solved once and never revisited.
 
-    Activation features make the layers independent.  Weight features chain:
-    the outgoing direction sweeps top-down through the kernel above each
-    layer, the incoming direction sweeps bottom-up through the kernel below.
+    Activation features make the layers independent.  Weight features chain
+    top-down: each layer's outgoing weights are compared in the joint space
+    of the layer above, solved just before.
     """
     _check_compatible(net_a, net_b)
     L = net_a.num_hidden
-    alphas = cfg.alphas(L) if partial else (0.0,) * L
-    couplings: List = [None] * L
+    alphas = cfg.alphas(L)
+    couplings: List[Optional[Coupling]] = [None] * L
 
     if cfg.features is FeatureKind.ACTIVATIONS:
         if data is None:
@@ -441,46 +388,32 @@ def greedy_align(
             fa, mu = features_activation(net_a, sample, layer)
             fb, nu = features_activation(net_b, sample, layer)
             cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], partial)
-    elif cfg.greedy_weight_direction is WeightDirection.OUTGOING:
-        for layer in range(L, 0, -1):
-            if layer == L:
-                xa, xb = net_a.weights[L], net_b.weights[L]
-            else:
-                k_a2f, k_b2f = _feature_embeddings(couplings[layer], partial)
-                xa = k_a2f @ net_a.weights[layer]
-                xb = k_b2f @ net_b.weights[layer]
-            fa = np.column_stack([xa.T, net_a.biases[layer - 1]])
-            fb = np.column_stack([xb.T, net_b.biases[layer - 1]])
-            mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
-            nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
-            cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], partial)
+            couplings[layer - 1] = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
     else:
-        for layer in range(1, L + 1):
-            if layer == 1:
-                t_a = np.eye(net_a.input_dim)
-                t_b = t_a
-            else:
-                t_a, t_b = _feature_embeddings(couplings[layer - 2], partial)
-            fa = np.column_stack(
-                [net_a.weights[layer - 1] @ t_a.T, net_a.biases[layer - 1]]
-            )
-            fb = np.column_stack(
-                [net_b.weights[layer - 1] @ t_b.T, net_b.biases[layer - 1]]
-            )
+        for layer in range(L, 0, -1):
+            xa, xb = _joint_weights(net_a, net_b, couplings, layer)
+            fa, fb = _weight_features(xa, xb, net_a, net_b, layer)
             mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
             nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
             cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], partial)
+            couplings[layer - 1] = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
 
     return AlignResult(tuple(couplings))
 
 
-def _align(net_a, net_b, cfg, data, partial: bool) -> AlignResult:
+def align(
+    net_a: DenseNetwork,
+    net_b: DenseNetwork,
+    cfg: FusionConfig,
+    data: Optional[np.ndarray] = None,
+) -> AlignResult:
+    """Per-layer couplings of the two networks at cfg's alphas (cfg.lam is unused).
+
+    Each coupling carries its own alpha; alpha = 0 layers are full couplings.
+    """
     if cfg.align is AlignMethod.FIXED_POINT:
-        return fixed_point_align(net_a, net_b, cfg, partial=partial)
-    return greedy_align(net_a, net_b, cfg, data=data, partial=partial)
+        return fixed_point_align(net_a, net_b, cfg)
+    return greedy_align(net_a, net_b, cfg, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +440,7 @@ def split_partial_neuron(
     if not 0 <= index < n:
         raise ShapeError(f"index {index} out of range for width {n}")
     row_scale, col_dup, _ = _split_operators(n, [(index, kappa, mu_total)], None)
-    weights = list(net.weights)
-    biases = list(net.biases)
-    weights[layer - 1] = row_scale @ weights[layer - 1]
-    biases[layer - 1] = row_scale @ biases[layer - 1]
-    weights[layer] = weights[layer] @ col_dup
-    hidden = list(net.hidden_dims)
-    hidden[layer - 1] = n + 1
-    out = DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=tuple(hidden),
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
+    out = _expand_network(net, {layer: (row_scale, col_dup)})
     return out, SplitDirective(side, layer, index, float(kappa), float(mu_total))
 
 
@@ -563,7 +482,7 @@ def _expand_side(matched: np.ndarray, masses: np.ndarray):
     return splits
 
 
-def build_match_plan(pt: PartialCoupling, layer: int):
+def build_match_plan(pt: Coupling, layer: int):
     """Split fractionally matched neurons, partition, and restrict kernels.
 
     Returns (plan, row_ops_a, col_ops_a, row_ops_b, col_ops_b) where the ops
@@ -578,8 +497,8 @@ def build_match_plan(pt: PartialCoupling, layer: int):
     # matched copies keep their slot's row/column; leftover copies carry none
     pi = np.zeros((rs_a.shape[0], rs_b.shape[0]))
     pi[: len(mu), : len(nu)] = pt.matrix
-    expanded = PartialCoupling(pi, pt.alpha, DiscreteMeasure(mass_a), DiscreteMeasure(mass_b))
-    iso_a, fused_a, iso_b, fused_b = _partition_from_partial(expanded)
+    expanded = Coupling(pi, DiscreteMeasure(mass_a), DiscreteMeasure(mass_b), pt.alpha)
+    iso_a, fused_a, iso_b, fused_b = _partition(expanded)
     directives = tuple(
         SplitDirective("A", layer, i, kappa, mu_i) for i, kappa, mu_i in splits_a
     ) + tuple(SplitDirective("B", layer, i, kappa, mu_i) for i, kappa, mu_i in splits_b)
@@ -587,9 +506,7 @@ def build_match_plan(pt: PartialCoupling, layer: int):
         kernels = KernelPair(np.zeros((0, 0)), np.zeros((0, 0)))
     elif len(iso_a) == 0 and len(iso_b) == 0 and not directives:
         # nothing isolated: plain full coupling against its nominal marginals
-        kernels = coupling_to_kernels(
-            Coupling(expanded.matrix, expanded.row_marginal, expanded.col_marginal)
-        )
+        kernels = coupling_to_kernels(expanded)
     else:
         kernels = coupling_to_kernels(
             restrict_normalize_partial(expanded, iso_a.tolist(), iso_b.tolist())
@@ -659,11 +576,11 @@ def assemble_partial_layer(
 
 
 def _expand_network(net: DenseNetwork, ops_per_layer) -> DenseNetwork:
-    """Apply split operators (row_scale, col_dup per hidden layer) to a network."""
+    """Apply split operators, a {hidden layer: (row_scale, col_dup)} map, to a network."""
     weights = list(net.weights)
     biases = list(net.biases)
     hidden = list(net.hidden_dims)
-    for layer, (row_scale, col_dup) in enumerate(ops_per_layer, start=1):
+    for layer, (row_scale, col_dup) in ops_per_layer.items():
         if row_scale.shape[0] == row_scale.shape[1]:
             continue  # no splits at this layer
         weights[layer - 1] = row_scale @ weights[layer - 1]
@@ -706,17 +623,22 @@ def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPla
     )
 
 
-def ot_fuse(
-    net_a: DenseNetwork,
-    net_b: DenseNetwork,
-    cfg: FusionConfig,
-    data: Optional[np.ndarray] = None,
+def fuse_aligned(
+    net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult, lam: float
 ) -> DenseNetwork:
-    """Full fusion into B's shape: W_c = (1-lam) W_b + lam K W_a K per layer."""
+    """Split, partition and assemble the fused network of a computed alignment."""
     _check_compatible(net_a, net_b)
-    result = _align(net_a, net_b, replace(cfg, alpha=0.0), data, partial=False)
-    plans = [MatchPlan.fully_fused(_full_kernels_from(c)) for c in result.couplings]
-    return _assemble(net_a, net_b, plans, cfg.lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+    if len(alignment.couplings) != net_a.num_hidden:
+        raise ShapeError("one coupling per hidden layer required")
+    plans, ops_a, ops_b = [], {}, {}
+    for layer, coupling in enumerate(alignment.couplings, start=1):
+        plan, ops_a[layer], ops_b[layer] = build_match_plan(coupling, layer)
+        plans.append(plan)
+    exp_a = _expand_network(net_a, ops_a)
+    exp_b = _expand_network(net_b, ops_b)
+    return _assemble(exp_a, exp_b, plans, lam)
 
 
 def partial_fuse(
@@ -728,17 +650,21 @@ def partial_fuse(
     """Partially fuse two networks, leaving unmatched neurons isolated.
 
     Hidden layer l of the result has |I_A| + |F_B| + |I_B| neurons, about
-    (1 + alpha_l) times the parent width.  alpha = 0 reduces to ot_fuse;
+    (1 + alpha_l) times the parent width.  alpha = 0 is ot_fuse;
     alpha = 1 reproduces the ensemble as a function.
     """
-    _check_compatible(net_a, net_b)
-    result = _align(net_a, net_b, cfg, data, partial=True)
-    plans, ops_a, ops_b = [], [], []
-    for layer, pt in enumerate(result.couplings, start=1):
-        plan, op_a, op_b = build_match_plan(pt, layer)
-        plans.append(plan)
-        ops_a.append(op_a)
-        ops_b.append(op_b)
-    exp_a = _expand_network(net_a, ops_a)
-    exp_b = _expand_network(net_b, ops_b)
-    return _assemble(exp_a, exp_b, plans, cfg.lam)
+    return fuse_aligned(net_a, net_b, align(net_a, net_b, cfg, data), cfg.lam)
+
+
+def ot_fuse(
+    net_a: DenseNetwork,
+    net_b: DenseNetwork,
+    cfg: FusionConfig,
+    data: Optional[np.ndarray] = None,
+) -> DenseNetwork:
+    """Full fusion into B's shape: W_c = (1-lam) W_b + lam K W_a K per layer.
+
+    This is partial fusion at alpha = 0, where every neuron is fully matched
+    and none is split or isolated.
+    """
+    return partial_fuse(net_a, net_b, replace(cfg, alpha=0.0), data)

@@ -328,11 +328,14 @@ def load(path) -> DenseNetwork:
             biases.append(np.frombuffer(raw, dtype="<f8"))
         if fh.read(1):
             raise PfnnFormatError("trailing data after final bias block")
-    return DenseNetwork(
-        input_dim=dims[0],
-        hidden_dims=dims[1:-1],
-        output_dim=dims[-1],
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=act,
-    )
+    try:
+        return DenseNetwork(
+            input_dim=dims[0],
+            hidden_dims=dims[1:-1],
+            output_dim=dims[-1],
+            weights=tuple(weights),
+            biases=tuple(biases),
+            activation=act,
+        )
+    except ValueError as exc:  # e.g. NaN/inf weights: bad file content
+        raise PfnnFormatError(f"{path}: {exc}") from None

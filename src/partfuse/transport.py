@@ -59,52 +59,40 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Transport plan whose row/column sums equal the two marginals."""
+    """Transport plan moving (1 - alpha) of the mass between two marginals.
+
+    alpha = 0 is a full coupling: row/column sums equal the marginals.  For
+    alpha > 0 the sums are only capped by the marginals, and the plan moves
+    total mass (1 - alpha) * total; alpha = 1 moves nothing.
+    """
 
     matrix: np.ndarray
     row_marginal: DiscreteMeasure
     col_marginal: DiscreteMeasure
+    alpha: float = 0.0
 
     def __post_init__(self):
         pi = np.asarray(self.matrix, dtype=np.float64)
         if pi.shape != (len(self.row_marginal), len(self.col_marginal)):
             raise ShapeError("coupling shape does not match its marginals")
-        if pi.size and pi.min() < 0:
-            raise ValueError("coupling has negative entries")
-        if pi.size:
-            if np.abs(pi.sum(axis=1) - self.row_marginal.masses).max() > MARGINAL_TOL:
-                raise ValueError("row sums deviate from the row marginal")
-            if np.abs(pi.sum(axis=0) - self.col_marginal.masses).max() > MARGINAL_TOL:
-                raise ValueError("column sums deviate from the column marginal")
-        pi = pi.copy()
-        pi.flags.writeable = False
-        object.__setattr__(self, "matrix", pi)
-
-
-@dataclass(frozen=True)
-class PartialCoupling:
-    """Sub-coupling transporting total mass (1 - alpha) * total."""
-
-    matrix: np.ndarray
-    alpha: float
-    row_marginal: DiscreteMeasure
-    col_marginal: DiscreteMeasure
-
-    def __post_init__(self):
-        pi = np.asarray(self.matrix, dtype=np.float64)
-        if pi.shape != (len(self.row_marginal), len(self.col_marginal)):
-            raise ShapeError("partial coupling shape does not match its marginals")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if pi.size and pi.min() < 0:
-            raise ValueError("partial coupling has negative entries")
-        if np.any(pi.sum(axis=1) > self.row_marginal.masses + MARGINAL_TOL):
-            raise ValueError("a row sum exceeds the row marginal")
-        if np.any(pi.sum(axis=0) > self.col_marginal.masses + MARGINAL_TOL):
-            raise ValueError("a column sum exceeds the column marginal")
-        want = (1.0 - self.alpha) * self.row_marginal.total
-        if abs(pi.sum() - want) > MARGINAL_TOL:
-            raise ValueError(f"total transported mass {pi.sum()} != {want}")
+        if pi.min() < 0:
+            raise ValueError("coupling has negative entries")
+        rows, cols = pi.sum(axis=1), pi.sum(axis=0)
+        if self.alpha == 0.0:
+            if np.abs(rows - self.row_marginal.masses).max() > MARGINAL_TOL:
+                raise ValueError("row sums deviate from the row marginal")
+            if np.abs(cols - self.col_marginal.masses).max() > MARGINAL_TOL:
+                raise ValueError("column sums deviate from the column marginal")
+        else:
+            if np.any(rows > self.row_marginal.masses + MARGINAL_TOL):
+                raise ValueError("a row sum exceeds the row marginal")
+            if np.any(cols > self.col_marginal.masses + MARGINAL_TOL):
+                raise ValueError("a column sum exceeds the column marginal")
+            want = (1.0 - self.alpha) * self.row_marginal.total
+            if abs(pi.sum() - want) > MARGINAL_TOL:
+                raise ValueError(f"total transported mass {pi.sum()} != {want}")
         pi = pi.copy()
         pi.flags.writeable = False
         object.__setattr__(self, "matrix", pi)
@@ -167,10 +155,18 @@ def _rationalize(masses: np.ndarray, max_denominator: int = 10**6) -> Sequence[F
     return fracs
 
 
-def _integerize_pair(mu: np.ndarray, nu: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Scale both mass vectors to integers over one common denominator."""
+def _integerize_pair(
+    mu: np.ndarray, nu: np.ndarray, alpha: Fraction = Fraction(0)
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Scale both mass vectors to integers over one common denominator.
+
+    A nonzero alpha appends a virtual point of mass alpha * total to each side.
+    """
     fa = _rationalize(mu)
     fb = _rationalize(nu)
+    if alpha:
+        virtual = alpha * sum(fa)
+        fa, fb = [*fa, virtual], [*fb, virtual]
     den = 1
     for f in itertools.chain(fa, fb):
         den = den * f.denominator // gcd(den, f.denominator)
@@ -292,7 +288,7 @@ def transport_objective(coupling_matrix: np.ndarray, cost: np.ndarray) -> float:
 
 def solve_partial_ot(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray, alpha: float
-) -> PartialCoupling:
+) -> Coupling:
     """Exact minimizer over couplings transporting mass (1 - alpha) * total.
 
     Balanced reduction: a virtual point of mass alpha * total joins each
@@ -305,10 +301,9 @@ def solve_partial_ot(
     if abs(mu.total - nu.total) > 1e-12:
         raise ValueError("marginal totals differ")
     if alpha == 0.0:
-        full = solve_ot(mu, nu, cost)
-        return PartialCoupling(full.matrix, 0.0, mu, nu)
+        return solve_ot(mu, nu, cost)
     if alpha == 1.0:
-        return PartialCoupling(np.zeros((len(mu), len(nu))), 1.0, mu, nu)
+        return Coupling(np.zeros((len(mu), len(nu))), mu, nu, 1.0)
 
     frac_alpha = Fraction(float(alpha)).limit_denominator(10**6)
     if abs(float(frac_alpha) - alpha) > MARGINAL_TOL:
@@ -318,22 +313,13 @@ def solve_partial_ot(
     # even when the caller passes negative (reward-derived) costs
     if cost.size and cost.min() < 0.0:
         cost = cost - cost.min()
-    fa = _rationalize(mu.masses)
-    fb = _rationalize(nu.masses)
-    virtual = frac_alpha * sum(fa)
-    den = virtual.denominator
-    for f in itertools.chain(fa, fb):
-        den = den * f.denominator // gcd(den, f.denominator)
-        if den > 10**9:
-            raise ValueError("common denominator of the marginal masses is too large")
-    sup = np.array([int(f * den) for f in fa] + [int(virtual * den)], dtype=np.int64)
-    dem = np.array([int(f * den) for f in fb] + [int(virtual * den)], dtype=np.int64)
+    sup, dem, den = _integerize_pair(mu.masses, nu.masses, frac_alpha)
     big = float(cost.max()) + 1.0
     ext = np.zeros((len(mu) + 1, len(nu) + 1))
     ext[: len(mu), : len(nu)] = cost
     ext[-1, -1] = big
     flow = _min_cost_flow(sup, dem, ext)
-    return PartialCoupling(flow[: len(mu), : len(nu)] / den, alpha, mu, nu)
+    return Coupling(flow[: len(mu), : len(nu)] / den, mu, nu, alpha)
 
 
 def coupling_to_kernels(coupling: Coupling) -> KernelPair:
@@ -349,7 +335,7 @@ def coupling_to_kernels(coupling: Coupling) -> KernelPair:
 
 
 def restrict_normalize_partial(
-    partial: PartialCoupling,
+    partial: Coupling,
     isolated_a: Sequence[int],
     isolated_b: Sequence[int],
 ) -> Coupling:

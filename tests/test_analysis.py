@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import transport
 
 from conftest import rand_net
 
@@ -177,6 +178,36 @@ class TestTradeoffSweep:
         assert records[0].accuracy is None
         row = records[0].csv_row()
         assert row.count(",") == 8
+
+    def test_aligns_once_per_alpha(self, rng, monkeypatch):
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        solve = transport.solve_partial_ot
+        monkeypatch.setattr(transport, "solve_partial_ot", counting)
+        cfg = pf.FusionConfig(align=pf.AlignMethod.GREEDY)
+        records = pf.tradeoff_sweep(
+            a, b, [0.5], [0.0, 0.5, 1.0], ["partial-ot"], data, cfg_base=cfg
+        )
+        assert [r.error for r in records] == [None] * 3
+        assert len(solves) == a.num_hidden  # not 3 * num_hidden
+
+    def test_alignment_error_fills_every_lambda_row(self, rng, monkeypatch):
+        a, b = self._pair()
+        data = self._eval_data(rng)
+
+        def broken(*args, **kwargs):
+            raise FloatingPointError("solver blew up")
+
+        monkeypatch.setattr(transport, "solve_partial_ot", broken)
+        records = pf.tradeoff_sweep(a, b, [0.5, 1.0], [0.2, 0.8], ["partial-ot"], data)
+        assert [r.error for r in records] == ["FloatingPointError"] * 4
+        assert [r.csv_row().split(",")[4] for r in records] == ["error:FloatingPointError"] * 4
 
     def test_per_layer_alpha_cell(self, rng):
         a, b = self._pair()

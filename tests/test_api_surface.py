@@ -1,0 +1,63 @@
+"""The benchmark tracer wraps partfuse functions by name; keep them reachable.
+
+perfbench/tracer.py lists in LAYERS the public functions it records and in
+HOOKS the arguments and results it reads from some of them.  A rename here
+would break the traced benchmark silently, so the contract is checked in the
+main suite.  The tracer is only loaded, never installed.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import partfuse as pf
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _functions(tracer, span):
+    module_name, names = tracer.LAYERS[span]
+    module = importlib.import_module(f"partfuse.{module_name}")
+    return [getattr(module, name) for name in names]
+
+
+def test_every_layer_function_exists(tracer):
+    for span, (module_name, names) in tracer.LAYERS.items():
+        module = importlib.import_module(f"partfuse.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{span}: partfuse.{module_name}.{name}"
+
+
+def test_hooked_functions_keep_their_parameter_names(tracer):
+    for span, hook in tracer.HOOKS.items():
+        source = inspect.getsource(hook)
+        required = set(re.findall(r'args\["(\w+)"\]', source))
+        optional = set(re.findall(r'args\.get\("(\w+)"\)', source))
+        functions = _functions(tracer, span)
+        params = [set(inspect.signature(fn).parameters) for fn in functions]
+        for fn, names in zip(functions, params):
+            assert required <= names, f"{span}: {fn.__name__} lacks {required - names}"
+        for name in optional:
+            assert any(name in names for names in params), f"{span}: no function takes {name}"
+
+
+def test_hooked_results_keep_their_shape():
+    mu = pf.DiscreteMeasure.uniform(3)
+    cost = np.arange(9.0).reshape(3, 3)
+    for coupling in (pf.solve_ot(mu, mu, cost), pf.solve_partial_ot(mu, mu, cost, alpha=0.5)):
+        assert coupling.matrix.shape == (3, 3)
+    plan = pf.fusion.build_match_plan(pf.solve_partial_ot(mu, mu, cost, alpha=0.5), 1)[0]
+    assert isinstance(plan.split_directives, tuple)

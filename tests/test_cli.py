@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import cli
+from partfuse import analysis, cli, fusion, transport
 from partfuse.data import write_idx_images, write_idx_labels
 
 
@@ -117,6 +119,37 @@ class TestFuse:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("bad_line", ["pair0_A.pfnn", "pair0_A.pfnn Ax"])
+    def test_malformed_manifest_line_exit_2(self, trained_dir, tmp_path, capsys, bad_line):
+        manifest = trained_dir / "bad_manifest.txt"
+        manifest.write_text(f"pair0_B.pfnn B0\n\n{bad_line}\n")
+        code = run(["fuse", "--manifest", manifest, "--pair", "0", "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "line 3" in err
+
+    def test_explicit_data_dir_without_mnist_exit_2(self, trained_dir, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code = run([
+            "fuse", "--data-dir", empty, "--manifest", trained_dir / "manifest.txt",
+            "--pair", "0", "--out", tmp_path / "x.pfnn",
+        ])
+        assert code == 2
+        assert not (tmp_path / "x.pfnn").exists()
+
+    def test_export_couplings_usage_error_before_any_work(self, data_dir, trained_dir, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fused before rejecting the flags")
+
+        monkeypatch.setattr(analysis, "run_cell", fail)
+        code = run([
+            "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--pair", "0", "--method", "cluster", "--out", tmp_path / "x.pfnn",
+            "--export-couplings", tmp_path / "c.csv",
+        ])
+        assert code == 1
+
 
 class TestPrune:
     def test_factor_prune(self, trained_dir, tmp_path):
@@ -142,6 +175,15 @@ class TestPrune:
         bad.write_bytes(b"NOPE" + b"\x00" * 40)
         code = run(["prune", "--net", bad, "--out", tmp_path / "o.pfnn"])
         assert code == 2
+
+    def test_non_finite_checkpoint_exit_2(self, trained_dir, tmp_path, capsys):
+        raw = bytearray((trained_dir / "pair0_A.pfnn").read_bytes())
+        raw[-8:] = struct.pack("<d", float("nan"))  # last output bias
+        bad = tmp_path / "nan.pfnn"
+        bad.write_bytes(bytes(raw))
+        code = run(["prune", "--net", bad, "--out", tmp_path / "o.pfnn"])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -258,6 +300,33 @@ class TestFuseCouplingExport:
         # partial couplings transport mass 1 - alpha per layer
         for layer, total in masses.items():
             assert abs(total - 0.5) <= 1e-9
+
+    def test_exports_the_alignment_it_fused_with(self, data_dir, trained_dir, tmp_path, monkeypatch):
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        solve = transport.solve_partial_ot
+        monkeypatch.setattr(transport, "solve_partial_ot", counting)
+        couplings = tmp_path / "couplings.csv"
+        code = run([
+            "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--pair", "0", "--alpha", "0.5", "--align", "greedy", "--out", tmp_path / "f.pfnn",
+            "--export-couplings", couplings,
+        ])
+        assert code == 0
+        net_a = pf.load(trained_dir / "pair0_A.pfnn")
+        net_b = pf.load(trained_dir / "pair0_B.pfnn")
+        assert len(solves) == net_a.num_hidden  # one solve per layer: aligned once
+
+        cfg = pf.FusionConfig(lam=0.5, alpha=0.5, align=pf.AlignMethod.GREEDY)
+        want = ["layer,row,col,mass"]
+        for layer, coupling in enumerate(fusion.align(net_a, net_b, cfg).couplings, start=1):
+            for i, j in zip(*np.nonzero(coupling.matrix)):
+                want.append(f"{layer},{i},{j},{coupling.matrix[i, j]:.17g}")
+        assert couplings.read_text().splitlines() == want
 
 
 class TestTrainEpochsZero:

@@ -181,9 +181,9 @@ class TestKernels:
 class TestRestrictNormalize:
     def test_drops_empty_row_and_column(self):
         pi = np.array([[0.4, 0.0, 0.0], [0.0, 0.0, 0.35], [0.0, 0.0, 0.0]])
-        part = pf.PartialCoupling(
-            pi, 0.25, pf.DiscreteMeasure(np.array([0.4, 0.35, 0.25])),
-            pf.DiscreteMeasure(np.array([0.4, 0.25, 0.35])),
+        part = pf.Coupling(
+            pi, pf.DiscreteMeasure(np.array([0.4, 0.35, 0.25])),
+            pf.DiscreteMeasure(np.array([0.4, 0.25, 0.35])), alpha=0.25,
         )
         coupling = pf.restrict_normalize_partial(part, [2], [1])
         assert coupling.matrix.shape == (2, 2)
@@ -206,7 +206,7 @@ class TestRestrictNormalize:
 
     def test_mass_on_isolated_row_rejected(self):
         pi = np.full((2, 2), 0.25)
-        part = pf.PartialCoupling(pi, 0.0, uniform(2), uniform(2))
+        part = pf.Coupling(pi, uniform(2), uniform(2), alpha=0.0)
         with pytest.raises(ValueError, match="isolated"):
             pf.restrict_normalize_partial(part, [0], [])
 
