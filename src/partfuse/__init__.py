@@ -22,7 +22,6 @@ from .clustering import (
     brute_force_clustering,
     clustering_objective,
     greedy_ward,
-    lloyd,
     stochastic_ward,
 )
 from .data import (
@@ -55,6 +54,7 @@ from .genprune import (
     apply_generalized_pruning,
     cluster_prune,
     partial_fusion_as_pruning_kernels,
+    prune,
     prune_with_postprocess,
     unstructured_prune,
 )

@@ -188,35 +188,54 @@ def run_cell(
     lam: float,
     feature_data: Optional[np.ndarray] = None,
     seed: int = 0,
-    cfg_base: Optional[fus.FusionConfig] = None,
     cluster_restarts: int = 1000,
     alignment: Optional[fus.AlignResult] = None,
 ) -> DenseNetwork:
-    """Build the fused or pruned network for one sweep cell.
+    """Build the fused or pruned network of one sweep cell.
 
-    A partial-ot cell fuses with `alignment` when given; it must be the
-    alignment of this pair at this alpha, which no lambda changes.
+    A partial-ot cell assembles `alignment`, the pair's alignment at this
+    alpha (no lambda changes it).  Every other method names a PruneMethod
+    and prunes the lam-weighted ensemble to (1 + alpha) times the parent
+    widths.
     """
-    base = cfg_base or fus.FusionConfig()
-    alphas = fus.FusionConfig(alpha=alpha).alphas(net_a.num_hidden)
     if method == "partial-ot":
         if alignment is None:
-            alignment = fus.align(net_a, net_b, replace(base, alpha=alpha), data=feature_data)
+            raise ValueError("a partial-ot cell needs the pair's alignment")
         return fus.fuse_aligned(net_a, net_b, alignment, lam)
+    alphas = fus.FusionConfig(alpha=alpha).alphas(net_a.num_hidden)
+    spec = gp.PruneSpec(_target_widths(net_a, net_b, alphas), gp.PruneMethod(method), lam=lam)
     ensemble = netcore.make_ensemble(net_a, net_b, lam)
-    widths = _target_widths(net_a, net_b, alphas)
-    if method == "cluster":
-        spec = gp.PruneSpec(widths, gp.PruneMethod.CLUSTER, lam=lam)
-        if feature_data is None:
-            raise ValueError("cluster pruning needs feature data")
-        return gp.cluster_prune(ensemble, spec, feature_data, restarts=cluster_restarts, seed=seed)
-    if method == "prune":
-        spec = gp.PruneSpec(widths, gp.PruneMethod.UNSTRUCTURED, lam=lam)
-        return gp.unstructured_prune(ensemble, spec)
-    if method == "prune-post":
-        spec = gp.PruneSpec(widths, gp.PruneMethod.UNSTRUCTURED_POSTPROCESS, lam=lam)
-        return gp.prune_with_postprocess(ensemble, spec)
-    raise ValueError(f"unknown method {method!r}")
+    return gp.prune(ensemble, spec, feature_data, restarts=cluster_restarts, seed=seed)
+
+
+def cell_record(
+    net: DenseNetwork,
+    method: str,
+    alpha,
+    lam: float,
+    seed: int,
+    eval_data: Optional[LabeledDataset] = None,
+    start: Optional[float] = None,
+) -> RunRecord:
+    """The record of a built network: parameter counts, plus accuracy when eval_data is given.
+
+    wall_ms is the time since `start` (a time.perf_counter() reading), so it
+    includes this evaluation; it is 0 when start is None.
+    """
+    report = count_params(net)
+    acc = None if eval_data is None else netcore.evaluate_accuracy(net, eval_data)
+    wall = 0.0 if start is None else (time.perf_counter() - start) * 1000.0
+    return RunRecord(
+        method=method,
+        alpha=_format_alpha(alpha),
+        lam=float(lam),
+        seed=seed,
+        accuracy=acc,
+        nonzero_params=report.total_nonzero,
+        total_params=report.total_entries,
+        widths=net.hidden_dims,
+        wall_ms=wall,
+    )
 
 
 def tradeoff_sweep(
@@ -231,13 +250,13 @@ def tradeoff_sweep(
     cfg_base: Optional[fus.FusionConfig] = None,
     cluster_restarts: int = 1000,
     measure_time: bool = False,
-    continue_on_error: bool = True,
 ) -> List[RunRecord]:
     """Evaluate every (method, alpha, lambda) cell in deterministic grid order.
 
     A partial-ot alpha is aligned once, in its first lambda's cell, and every
     lambda fuses with that alignment (a failed alignment is retried, so its
-    error fills each of the alpha's rows).
+    error fills each of the alpha's rows).  A cell that raises becomes an
+    error row: the exception's type name in the accuracy column.
     """
     base = cfg_base or fus.FusionConfig()
     records = []
@@ -245,7 +264,7 @@ def tradeoff_sweep(
         for alpha in alpha_grid:
             alignment = None
             for lam in lambda_grid:
-                start = time.perf_counter()
+                start = time.perf_counter() if measure_time else None
                 try:
                     if method == "partial-ot" and alignment is None:
                         cfg = replace(base, alpha=alpha)
@@ -258,29 +277,11 @@ def tradeoff_sweep(
                         lam,
                         feature_data=feature_data,
                         seed=seed,
-                        cfg_base=cfg_base,
                         cluster_restarts=cluster_restarts,
                         alignment=alignment,
                     )
-                    report = count_params(net)
-                    acc = netcore.evaluate_accuracy(net, eval_data)
-                    wall = (time.perf_counter() - start) * 1000.0 if measure_time else 0.0
-                    records.append(
-                        RunRecord(
-                            method=method,
-                            alpha=_format_alpha(alpha),
-                            lam=float(lam),
-                            seed=seed,
-                            accuracy=acc,
-                            nonzero_params=report.total_nonzero,
-                            total_params=report.total_entries,
-                            widths=net.hidden_dims,
-                            wall_ms=wall,
-                        )
-                    )
+                    records.append(cell_record(net, method, alpha, lam, seed, eval_data, start))
                 except Exception as exc:  # noqa: BLE001 - error rows by contract
-                    if not continue_on_error:
-                        raise
                     records.append(
                         RunRecord(
                             method=method,

@@ -61,7 +61,8 @@ def _manifest_path_pairs(manifest: Path):
     for idx in sorted(pairs):
         entry = pairs[idx]
         if "A" not in entry or "B" not in entry:
-            raise UsageError(f"manifest pair {idx} is missing a side")
+            missing = "B" if "A" in entry else "A"
+            raise datamod.DataFormatError(f"{manifest}: pair {idx} has no {missing}{idx} line")
         out.append((idx, entry["A"], entry["B"]))
     return out
 
@@ -136,7 +137,7 @@ def cmd_fuse(args) -> int:
     if needs_data and feature_data is None:
         raise UsageError(f"method {args.method}/{args.features} needs data for features")
     cfg = _fusion_config(args, args.lam, alpha)
-    start = time.perf_counter()
+    start = time.perf_counter() if args.timing else None
     alignment = None  # aligned here so --export-couplings writes what was fused
     if args.method == "partial-ot":
         alignment = fus.align(net_a, net_b, cfg, data=feature_data)
@@ -148,11 +149,10 @@ def cmd_fuse(args) -> int:
         args.lam,
         feature_data=feature_data,
         seed=idx,
-        cfg_base=cfg,
         cluster_restarts=args.cluster_restarts,
         alignment=alignment,
     )
-    wall = (time.perf_counter() - start) * 1000.0 if args.timing else 0.0
+    record = analysis.cell_record(net, args.method, alpha, args.lam, idx, eval_data, start)
     if args.export_couplings:
         lines = ["layer,row,col,mass"]
         for layer, coupling in enumerate(alignment.couplings, start=1):
@@ -165,19 +165,6 @@ def cmd_fuse(args) -> int:
         print(f"wrote {args.export_couplings}")
     netcore.save(net, args.out)
     print(f"wrote {args.out} widths={net.hidden_dims}")
-    report = analysis.count_params(net)
-    acc = None if eval_data is None else netcore.evaluate_accuracy(net, eval_data)
-    record = RunRecord(
-        method=args.method,
-        alpha=analysis._format_alpha(alpha),
-        lam=args.lam,
-        seed=idx,
-        accuracy=acc,
-        nonzero_params=report.total_nonzero,
-        total_params=report.total_entries,
-        widths=net.hidden_dims,
-        wall_ms=wall,
-    )
     if args.records:
         _append_record(Path(args.records), record)
     print(record.csv_row())
@@ -190,19 +177,11 @@ def cmd_prune(args) -> int:
         widths = tuple(int(w) for w in args.widths.split(","))
     else:
         widths = tuple(max(1, round(args.factor * n)) for n in net.hidden_dims)
-    feature_data = None
-    if args.method == "cluster":
-        train, _ = _load_mnist_train(args)
-        feature_data = train.inputs
     spec = gp.PruneSpec(widths, gp.PruneMethod(args.method))
-    if args.method == "cluster":
-        pruned = gp.cluster_prune(
-            net, spec, feature_data, restarts=args.cluster_restarts, seed=args.seed
-        )
-    elif args.method == "prune":
-        pruned = gp.unstructured_prune(net, spec)
-    else:
-        pruned = gp.prune_with_postprocess(net, spec)
+    feature_data = None
+    if spec.method is gp.PruneMethod.CLUSTER:
+        feature_data = _load_mnist_train(args)[0].inputs
+    pruned = gp.prune(net, spec, feature_data, restarts=args.cluster_restarts, seed=args.seed)
     netcore.save(pruned, args.out)
     print(f"wrote {args.out} widths={pruned.hidden_dims}")
     return 0
@@ -377,7 +356,7 @@ def main(argv=None) -> int:
             return 2
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable or missing paths, directories given as files
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (trainmod.NumericalFailure, FloatingPointError) as exc:

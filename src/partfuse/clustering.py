@@ -1,8 +1,7 @@
 """Weighted clustering solvers for compressing layers to m centers.
 
-The target regime has m as a large fraction of n, where Lloyd iterations
-stall in poor local optima; the Ward-style agglomerative solvers (greedy
-and stochastic best-of-restarts) are the intended workhorses.
+The target regime has m as a large fraction of n; the solvers are Ward-style
+agglomeration, greedy or stochastic best-of-restarts.
 """
 
 from dataclasses import dataclass
@@ -12,8 +11,6 @@ import numpy as np
 
 from .netcore import ShapeError
 from .transport import DiscreteMeasure, KernelPair, cost_matrix
-
-_MAX_LLOYD_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -105,67 +102,6 @@ def _fast_median(values: np.ndarray) -> float:
     if k % 2:
         return float(part[half])
     return float(0.5 * (part[half] + part[:half].max()))
-
-
-# ---------------------------------------------------------------------------
-# Lloyd
-
-
-def lloyd(
-    points: np.ndarray,
-    masses: DiscreteMeasure,
-    m: int,
-    n_init: int = 10,
-    seed: int = 0,
-) -> ClusterAssignment:
-    """Best of n_init seeded Lloyd runs with mass-weighted center updates.
-
-    Initial centers are sampled from the points; a run converges when the
-    assignment stops changing.  Empty clusters are re-seeded at the point
-    farthest (mass-weighted) from its current center.
-    """
-    points = _check_points(points, masses)
-    n = points.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} must lie in 1..{n}")
-    w = masses.masses
-    best: Optional[Tuple[float, np.ndarray]] = None
-    for run in range(n_init):
-        rng = np.random.default_rng((seed, run))
-        centers = points[rng.choice(n, size=m, replace=False)].copy()
-        prev = None
-        for _ in range(_MAX_LLOYD_ITER):
-            d2 = cost_matrix(points, centers)
-            labels = np.argmin(d2, axis=1)
-            present = np.bincount(labels, minlength=m)
-            empties = np.flatnonzero(present == 0)
-            if empties.size:
-                contrib = w * d2[np.arange(n), labels]
-                order = np.argsort(-contrib, kind="stable")
-                taken = 0
-                for k in empties:
-                    # steal the farthest point not already reassigned and
-                    # not the last member of its cluster
-                    while taken < n:
-                        cand = order[taken]
-                        taken += 1
-                        if present[labels[cand]] > 1:
-                            present[labels[cand]] -= 1
-                            labels[cand] = k
-                            present[k] = 1
-                            break
-            if prev is not None and np.array_equal(labels, prev):
-                break
-            prev = labels
-            mass_k = np.zeros(m)
-            np.add.at(mass_k, labels, w)
-            centers = np.zeros_like(centers)
-            np.add.at(centers, labels, w[:, None] * points)
-            centers /= mass_k[:, None]
-        obj = _objective_for_labels(points, w, labels)
-        if best is None or obj < best[0]:
-            best = (obj, labels)
-    return _labels_to_assignment(points, w, best[1])
 
 
 # ---------------------------------------------------------------------------

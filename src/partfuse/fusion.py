@@ -25,6 +25,8 @@ from .transport import (
 
 # matched mass below this fraction of a neuron's budget counts as unmatched
 MATCH_EPS = 1e-9
+# activation features (alignment and cluster pruning) read at most this many samples
+ACTIVATION_SAMPLES = 1000
 
 
 class FeatureKind(Enum):
@@ -44,15 +46,12 @@ class FusionConfig:
     features: FeatureKind = FeatureKind.WEIGHTS
     align: AlignMethod = AlignMethod.FIXED_POINT
     outer_iterations: int = 10
-    activation_sample_count: int = 1000
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if self.outer_iterations < 1:
             raise ValueError("outer_iterations must be >= 1")
-        if self.activation_sample_count < 1:
-            raise ValueError("activation_sample_count must be >= 1")
 
     def alphas(self, num_hidden: int) -> Tuple[float, ...]:
         if np.isscalar(self.alpha):
@@ -207,11 +206,6 @@ def _weight_features(xa, xb, net_a, net_b, layer: int):
     return fa, fb
 
 
-def _subsample(data: np.ndarray, count: int) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    return data[: min(count, data.shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # Block kernels into the joint (isolated-A, fused-B, isolated-B) space
 
@@ -317,33 +311,22 @@ def _fixed_point_rewards(net_a, net_b, couplings, layer: int) -> np.ndarray:
     return reward
 
 
-def fixed_point_align(
-    net_a: DenseNetwork,
-    net_b: DenseNetwork,
-    cfg: FusionConfig,
-    initial: Optional[Sequence[Coupling]] = None,
-) -> AlignResult:
+def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfig) -> AlignResult:
     """Coordinate ascent over per-layer couplings of the global objective.
 
-    Couplings start from the product coupling (or `initial`, e.g. a greedy
-    alignment to ascend from); sweeps visit layers in order and re-solve one
-    (partial) transport problem each, holding the rest fixed.  Stops early
-    once a sweep changes nothing.
+    Couplings start from the product coupling; sweeps visit layers in order
+    and re-solve one (partial) transport problem each, holding the rest
+    fixed.  Stops early once a sweep changes nothing.
     """
     _check_compatible(net_a, net_b)
     if cfg.features is not FeatureKind.WEIGHTS:
         raise ValueError("the fixed-point aligner requires weight features")
     L = net_a.num_hidden
     alphas = cfg.alphas(L)
-    if initial is not None:
-        if len(initial) != L:
-            raise ShapeError("one initial coupling per hidden layer required")
-        couplings = list(initial)
-    else:
-        couplings = [
-            _product_coupling(net_a.hidden_dims[l], net_b.hidden_dims[l], alphas[l])
-            for l in range(L)
-        ]
+    couplings = [
+        _product_coupling(net_a.hidden_dims[l], net_b.hidden_dims[l], alphas[l])
+        for l in range(L)
+    ]
     trace = [alignment_objective(net_a, net_b, couplings)]
     converged = None
     for sweep in range(1, cfg.outer_iterations + 1):
@@ -383,7 +366,7 @@ def greedy_align(
     if cfg.features is FeatureKind.ACTIVATIONS:
         if data is None:
             raise ValueError("activation features need a data sample")
-        sample = _subsample(data, cfg.activation_sample_count)
+        sample = np.asarray(data, dtype=np.float64)[:ACTIVATION_SAMPLES]
         for layer in range(1, L + 1):
             fa, mu = features_activation(net_a, sample, layer)
             fb, nu = features_activation(net_b, sample, layer)

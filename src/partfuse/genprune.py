@@ -32,7 +32,6 @@ class PruneSpec:
     target_widths: Tuple[int, ...]
     method: PruneMethod = PruneMethod.UNSTRUCTURED
     lam: Optional[float] = None  # provenance weighting for ensembles
-    outgoing_importance: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "target_widths", tuple(int(m) for m in self.target_widths))
@@ -106,18 +105,17 @@ def cluster_prune(
     spec: PruneSpec,
     data: np.ndarray,
     restarts: int = 1000,
-    temperature: float = 0.1,
     seed: int = 0,
-    sample_count: int = 1000,
 ) -> DenseNetwork:
     """Compress by clustering activation features and averaging clusters.
 
+    Features come from the first fus.ACTIVATION_SAMPLES rows of data.
     Masses are uniform, or scaled by the parents' interpolation weights when
     spec.lam is set (then renormalized), so a down-weighted parent's neurons
     are cheaper to distort.
     """
     spec.check_against(net)
-    data = np.asarray(data, dtype=np.float64)[:sample_count]
+    data = np.asarray(data, dtype=np.float64)[: fus.ACTIVATION_SAMPLES]
     kernel_list = []
     for layer in range(1, net.num_hidden + 1):
         feats, mu = fus.features_activation(net, data, layer)
@@ -129,9 +127,7 @@ def cluster_prune(
             labels = np.arange(len(mu))
             assignment = clst._labels_to_assignment(feats, mu.masses, labels)
         else:
-            assignment = clst.stochastic_ward(
-                feats, mu, m, temperature=temperature, restarts=restarts, seed=seed
-            )
+            assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
         kernel_list.append(clst.assignment_to_kernels(assignment, mu))
     return apply_generalized_pruning(net, kernel_list)
 
@@ -139,18 +135,14 @@ def cluster_prune(
 def unstructured_prune(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:
     """Keep the top-m neurons per layer by L2 weight norm, delete the rest.
 
-    Importance is the norm of the incoming weight row (outgoing column
-    behind the flag), scaled by the provenance factor when spec.lam is set.
-    Ties keep the lower index.
+    Importance is the norm of the incoming weight row, scaled by the
+    provenance factor when spec.lam is set.  Ties keep the lower index.
     """
     spec.check_against(net)
     # score every layer on the original matrices before any deletion
     keeps = []
     for layer in range(1, net.num_hidden + 1):
-        if spec.outgoing_importance:
-            scores = np.linalg.norm(net.weights[layer], axis=0)
-        else:
-            scores = np.linalg.norm(net.weights[layer - 1], axis=1)
+        scores = np.linalg.norm(net.weights[layer - 1], axis=1)
         if spec.lam is not None and spec.lam != 0.5:
             scores = scores * _provenance_factors(net, spec.lam, layer)
         order = np.argsort(-scores, kind="stable")
@@ -171,22 +163,40 @@ def unstructured_prune(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:
     )
 
 
-def prune_with_postprocess(
-    net: DenseNetwork,
-    spec: PruneSpec,
-    features: fus.FeatureKind = fus.FeatureKind.WEIGHTS,
-    data: Optional[np.ndarray] = None,
-    align: fus.AlignMethod = fus.AlignMethod.GREEDY,
-) -> DenseNetwork:
+def prune_with_postprocess(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:
     """Unstructured pruning followed by fusing the original onto the result.
 
-    The original network is transported wholesale (interpolation weight 1)
-    into the pruned architecture, so deleted neurons merge into survivors
-    instead of disappearing.  Marginals are uniform on both sides.
+    The original network is transported wholesale (interpolation weight 1,
+    greedy weight-feature alignment) into the pruned architecture, so
+    deleted neurons merge into survivors instead of disappearing.  Marginals
+    are uniform on both sides.  When nothing is deleted there is nothing to
+    merge, and the pruned copy is returned as it is.
     """
     pruned = unstructured_prune(net, spec)
-    cfg = fus.FusionConfig(lam=1.0, alpha=0.0, features=features, align=align)
-    return fus.ot_fuse(net, pruned, cfg, data=data)
+    if pruned.hidden_dims == net.hidden_dims:
+        return pruned
+    cfg = fus.FusionConfig(lam=1.0, alpha=0.0, align=fus.AlignMethod.GREEDY)
+    return fus.ot_fuse(net, pruned, cfg)
+
+
+def prune(
+    net: DenseNetwork,
+    spec: PruneSpec,
+    data: Optional[np.ndarray] = None,
+    restarts: int = 1000,
+    seed: int = 0,
+) -> DenseNetwork:
+    """Compress net to spec.target_widths by spec.method.
+
+    Only clustering reads data (its activation features), restarts and seed.
+    """
+    if spec.method is PruneMethod.CLUSTER:
+        if data is None:
+            raise ValueError("cluster pruning needs feature data")
+        return cluster_prune(net, spec, data, restarts=restarts, seed=seed)
+    if spec.method is PruneMethod.UNSTRUCTURED:
+        return unstructured_prune(net, spec)
+    return prune_with_postprocess(net, spec)
 
 
 def partial_fusion_as_pruning_kernels(

@@ -36,9 +36,6 @@ class ActivationKind(Enum):
         inner = _GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))
         return 0.5 * x * (1.0 + np.tanh(inner))
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_derivative(x)[1]
-
     def value_and_derivative(self, x: np.ndarray):
         """Both at once; the GELU path shares one tanh evaluation."""
         if self is ActivationKind.RELU:

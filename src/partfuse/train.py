@@ -1,4 +1,4 @@
-"""Minimal MLP training: softmax cross-entropy, Adam, exact zero-block freezing."""
+"""Minimal MLP training: softmax cross-entropy and Adam."""
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -21,7 +21,6 @@ class TrainConfig:
     eps: float = 1e-8
     batch_size: int = 128
     seed: int = 0
-    freeze_zero_blocks: bool = False
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
@@ -97,7 +96,6 @@ def _run_adam(
     activation: ActivationKind,
     dataset: LabeledDataset,
     cfg: TrainConfig,
-    masks: Optional[List[np.ndarray]],
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     rng = np.random.default_rng(cfg.seed)
     m_w = [np.zeros_like(w) for w in weights]
@@ -115,9 +113,6 @@ def _run_adam(
             )
             if not np.isfinite(loss):
                 raise NumericalFailure(f"non-finite loss at step {step}: {loss}")
-            if masks is not None:
-                for g, mask in zip(gw, masks):
-                    g *= mask
             step += 1
             c1 = 1.0 - cfg.beta1**step
             c2 = 1.0 - cfg.beta2**step
@@ -145,18 +140,12 @@ def train_mlp(dims: Sequence[int], dataset: LabeledDataset, cfg: TrainConfig) ->
 
 
 def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig) -> DenseNetwork:
-    """Continue training an existing network.
-
-    With freeze_zero_blocks set, gradients on entries that are exactly zero
-    at entry are masked, so constructed zero blocks stay bitwise zero and
-    the nonzero parameter count cannot grow.
-    """
+    """Continue training an existing network."""
     if net.input_dim != dataset.inputs.shape[1]:
         raise ShapeError("input dimension does not match the dataset")
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
-    masks = [(w != 0.0).astype(np.float64) for w in weights] if cfg.freeze_zero_blocks else None
-    weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg, masks)
+    weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg)
     return DenseNetwork(
         input_dim=net.input_dim,
         hidden_dims=net.hidden_dims,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import transport
+from partfuse import analysis, transport
 
 from conftest import rand_net
 
@@ -208,6 +208,11 @@ class TestTradeoffSweep:
         records = pf.tradeoff_sweep(a, b, [0.5, 1.0], [0.2, 0.8], ["partial-ot"], data)
         assert [r.error for r in records] == ["FloatingPointError"] * 4
         assert [r.csv_row().split(",")[4] for r in records] == ["error:FloatingPointError"] * 4
+
+    def test_partial_ot_cell_needs_an_alignment(self):
+        a, b = self._pair()
+        with pytest.raises(ValueError, match="alignment"):
+            analysis.run_cell(a, b, "partial-ot", 0.5, 0.5)
 
     def test_per_layer_alpha_cell(self, rng):
         a, b = self._pair()

@@ -6,6 +6,7 @@ would break the traced benchmark silently, so the contract is checked in the
 main suite.  The tracer is only loaded, never installed.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -61,3 +62,34 @@ def test_hooked_results_keep_their_shape():
         assert coupling.matrix.shape == (3, 3)
     plan = pf.fusion.build_match_plan(pf.solve_partial_ot(mu, mu, cost, alpha=0.5), 1)[0]
     assert isinstance(plan.split_directives, tuple)
+
+
+# Every option below has a caller outside the tests (the CLI or the library's
+# own pipeline).  A new option changes these lists on purpose.
+CONFIG_FIELDS = {
+    pf.FusionConfig: ("lam", "alpha", "features", "align", "outer_iterations"),
+    pf.PruneSpec: ("target_widths", "method", "lam"),
+    pf.TrainConfig: ("epochs", "learning_rate", "beta1", "beta2", "eps", "batch_size", "seed"),
+}
+PARAMETERS = {
+    pf.cluster_prune: ("net", "spec", "data", "restarts", "seed"),
+    pf.prune_with_postprocess: ("net", "spec"),
+    pf.analysis.run_cell: (
+        "net_a", "net_b", "method", "alpha", "lam", "feature_data", "seed",
+        "cluster_restarts", "alignment",
+    ),
+    pf.tradeoff_sweep: (
+        "net_a", "net_b", "alpha_grid", "lambda_grid", "methods", "eval_data",
+        "feature_data", "seed", "cfg_base", "cluster_restarts", "measure_time",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", list(CONFIG_FIELDS), ids=lambda c: c.__name__)
+def test_config_fields_are_pinned(config):
+    assert tuple(f.name for f in dataclasses.fields(config)) == CONFIG_FIELDS[config]
+
+
+@pytest.mark.parametrize("fn", list(PARAMETERS), ids=lambda f: f.__name__)
+def test_option_parameters_are_pinned(fn):
+    assert tuple(inspect.signature(fn).parameters) == PARAMETERS[fn]

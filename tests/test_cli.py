@@ -128,6 +128,21 @@ class TestFuse:
         err = capsys.readouterr().err
         assert str(manifest) in err and "line 3" in err
 
+    @pytest.mark.parametrize("present", ["A", "B"])
+    def test_half_manifest_pair_exit_2(self, trained_dir, tmp_path, capsys, present):
+        manifest = trained_dir / "half_manifest.txt"
+        manifest.write_text(f"pair0_{present}.pfnn {present}0\n")
+        code = run(["fuse", "--manifest", manifest, "--pair", "0", "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err and "pair 0" in err
+
+    def test_directory_as_manifest_exit_2(self, tmp_path, capsys):
+        code = run(["fuse", "--manifest", tmp_path, "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_explicit_data_dir_without_mnist_exit_2(self, trained_dir, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -175,6 +190,12 @@ class TestPrune:
         bad.write_bytes(b"NOPE" + b"\x00" * 40)
         code = run(["prune", "--net", bad, "--out", tmp_path / "o.pfnn"])
         assert code == 2
+
+    def test_directory_as_net_exit_2(self, tmp_path, capsys):
+        code = run(["prune", "--net", tmp_path, "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_non_finite_checkpoint_exit_2(self, trained_dir, tmp_path, capsys):
         raw = bytearray((trained_dir / "pair0_A.pfnn").read_bytes())

@@ -30,31 +30,6 @@ class TestObjective:
         assert pf.clustering_objective(pts, mu, crossed) == pytest.approx(25.0)
 
 
-class TestLloyd:
-    def test_m_equals_n_zero_objective(self, rng):
-        pts = rng.normal(size=(6, 2))
-        a = pf.lloyd(pts, uniform(6), 6, n_init=2, seed=0)
-        assert pf.clustering_objective(pts, uniform(6), a) <= 1e-12
-
-    def test_single_center_at_weighted_mean(self):
-        pts = np.array([[0.0, 0.0], [4.0, 0.0]])
-        masses = pf.DiscreteMeasure(np.array([0.75, 0.25]))
-        a = pf.lloyd(pts, masses, 1, n_init=1, seed=0)
-        np.testing.assert_allclose(a.centers[0], [1.0, 0.0])
-
-    def test_two_blobs_match_brute_force(self, rng):
-        pts = np.vstack([rng.normal(size=(4, 2)), 50.0 + rng.normal(size=(4, 2))])
-        mu = uniform(8)
-        a = pf.lloyd(pts, mu, 2, n_init=5, seed=1)
-        assert pf.clustering_objective(pts, mu, a) == pytest.approx(
-            pf.brute_force_clustering(pts, mu, 2), abs=1e-9
-        )
-
-    def test_m_larger_than_n_rejected(self, rng):
-        with pytest.raises(ValueError):
-            pf.lloyd(rng.normal(size=(3, 2)), uniform(3), 4)
-
-
 class TestGreedyWard:
     def test_two_points_merge_value(self):
         pts = np.array([[0.0], [2.0]])

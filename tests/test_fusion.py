@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse.fusion import MatchPlan, alignment_objective
+from partfuse.fusion import MatchPlan
 from partfuse.netcore import ShapeError
 
 from conftest import rand_net
@@ -277,17 +277,6 @@ class TestGreedy:
             want = np.zeros((n, n))
             want[np.arange(n), perms[layer]] = 1.0 / n
             np.testing.assert_allclose(coupling.matrix, want, atol=1e-12)
-
-    def test_fixed_point_ascends_from_greedy_init(self):
-        # started from the greedy alignment, coordinate ascent can only improve
-        for seed in range(5):
-            a = rand_net((4, 6, 5, 3), seed=seed + 60)
-            b = rand_net((4, 6, 5, 3), seed=seed + 80)
-            greedy = pf.greedy_align(a, b, pf.FusionConfig(align=pf.AlignMethod.GREEDY))
-            fixed = pf.fixed_point_align(a, b, pf.FusionConfig(), initial=greedy.couplings)
-            g = alignment_objective(a, b, greedy.couplings)
-            f = alignment_objective(a, b, fixed.couplings)
-            assert f >= g - 1e-9
 
     def test_activation_features_need_data(self):
         a, b = rand_net((4, 6, 3), seed=42), rand_net((4, 6, 3), seed=43)

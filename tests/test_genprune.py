@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import transport
 from partfuse.fusion import MatchPlan
 from partfuse.genprune import PruneMethod, PruneSpec
 from partfuse.transport import KernelPair
@@ -163,18 +164,6 @@ class TestUnstructuredPrune:
         out = pf.unstructured_prune(net, PruneSpec((2,), PruneMethod.UNSTRUCTURED))
         np.testing.assert_array_equal(out.weights[1], net.weights[1][:, [0, 1]])
 
-    def test_outgoing_importance_flag(self):
-        w0 = np.ones((3, 2))
-        w1 = np.zeros((2, 3))
-        w1[:, 0], w1[:, 1], w1[:, 2] = 1.0, 5.0, 3.0
-        net = pf.DenseNetwork(
-            2, (3,), 2, (w0, w1), (np.zeros(3), np.zeros(2)), pf.ActivationKind.RELU
-        )
-        out = pf.unstructured_prune(
-            net, PruneSpec((2,), PruneMethod.UNSTRUCTURED, outgoing_importance=True)
-        )
-        np.testing.assert_array_equal(out.weights[1], net.weights[1][:, [1, 2]])
-
     def test_determinism(self, rng):
         a, b = rand_net((5, 8, 3), seed=13), rand_net((5, 8, 3), seed=14)
         ens = pf.make_ensemble(a, b, 0.4)
@@ -208,6 +197,40 @@ class TestPostprocess:
         net = rand_net((6, 10, 10, 4), seed=16)
         out = pf.prune_with_postprocess(net, PruneSpec((5, 5), PruneMethod.UNSTRUCTURED_POSTPROCESS))
         assert out.hidden_dims == (5, 5)
+
+    def test_full_width_solves_no_transport(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("transport solved although nothing was pruned")
+
+        monkeypatch.setattr(transport, "solve_partial_ot", fail)
+        net = rand_net((4, 6, 6, 3), seed=17)
+        spec = PruneSpec((6, 6), PruneMethod.UNSTRUCTURED_POSTPROCESS)
+        out = pf.prune_with_postprocess(net, spec)
+        assert out.equals(pf.unstructured_prune(net, spec))
+
+
+class TestPruneDispatch:
+    def _ensemble(self):
+        a, b = rand_net((5, 6, 6, 3), seed=18), rand_net((5, 6, 6, 3), seed=19)
+        return pf.make_ensemble(a, b, 0.3)
+
+    @pytest.mark.parametrize("method", list(PruneMethod))
+    def test_method_picks_the_pruner(self, rng, method):
+        ens = self._ensemble()
+        data = rng.normal(size=(40, 5))
+        spec = PruneSpec((8, 7), method, lam=0.3)
+        if method is PruneMethod.CLUSTER:
+            want = pf.cluster_prune(ens, spec, data, restarts=5, seed=3)
+        elif method is PruneMethod.UNSTRUCTURED:
+            want = pf.unstructured_prune(ens, spec)
+        else:
+            want = pf.prune_with_postprocess(ens, spec)
+        assert pf.prune(ens, spec, data, restarts=5, seed=3).equals(want)
+
+    def test_cluster_without_data_rejected(self):
+        spec = PruneSpec((8, 7), PruneMethod.CLUSTER)
+        with pytest.raises(ValueError, match="feature data"):
+            pf.prune(self._ensemble(), spec)
 
 
 class TestPruningKernelShapes:

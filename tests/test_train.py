@@ -45,17 +45,6 @@ class TestTrainMlp:
 
 
 class TestFineTune:
-    def test_frozen_zero_blocks_stay_zero(self):
-        a, b = rand_net((6, 8, 8, 3), seed=1), rand_net((6, 8, 8, 3), seed=2)
-        fused = pf.partial_fuse(a, b, pf.FusionConfig(lam=0.5, alpha=0.5))
-        masks = [w == 0.0 for w in fused.weights]
-        assert sum(int(m.sum()) for m in masks) > 0
-        data = pf.synthetic_blobs(3, 40, 6, spread=0.5, seed=5)
-        tuned = fine_tune(fused, data, TrainConfig(epochs=3, seed=0, freeze_zero_blocks=True))
-        for w, mask in zip(tuned.weights, masks):
-            assert np.all(w[mask] == 0.0)
-        assert any(not np.array_equal(w1, w2) for w1, w2 in zip(tuned.weights, fused.weights))
-
     def test_improves_over_start_on_heldout(self):
         data = pf.synthetic_blobs(3, 80, 6, spread=0.8, seed=6)
         rest, held = pf.holdout(data, 0.25, seed=0)
