@@ -56,14 +56,20 @@ def _manifest_path_pairs(manifest: Path):
                 f"{manifest}, line {number}: expected '<checkpoint> A<k>' or "
                 f"'<checkpoint> B<k>', got {line!r}"
             )
-        pairs.setdefault(int(role[1:]), {})[role[0]] = manifest.parent / path
+        idx = int(role[1:])
+        entry = pairs.setdefault(idx, {})
+        if role[0] in entry:
+            raise datamod.DataFormatError(
+                f"{manifest}, lines {entry[role[0]][0]} and {number}: both give {role[0]}{idx}"
+            )
+        entry[role[0]] = (number, manifest.parent / path)
     out = []
     for idx in sorted(pairs):
         entry = pairs[idx]
         if "A" not in entry or "B" not in entry:
             missing = "B" if "A" in entry else "A"
             raise datamod.DataFormatError(f"{manifest}: pair {idx} has no {missing}{idx} line")
-        out.append((idx, entry["A"], entry["B"]))
+        out.append((idx, entry["A"][1], entry["B"][1]))
     return out
 
 
@@ -275,10 +281,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="partfuse", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, timing=False, restarts=False):
         p.add_argument("--data-dir", default=None, help="directory with MNIST IDX files")
-        p.add_argument("--timing", action="store_true", help="measure wall time (breaks byte reproducibility)")
-        p.add_argument("--cluster-restarts", type=int, default=1000)
+        if timing:
+            p.add_argument("--timing", action="store_true", help="measure wall time (breaks byte reproducibility)")
+        if restarts:
+            p.add_argument("--cluster-restarts", type=int, default=1000)
 
     p_train = sub.add_parser("train", help="train seeded pairs of MLPs")
     add_common(p_train)
@@ -291,7 +299,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--seed-base", type=int, default=0)
 
     p_fuse = sub.add_parser("fuse", help="fuse or ensemble-prune one checkpoint pair")
-    add_common(p_fuse)
+    add_common(p_fuse, timing=True, restarts=True)
     p_fuse.add_argument("--manifest", required=True)
     p_fuse.add_argument("--pair", type=int, default=0)
     p_fuse.add_argument("--alpha", default="0", help="scalar or comma list per layer")
@@ -304,7 +312,7 @@ def build_parser() -> _Parser:
     p_fuse.add_argument("--export-couplings", default=None, help="CSV file for the per-layer transport plans")
 
     p_prune = sub.add_parser("prune", help="generalized pruning of a single network")
-    add_common(p_prune)
+    add_common(p_prune, restarts=True)
     p_prune.add_argument("--net", required=True)
     p_prune.add_argument("--method", choices=["cluster", "prune", "prune-post"], default="prune")
     p_prune.add_argument("--factor", type=float, default=0.5, help="kept fraction of each hidden layer")
@@ -313,7 +321,7 @@ def build_parser() -> _Parser:
     p_prune.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="full grid over methods, alphas, lambdas, pairs")
-    add_common(p_sweep)
+    add_common(p_sweep, timing=True, restarts=True)
     p_sweep.add_argument("--manifest", required=True)
     p_sweep.add_argument("--alphas", default="0;0.2;0.4;0.5;0.6;0.8;1", help="semicolon-separated alpha entries (each scalar or comma list)")
     p_sweep.add_argument("--lambdas", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1")

@@ -203,6 +203,8 @@ def stochastic_ward(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     w = masses.masses
+    if m == n:  # nothing to merge: every point is its own cluster
+        return _labels_to_assignment(points, w, np.arange(n))
     pair_index = np.triu_indices(n, k=1)
     best: Optional[Tuple[float, np.ndarray]] = None
     for r in range(restarts):

@@ -151,22 +151,18 @@ def heterogeneous_split(
 
 
 def holdout(
-    data: LabeledDataset, fraction: float, seed: int = 0, stratified: bool = True
+    data: LabeledDataset, fraction: float, seed: int = 0
 ) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Seeded split into (rest, held); stratified per class by default."""
+    """Seeded split into (rest, held), stratified per class."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     held_mask = np.zeros(len(data), dtype=bool)
-    if stratified:
-        for c in np.unique(data.labels):
-            members = np.flatnonzero(data.labels == c)
-            k = int(round(fraction * members.size))
-            chosen = rng.choice(members, size=k, replace=False)
-            held_mask[chosen] = True
-    else:
-        k = int(round(fraction * len(data)))
-        held_mask[rng.choice(len(data), size=k, replace=False)] = True
+    for c in np.unique(data.labels):
+        members = np.flatnonzero(data.labels == c)
+        k = int(round(fraction * members.size))
+        chosen = rng.choice(members, size=k, replace=False)
+        held_mask[chosen] = True
     return _take(data, np.flatnonzero(~held_mask)), _take(data, np.flatnonzero(held_mask))
 
 

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import netcore, transport
-from .netcore import DenseNetwork, ShapeError
+from .netcore import DenseNetwork, ShapeError, check_compatible, remap_neurons
 from .transport import (
     Coupling,
     DiscreteMeasure,
@@ -27,6 +27,8 @@ from .transport import (
 MATCH_EPS = 1e-9
 # activation features (alignment and cluster pruning) read at most this many samples
 ACTIVATION_SAMPLES = 1000
+# the fixed-point aligner stops after this many sweeps if it has not converged
+OUTER_ITERATIONS = 10
 
 
 class FeatureKind(Enum):
@@ -45,13 +47,10 @@ class FusionConfig:
     alpha: Union[float, Sequence[float]] = 0.0
     features: FeatureKind = FeatureKind.WEIGHTS
     align: AlignMethod = AlignMethod.FIXED_POINT
-    outer_iterations: int = 10
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if self.outer_iterations < 1:
-            raise ValueError("outer_iterations must be >= 1")
 
     def alphas(self, num_hidden: int) -> Tuple[float, ...]:
         if np.isscalar(self.alpha):
@@ -149,16 +148,6 @@ class AlignResult:
     converged_sweep: Optional[int] = None
 
 
-def _check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
-    if (
-        net_a.input_dim != net_b.input_dim
-        or net_a.output_dim != net_b.output_dim
-        or net_a.num_hidden != net_b.num_hidden
-        or net_a.activation is not net_b.activation
-    ):
-        raise ShapeError("networks must share boundary dims, depth and activation")
-
-
 # ---------------------------------------------------------------------------
 # Features
 
@@ -178,27 +167,20 @@ def features_activation(
 def features_weight(
     net_a: DenseNetwork,
     net_b: DenseNetwork,
-    kernels_above: Optional[KernelPair],
+    couplings: Sequence[Optional[Coupling]],
     layer: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Outgoing-weight features of hidden layer `layer`, mapped into B's world.
+    """Outgoing-weight features of hidden layer `layer` in one shared space.
 
-    A-feature i is column i of K_above^{A->B} @ W_a[layer]; B-features are
-    the raw columns of W_b[layer].  Each neuron's incoming bias is appended
-    as one extra coordinate so biased networks match on their full affine map.
+    Row i of each result is neuron i's outgoing weight vector, mapped into
+    the joint space of the layer above by couplings[layer] (the output layer
+    is shared, so the top hidden layer reads no coupling).  Each neuron's
+    incoming bias is appended as one extra coordinate so biased networks
+    match on their full affine map.
     """
     if not 1 <= layer <= net_a.num_hidden:
         raise ShapeError(f"layer {layer} out of range")
-    w_a = net_a.weights[layer]
-    moved = w_a if kernels_above is None else kernels_above.k_ab @ w_a
-    return _weight_features(moved, net_b.weights[layer], net_a, net_b, layer)
-
-
-def _weight_features(xa, xb, net_a, net_b, layer: int):
-    """Feature rows of hidden layer `layer` from outgoing weights in a shared space.
-
-    Column i of xa (xb) is A's (B's) neuron i's outgoing weight vector.
-    """
+    xa, xb = _joint_weights(net_a, net_b, couplings, layer)
     if xa.shape[0] != xb.shape[0]:
         raise ShapeError("transferred A-features do not live in B's output space")
     fa = np.column_stack([xa.T, net_a.biases[layer - 1]])
@@ -318,7 +300,7 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
     and re-solve one (partial) transport problem each, holding the rest
     fixed.  Stops early once a sweep changes nothing.
     """
-    _check_compatible(net_a, net_b)
+    check_compatible(net_a, net_b)
     if cfg.features is not FeatureKind.WEIGHTS:
         raise ValueError("the fixed-point aligner requires weight features")
     L = net_a.num_hidden
@@ -329,7 +311,7 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
     ]
     trace = [alignment_objective(net_a, net_b, couplings)]
     converged = None
-    for sweep in range(1, cfg.outer_iterations + 1):
+    for sweep in range(1, OUTER_ITERATIONS + 1):
         changed = False
         for layer in range(1, L + 1):
             cost = -_fixed_point_rewards(net_a, net_b, couplings, layer)
@@ -358,7 +340,7 @@ def greedy_align(
     top-down: each layer's outgoing weights are compared in the joint space
     of the layer above, solved just before.
     """
-    _check_compatible(net_a, net_b)
+    check_compatible(net_a, net_b)
     L = net_a.num_hidden
     alphas = cfg.alphas(L)
     couplings: List[Optional[Coupling]] = [None] * L
@@ -374,8 +356,7 @@ def greedy_align(
             couplings[layer - 1] = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
     else:
         for layer in range(L, 0, -1):
-            xa, xb = _joint_weights(net_a, net_b, couplings, layer)
-            fa, fb = _weight_features(xa, xb, net_a, net_b, layer)
+            fa, fb = features_weight(net_a, net_b, couplings, layer)
             mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
             nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
             cost = cost_matrix(fa, fb)
@@ -422,34 +403,28 @@ def split_partial_neuron(
     n = net.hidden_dims[layer - 1]
     if not 0 <= index < n:
         raise ShapeError(f"index {index} out of range for width {n}")
-    row_scale, col_dup, _ = _split_operators(n, [(index, kappa, mu_total)], None)
-    out = _expand_network(net, {layer: (row_scale, col_dup)})
+    neuron_map, _ = _split_operators(np.zeros(n), [(index, kappa, mu_total)])
+    out = remap_neurons(net, {layer: neuron_map})
     return out, SplitDirective(side, layer, index, float(kappa), float(mu_total))
 
 
-def _split_operators(n: int, splits, masses: Optional[np.ndarray]):
-    """Row-scaling, column-duplication, and mass bookkeeping for a batch of splits.
+def _split_operators(masses: np.ndarray, splits):
+    """The (src, scale) neuron map of a batch of splits, and the masses after it.
 
-    splits: list of (index, kappa, mu).  Matched copies keep their slot;
-    leftover copies are appended in split order.
+    splits: list of (index, kappa, mu).  Matched copies keep their slot and
+    take mass kappa; leftover copies are appended in split order and take
+    mu - kappa.
     """
-    extra = len(splits)
-    row_scale = np.zeros((n + extra, n))
-    col_dup = np.zeros((n, n + extra))
-    new_mass = None
-    if masses is not None:
-        new_mass = np.concatenate([masses.copy(), np.zeros(extra)])
-    row_scale[np.arange(n), np.arange(n)] = 1.0
-    col_dup[np.arange(n), np.arange(n)] = 1.0
+    n = len(masses)
+    src = np.concatenate([np.arange(n), np.zeros(len(splits), dtype=np.int64)])
+    scale = np.ones(len(src))
+    new_mass = np.concatenate([masses, np.zeros(len(splits))])
     for k, (idx, kappa, mu) in enumerate(splits):
         frac = kappa / mu
-        row_scale[idx, idx] = frac
-        row_scale[n + k, idx] = 1.0 - frac
-        col_dup[idx, n + k] = 1.0
-        if new_mass is not None:
-            new_mass[idx] = kappa
-            new_mass[n + k] = mu - kappa
-    return row_scale, col_dup, new_mass
+        src[n + k] = idx
+        scale[idx], scale[n + k] = frac, 1.0 - frac
+        new_mass[idx], new_mass[n + k] = kappa, mu - kappa
+    return (src, scale), new_mass
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +443,17 @@ def _expand_side(matched: np.ndarray, masses: np.ndarray):
 def build_match_plan(pt: Coupling, layer: int):
     """Split fractionally matched neurons, partition, and restrict kernels.
 
-    Returns (plan, row_ops_a, col_ops_a, row_ops_b, col_ops_b) where the ops
-    are the (row_scale, col_dup) expansion operators for each network.
+    Returns (plan, map_a, map_b), where map_a and map_b are the (src, scale)
+    neuron maps that split each network's layer for netcore.remap_neurons.
     """
     mu = pt.row_marginal.masses
     nu = pt.col_marginal.masses
     splits_a = _expand_side(pt.matched_row_mass(), mu)
     splits_b = _expand_side(pt.matched_col_mass(), nu)
-    rs_a, cd_a, mass_a = _split_operators(len(mu), splits_a, mu)
-    rs_b, cd_b, mass_b = _split_operators(len(nu), splits_b, nu)
+    map_a, mass_a = _split_operators(mu, splits_a)
+    map_b, mass_b = _split_operators(nu, splits_b)
     # matched copies keep their slot's row/column; leftover copies carry none
-    pi = np.zeros((rs_a.shape[0], rs_b.shape[0]))
+    pi = np.zeros((len(mass_a), len(mass_b)))
     pi[: len(mu), : len(nu)] = pt.matrix
     expanded = Coupling(pi, DiscreteMeasure(mass_a), DiscreteMeasure(mass_b), pt.alpha)
     iso_a, fused_a, iso_b, fused_b = _partition(expanded)
@@ -502,7 +477,7 @@ def build_match_plan(pt: Coupling, layer: int):
         kernels=kernels,
         split_directives=directives,
     )
-    return plan, (rs_a, cd_a), (rs_b, cd_b)
+    return plan, map_a, map_b
 
 
 def assemble_partial_layer(
@@ -558,28 +533,6 @@ def assemble_partial_layer(
     return out, bias
 
 
-def _expand_network(net: DenseNetwork, ops_per_layer) -> DenseNetwork:
-    """Apply split operators, a {hidden layer: (row_scale, col_dup)} map, to a network."""
-    weights = list(net.weights)
-    biases = list(net.biases)
-    hidden = list(net.hidden_dims)
-    for layer, (row_scale, col_dup) in ops_per_layer.items():
-        if row_scale.shape[0] == row_scale.shape[1]:
-            continue  # no splits at this layer
-        weights[layer - 1] = row_scale @ weights[layer - 1]
-        biases[layer - 1] = row_scale @ biases[layer - 1]
-        weights[layer] = weights[layer] @ col_dup
-        hidden[layer - 1] = row_scale.shape[0]
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=tuple(hidden),
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
-
-
 def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPlan], lam: float) -> DenseNetwork:
     L = net_a.num_hidden
     chain = [MatchPlan.boundary(net_a.input_dim), *plans, MatchPlan.boundary(net_a.output_dim)]
@@ -596,32 +549,23 @@ def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPla
         )
         weights.append(w)
         biases.append(b)
-    return DenseNetwork(
-        input_dim=net_a.input_dim,
-        hidden_dims=tuple(p.fused_width for p in plans),
-        output_dim=net_a.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net_a.activation,
-    )
+    return DenseNetwork.from_layers(weights, biases, net_a.activation)
 
 
 def fuse_aligned(
     net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult, lam: float
 ) -> DenseNetwork:
     """Split, partition and assemble the fused network of a computed alignment."""
-    _check_compatible(net_a, net_b)
+    check_compatible(net_a, net_b)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     if len(alignment.couplings) != net_a.num_hidden:
         raise ShapeError("one coupling per hidden layer required")
-    plans, ops_a, ops_b = [], {}, {}
+    plans, maps_a, maps_b = [], {}, {}
     for layer, coupling in enumerate(alignment.couplings, start=1):
-        plan, ops_a[layer], ops_b[layer] = build_match_plan(coupling, layer)
+        plan, maps_a[layer], maps_b[layer] = build_match_plan(coupling, layer)
         plans.append(plan)
-    exp_a = _expand_network(net_a, ops_a)
-    exp_b = _expand_network(net_b, ops_b)
-    return _assemble(exp_a, exp_b, plans, lam)
+    return _assemble(remap_neurons(net_a, maps_a), remap_neurons(net_b, maps_b), plans, lam)
 
 
 def partial_fuse(

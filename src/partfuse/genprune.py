@@ -13,7 +13,7 @@ import numpy as np
 
 from . import clustering as clst
 from . import fusion as fus
-from .netcore import DenseNetwork, ShapeError
+from .netcore import DenseNetwork, ShapeError, remap_neurons
 from .transport import DiscreteMeasure, KernelPair
 
 _MASS_FLOOR = 1e-9  # keeps lam-weighted masses positive at the lam = 0, 1 endpoints
@@ -81,14 +81,7 @@ def apply_generalized_pruning(net: DenseNetwork, kernels: Sequence) -> DenseNetw
             b = pairs[l][0] @ b
         weights.append(w)
         biases.append(b)
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=tuple(p[0].shape[0] for p in pairs),
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
+    return DenseNetwork.from_layers(weights, biases, net.activation)
 
 
 def _provenance_factors(net: DenseNetwork, lam: float, layer: int) -> np.ndarray:
@@ -123,11 +116,7 @@ def cluster_prune(
             factors = _provenance_factors(net, spec.lam, layer)
             mu = DiscreteMeasure(factors / factors.sum())
         m = spec.target_widths[layer - 1]
-        if m == len(mu):
-            labels = np.arange(len(mu))
-            assignment = clst._labels_to_assignment(feats, mu.masses, labels)
-        else:
-            assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
+        assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
         kernel_list.append(clst.assignment_to_kernels(assignment, mu))
     return apply_generalized_pruning(net, kernel_list)
 
@@ -147,20 +136,7 @@ def unstructured_prune(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:
             scores = scores * _provenance_factors(net, spec.lam, layer)
         order = np.argsort(-scores, kind="stable")
         keeps.append(np.sort(order[: spec.target_widths[layer - 1]]))
-    weights = list(net.weights)
-    biases = list(net.biases)
-    for layer, keep in enumerate(keeps, start=1):
-        weights[layer - 1] = weights[layer - 1][keep, :]
-        biases[layer - 1] = biases[layer - 1][keep]
-        weights[layer] = weights[layer][:, keep]
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=tuple(spec.target_widths),
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
+    return remap_neurons(net, {layer: (keep, None) for layer, keep in enumerate(keeps, start=1)})
 
 
 def prune_with_postprocess(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:

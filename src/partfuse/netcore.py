@@ -114,6 +114,16 @@ class DenseNetwork:
                 tuple(np.asarray(o, dtype=np.int64) for o in self.origins),
             )
 
+    @classmethod
+    def from_layers(cls, weights, biases, activation, origins=None) -> "DenseNetwork":
+        """The network of these layers, its widths read off the weight shapes."""
+        weights = tuple(weights)
+        hidden = tuple(np.shape(w)[0] for w in weights[:-1])
+        return cls(
+            np.shape(weights[0])[1], hidden, np.shape(weights[-1])[0],
+            weights, tuple(biases), activation, origins,
+        )
+
     @property
     def dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
@@ -183,6 +193,17 @@ def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
     return h
 
 
+def check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
+    """Two parents can be fused or ensembled only with equal boundary dims, depth and activation."""
+    if (
+        net_a.input_dim != net_b.input_dim
+        or net_a.output_dim != net_b.output_dim
+        or net_a.num_hidden != net_b.num_hidden
+        or net_a.activation is not net_b.activation
+    ):
+        raise ShapeError("networks must share boundary dims, depth and activation")
+
+
 def make_ensemble(net_a: DenseNetwork, net_b: DenseNetwork, lam: float) -> DenseNetwork:
     """Block-diagonal ensemble computing lam*f_A + (1-lam)*f_B.
 
@@ -192,13 +213,7 @@ def make_ensemble(net_a: DenseNetwork, net_b: DenseNetwork, lam: float) -> Dense
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    if (
-        net_a.input_dim != net_b.input_dim
-        or net_a.output_dim != net_b.output_dim
-        or net_a.num_hidden != net_b.num_hidden
-        or net_a.activation is not net_b.activation
-    ):
-        raise ShapeError("ensemble parents must share boundary dims, depth and activation")
+    check_compatible(net_a, net_b)
     L = net_a.num_hidden
     weights, biases = [], []
     for l in range(L + 1):
@@ -221,15 +236,7 @@ def make_ensemble(net_a: DenseNetwork, net_b: DenseNetwork, lam: float) -> Dense
         np.concatenate([np.zeros(na, dtype=np.int64), np.ones(nb, dtype=np.int64)])
         for na, nb in zip(net_a.hidden_dims, net_b.hidden_dims)
     )
-    return DenseNetwork(
-        input_dim=net_a.input_dim,
-        hidden_dims=tuple(a + b for a, b in zip(net_a.hidden_dims, net_b.hidden_dims)),
-        output_dim=net_a.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net_a.activation,
-        origins=origins,
-    )
+    return DenseNetwork.from_layers(weights, biases, net_a.activation, origins)
 
 
 def permute_hidden_layer(net: DenseNetwork, layer: int, perm: Sequence[int]) -> DenseNetwork:
@@ -243,19 +250,26 @@ def permute_hidden_layer(net: DenseNetwork, layer: int, perm: Sequence[int]) -> 
     n = net.hidden_dims[layer - 1]
     if sorted(perm.tolist()) != list(range(n)):
         raise ValueError("perm is not a permutation of the layer")
-    weights = list(net.weights)
-    biases = list(net.biases)
-    weights[layer - 1] = weights[layer - 1][perm, :]
-    biases[layer - 1] = biases[layer - 1][perm]
-    weights[layer] = weights[layer][:, perm]
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=net.hidden_dims,
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
+    return remap_neurons(net, {layer: (perm, None)})
+
+
+def remap_neurons(net: DenseNetwork, maps) -> DenseNetwork:
+    """Rebuild hidden layers from old neurons by a {layer: (src, scale)} map.
+
+    New neuron k of hidden `layer` (1-based) copies old neuron src[k]: its
+    incoming weights and bias are multiplied by scale[k] (scale None leaves
+    them as they are) and its outgoing weights are copied unchanged.
+    Deleting, permuting and splitting neurons are all such maps.  Origin
+    tags are not carried over.
+    """
+    weights, biases = list(net.weights), list(net.biases)
+    for layer, (src, scale) in maps.items():
+        w, b = weights[layer - 1][src, :], biases[layer - 1][src]
+        if scale is not None:
+            w, b = scale[:, None] * w, scale * b
+        weights[layer - 1], biases[layer - 1] = w, b
+        weights[layer] = weights[layer][:, src]
+    return DenseNetwork.from_layers(weights, biases, net.activation)
 
 
 def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
@@ -326,13 +340,6 @@ def load(path) -> DenseNetwork:
         if fh.read(1):
             raise PfnnFormatError("trailing data after final bias block")
     try:
-        return DenseNetwork(
-            input_dim=dims[0],
-            hidden_dims=dims[1:-1],
-            output_dim=dims[-1],
-            weights=tuple(weights),
-            biases=tuple(biases),
-            activation=act,
-        )
+        return DenseNetwork.from_layers(weights, biases, act)
     except ValueError as exc:  # e.g. NaN/inf weights: bad file content
         raise PfnnFormatError(f"{path}: {exc}") from None

@@ -8,6 +8,10 @@ import numpy as np
 from .netcore import ActivationKind, DenseNetwork, LabeledDataset, ShapeError
 
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class NumericalFailure(RuntimeError):
     """Training loss became non-finite."""
 
@@ -16,9 +20,6 @@ class NumericalFailure(RuntimeError):
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 128
     seed: int = 0
 
@@ -37,14 +38,7 @@ def init_network(
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return DenseNetwork(
-        input_dim=dims[0],
-        hidden_dims=tuple(dims[1:-1]),
-        output_dim=dims[-1],
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=activation,
-    )
+    return DenseNetwork.from_layers(weights, biases, activation)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -114,18 +108,18 @@ def _run_adam(
             if not np.isfinite(loss):
                 raise NumericalFailure(f"non-finite loss at step {step}: {loss}")
             step += 1
-            c1 = 1.0 - cfg.beta1**step
-            c2 = 1.0 - cfg.beta2**step
+            c1 = 1.0 - _BETA1**step
+            c2 = 1.0 - _BETA2**step
             for l in range(len(weights)):
                 for param, m, v, g in (
                     (weights[l], m_w[l], v_w[l], gw[l]),
                     (biases[l], m_b[l], v_b[l], gb[l]),
                 ):
-                    m *= cfg.beta1
-                    m += (1 - cfg.beta1) * g
-                    v *= cfg.beta2
-                    v += (1 - cfg.beta2) * g**2
-                    param -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+                    m *= _BETA1
+                    m += (1 - _BETA1) * g
+                    v *= _BETA2
+                    v += (1 - _BETA2) * g**2
+                    param -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + _EPS)
     return weights, biases
 
 
@@ -146,14 +140,7 @@ def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig) -> D
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg)
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=net.hidden_dims,
-        output_dim=net.output_dim,
-        weights=tuple(weights),
-        biases=tuple(biases),
-        activation=net.activation,
-    )
+    return DenseNetwork.from_layers(weights, biases, net.activation)
 
 
 def gradient_check(

@@ -249,7 +249,7 @@ def test_criterion_8_fixed_point_monotonicity():
     for seed in range(10):
         a = rand_net((6, 10, 9, 4), seed=seed + 70)
         b = rand_net((6, 10, 9, 4), seed=seed + 170)
-        result = pf.fixed_point_align(a, b, pf.FusionConfig(outer_iterations=10))
+        result = pf.fixed_point_align(a, b, pf.FusionConfig())
         trace = np.array(result.objective_trace)
         assert np.all(np.diff(trace) >= -1e-9), f"seed {seed}"
         convergence.append(result.converged_sweep)

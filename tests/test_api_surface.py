@@ -65,11 +65,14 @@ def test_hooked_results_keep_their_shape():
 
 
 # Every option below has a caller outside the tests (the CLI or the library's
-# own pipeline).  A new option changes these lists on purpose.
+# own pipeline), except two TrainConfig fields that only tests set:
+# learning_rate (the exit-3 test overflows the loss with it) and batch_size
+# (criteria 5 and 12 train with it).  A new option changes these lists on
+# purpose.
 CONFIG_FIELDS = {
-    pf.FusionConfig: ("lam", "alpha", "features", "align", "outer_iterations"),
+    pf.FusionConfig: ("lam", "alpha", "features", "align"),
     pf.PruneSpec: ("target_widths", "method", "lam"),
-    pf.TrainConfig: ("epochs", "learning_rate", "beta1", "beta2", "eps", "batch_size", "seed"),
+    pf.TrainConfig: ("epochs", "learning_rate", "batch_size", "seed"),
 }
 PARAMETERS = {
     pf.cluster_prune: ("net", "spec", "data", "restarts", "seed"),

@@ -137,6 +137,15 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(manifest) in err and "pair 0" in err
 
+    def test_duplicate_manifest_role_exit_2(self, trained_dir, tmp_path, capsys):
+        manifest = trained_dir / "dup_manifest.txt"
+        manifest.write_text("pair0_A.pfnn A0\npair1_A.pfnn A0\npair0_B.pfnn B0\n")
+        code = run(["fuse", "--manifest", manifest, "--pair", "0", "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(manifest) in err
+        assert "lines 1 and 2" in err and not (tmp_path / "x.pfnn").exists()
+
     def test_directory_as_manifest_exit_2(self, tmp_path, capsys):
         code = run(["fuse", "--manifest", tmp_path, "--out", tmp_path / "x.pfnn"])
         assert code == 2
@@ -290,6 +299,19 @@ class TestStats:
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert run(["fuse", "--no-such-flag"]) == 1
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--timing"), ("prune", "--timing"), ("stats", "--timing"),
+        ("train", "--cluster-restarts=5"), ("stats", "--cluster-restarts=5"),
+    ])
+    def test_flag_only_where_it_is_read(self, command, flag, capsys):
+        required = {
+            "train": ["--out", "x"],
+            "prune": ["--net", "x", "--out", "y"],
+            "stats": ["--net-a", "x", "--net-b", "y"],
+        }
+        assert run([command, *required[command], flag]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_numerical_failure_is_3(self, monkeypatch):
         from partfuse.train import NumericalFailure

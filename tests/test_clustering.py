@@ -106,6 +106,14 @@ class TestStochasticWard:
         np.testing.assert_array_equal(a.assign, b.assign)
         np.testing.assert_array_equal(a.centers, b.centers)
 
+    def test_full_width_merges_nothing(self, rng, monkeypatch):
+        def no_merges(*args, **kwargs):
+            raise AssertionError("agglomeration reached at m == n")
+
+        monkeypatch.setattr(pf.clustering, "_agglomerate", no_merges)
+        a = pf.stochastic_ward(rng.normal(size=(6, 3)), uniform(6), 6, restarts=3)
+        np.testing.assert_array_equal(a.assign, np.arange(6))
+
     def test_invalid_parameters(self, rng):
         pts = rng.normal(size=(4, 2))
         with pytest.raises(ValueError):

@@ -46,16 +46,16 @@ class TestFeatures:
 
     def test_weight_features_identity_kernel_self(self):
         net = rand_net((4, 6, 3), seed=3)
-        fa, fb = pf.features_weight(net, net, None, 1)
+        fa, fb = pf.features_weight(net, net, [None], 1)
         np.testing.assert_array_equal(fa, fb)
 
     def test_weight_features_permutation_algebra(self):
         a, b, perms = permuted_pair((4, 6, 5, 3), seed=4)
-        # the true layer-2 kernel sends a's neuron k to b's neuron perms[1][k]
-        perm_k = np.zeros((5, 5))
-        perm_k[perms[1], np.arange(5)] = 1.0
-        kp = pf.KernelPair(k_ab=perm_k, k_ba=perm_k.T)
-        fa, fb = pf.features_weight(a, b, kp, 1)
+        # the true layer-2 coupling sends a's neuron k to b's neuron perms[1][k]
+        pi = np.zeros((5, 5))
+        pi[np.arange(5), perms[1]] = 1.0 / 5
+        mu = pf.DiscreteMeasure.uniform(5)
+        fa, fb = pf.features_weight(a, b, [None, pf.Coupling(pi, mu, mu)], 1)
         # a's layer-1 neuron k is b's neuron perms[0][k]
         np.testing.assert_allclose(fa, fb[perms[0]], atol=1e-12)
 
@@ -64,7 +64,7 @@ class TestFeatures:
             3, (4,), 2, (np.zeros((4, 3)), np.zeros((2, 4))), (np.zeros(4), np.zeros(2)),
             pf.ActivationKind.RELU,
         )
-        fa, fb = pf.features_weight(zero, zero, None, 1)
+        fa, fb = pf.features_weight(zero, zero, [None], 1)
         np.testing.assert_array_equal(fa, np.zeros_like(fa))
         np.testing.assert_array_equal(fa, fb)
 
@@ -224,18 +224,10 @@ class TestFixedPoint:
             trace = np.array(result.objective_trace)
             assert np.all(np.diff(trace) >= -1e-9)
 
-    def test_more_iterations_never_hurt(self):
-        a, b = rand_net((4, 6, 5, 3), seed=29), rand_net((4, 6, 5, 3), seed=30)
-        one = pf.fixed_point_align(a, b, pf.FusionConfig(outer_iterations=1))
-        ten = pf.fixed_point_align(a, b, pf.FusionConfig(outer_iterations=10))
-        assert ten.objective_trace[-1] >= one.objective_trace[-1] - 1e-12
-
     def test_single_hidden_layer_converges_in_one_sweep(self):
         a, b = rand_net((5, 7, 3), seed=31), rand_net((5, 7, 3), seed=32)
-        one = pf.fixed_point_align(a, b, pf.FusionConfig(outer_iterations=1))
-        ten = pf.fixed_point_align(a, b, pf.FusionConfig(outer_iterations=10))
-        np.testing.assert_array_equal(one.couplings[0].matrix, ten.couplings[0].matrix)
-        assert ten.converged_sweep == 2  # second sweep finds nothing to change
+        result = pf.fixed_point_align(a, b, pf.FusionConfig())
+        assert result.converged_sweep == 2  # second sweep finds nothing to change
 
     def test_requires_weight_features(self):
         a, b = rand_net((4, 6, 3), seed=33), rand_net((4, 6, 3), seed=34)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse.netcore import PfnnFormatError, ShapeError
+from partfuse.netcore import PfnnFormatError, ShapeError, remap_neurons
 
 from conftest import rand_net
 
@@ -123,6 +123,33 @@ class TestPermutationInvariance:
             perm = rng.permutation(net.hidden_dims[layer - 1])
             permuted = pf.permute_hidden_layer(permuted, layer, perm)
         assert np.abs(pf.forward(permuted, x) - base).max() <= 1e-12
+
+
+class TestRemapNeurons:
+    def test_from_layers_reads_widths(self):
+        net = rand_net((5, 9, 8, 3), seed=6)
+        rebuilt = pf.DenseNetwork.from_layers(net.weights, net.biases, net.activation)
+        assert rebuilt.dims == (5, 9, 8, 3) and rebuilt.equals(net)
+        with pytest.raises(ShapeError):
+            pf.DenseNetwork.from_layers(net.weights[::-1], net.biases, net.activation)
+
+    def test_delete_permute_and_split(self, rng):
+        net = rand_net((5, 9, 8, 3), pf.ActivationKind.RELU, seed=7)
+        # layer 1 keeps 4 neurons in a new order; layer 2 splits neuron 2 as 0.25 : 0.75
+        keep = np.array([7, 0, 3, 5])
+        src = np.append(np.arange(8), 2)
+        scale = np.ones(9)
+        scale[2], scale[8] = 0.25, 0.75
+        out = remap_neurons(net, {1: (keep, None), 2: (src, scale)})
+        assert out.hidden_dims == (4, 9)
+        np.testing.assert_array_equal(out.weights[0], net.weights[0][keep])
+        np.testing.assert_array_equal(out.weights[1], scale[:, None] * net.weights[1][src][:, keep])
+        np.testing.assert_array_equal(out.weights[2][:, 8], net.weights[2][:, 2])
+        np.testing.assert_array_equal(out.biases[1][8], 0.75 * net.biases[1][2])
+        # a RELU split keeps the function (positive homogeneity)
+        split = remap_neurons(net, {2: (src, scale)})
+        x = rng.normal(size=(16, 5))
+        assert np.abs(pf.forward(split, x) - pf.forward(net, x)).max() <= 1e-12
 
 
 class TestSerialization:
