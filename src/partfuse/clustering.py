@@ -47,25 +47,39 @@ def _check_points(points: np.ndarray, masses: DiscreteMeasure) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != len(masses):
         raise ShapeError("points must be n x d with one mass per row")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     return points
+
+
+def _cluster_centers(
+    points: np.ndarray, masses: np.ndarray, labels: np.ndarray, m: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Centers and masses of clusters 0..m-1 (an unused id gets zeros).
+
+    Centers sit at mass-weighted means.  Weights are normalized within each
+    cluster, so singleton centers coincide bitwise with their point.  Each
+    center adds its members' rows to 0.0 in index order, as np.add.at does
+    (but faster), with a Python loop over the shorter axis of points.
+    """
+    mass = np.bincount(labels, weights=masses, minlength=m)
+    rows = (masses / mass[labels])[:, None] * points
+    centers = np.zeros((m, points.shape[1]))
+    if points.shape[1] < points.shape[0]:
+        for t in range(points.shape[1]):
+            centers[:, t] = np.bincount(labels, weights=rows[:, t], minlength=m)
+    else:
+        for k, c in enumerate(labels.tolist()):
+            centers[c] += rows[k]
+    return centers, mass
 
 
 def _labels_to_assignment(
     points: np.ndarray, masses: np.ndarray, labels: np.ndarray
 ) -> ClusterAssignment:
-    """Relabel to consecutive cluster ids and place centers at weighted means.
-
-    Weights are normalized within each cluster before summing so singleton
-    centers coincide bitwise with their point.
-    """
+    """Relabel to consecutive cluster ids and place centers at weighted means."""
     uniq, labels = np.unique(labels, return_inverse=True)
-    m = len(uniq)
-    mass = np.zeros(m)
-    np.add.at(mass, labels, masses)
-    ratio = masses / mass[labels]
-    centers = np.zeros((m, points.shape[1]))
-    np.add.at(centers, labels, ratio[:, None] * points)
-    return ClusterAssignment(labels, centers, mass)
+    return ClusterAssignment(labels, *_cluster_centers(points, masses, labels, len(uniq)))
 
 
 def clustering_objective(
@@ -82,26 +96,24 @@ def clustering_objective(
 
 
 def _objective_for_labels(points: np.ndarray, masses: np.ndarray, labels: np.ndarray) -> float:
-    # labels need not be consecutive; centers sit at mass-weighted means,
-    # accumulated with per-cluster normalized weights (singletons exact)
-    n = points.shape[0]
-    mass = np.bincount(labels, weights=masses, minlength=n)
-    ratio = masses / mass[labels]
-    sums = np.zeros((n, points.shape[1]))
-    np.add.at(sums, labels, ratio[:, None] * points)
-    diff = points - sums[labels]
+    # labels need not be consecutive
+    centers, _ = _cluster_centers(points, masses, labels, points.shape[0])
+    # one n x d temporary, not two
+    diff = centers[labels]
+    np.subtract(points, diff, out=diff)
     return float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
 
 
 def _fast_median(values: np.ndarray) -> float:
+    """Median of values, which it partitions in place."""
     k = values.size
     if k == 0:
         return 0.0
     half = k // 2
-    part = np.partition(values, half)
+    values.partition(half)
     if k % 2:
-        return float(part[half])
-    return float(0.5 * (part[half] + part[:half].max()))
+        return float(values[half])
+    return float(0.5 * (values[half] + values[:half].max()))
 
 
 # ---------------------------------------------------------------------------
@@ -119,40 +131,65 @@ def _ward_delta_matrix(centers: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return delta
 
 
+def _ward_pairs(
+    points: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Condensed pair state of one clustering call, shared by its restarts.
+
+    Returns (iu, ju, slot, delta).  Pair k = (iu[k], ju[k]) with
+    iu[k] < ju[k], in np.triu_indices order, and delta[k] is the cost of
+    merging the two singletons.  slot[a, b] is that k for either order of
+    a != b; slot[a, a] is the extra last entry of delta, which nothing reads,
+    so that a whole row of costs scatters at once.
+    """
+    n = points.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    slot = np.full((n, n), iu.size)
+    slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
+    delta = np.append(_ward_delta_matrix(points, weights)[iu, ju], np.inf)
+    return iu, ju, slot, delta
+
+
 def _agglomerate(
     points: np.ndarray,
     weights: np.ndarray,
     m: int,
     rng: Optional[np.random.Generator],
     temperature: float,
-    pair_index: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    pairs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Merge singletons down to m clusters; rng=None means greedy choices.
 
     Stochastic choices draw a pair with probability proportional to
     exp(-delta / (temperature * median(delta))); the greedy pair stays the
     likeliest.  Ties in the greedy path resolve to the lowest (i, j) pair.
+    A merge rewrites only the O(n) pairs of its two clusters; dead pairs
+    stay in place at inf.
     """
     n = points.shape[0]
     centers = points.copy()
     w = weights.copy()
     labels = np.arange(n)
     alive = np.ones(n, dtype=bool)
-    delta = _ward_delta_matrix(centers, w)
-    iu, ju = pair_index if pair_index is not None else np.triu_indices(n, k=1)
+    iu, ju, slot, delta0 = pairs
+    padded = delta0.copy()
+    delta = padded[:-1]
+    diff = np.empty_like(centers)
+    cum = np.empty_like(delta)
     for _ in range(n - m):
-        flat = delta[iu, ju]
         if rng is None:
-            pick = int(np.argmin(flat))
+            pick = int(np.argmin(delta))
         else:
             # exp((min - delta) / scale): dead pairs are inf and weight to 0
-            lo = flat.min()
-            med = _fast_median(flat[np.isfinite(flat)])
+            lo = delta.min()
+            med = _fast_median(delta[np.isfinite(delta)])
             scale = max(med, 1e-300) * temperature
-            weights_raw = np.exp((lo - flat) / scale)
-            cum = np.cumsum(weights_raw)
+            np.subtract(lo, delta, out=cum)
+            np.divide(cum, scale, out=cum)
+            np.exp(cum, out=cum)
+            cum.cumsum(out=cum)
             u = rng.random() * cum[-1]
-            pick = min(int(np.searchsorted(cum, u, side="right")), flat.size - 1)
+            pick = min(int(cum.searchsorted(u, side="right")), delta.size - 1)
         i, j = int(iu[pick]), int(ju[pick])
         # merged cluster keeps the smaller slot
         tot = w[i] + w[j]
@@ -160,14 +197,13 @@ def _agglomerate(
         w[i] = tot
         alive[j] = False
         labels[labels == j] = i
-        delta[j, :] = np.inf
-        delta[:, j] = np.inf
-        d2 = np.einsum("ij,ij->i", centers - centers[i], centers - centers[i])
+        padded[slot[j]] = np.inf
+        np.subtract(centers, centers[i], out=diff)
+        d2 = np.einsum("ij,ij->i", diff, diff)
         row = (w * w[i] / (w + w[i])) * d2
         row[~alive] = np.inf
         row[i] = np.inf
-        delta[i, :] = row
-        delta[:, i] = row
+        padded[slot[i]] = row
     return labels
 
 
@@ -176,8 +212,9 @@ def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterA
     points = _check_points(points, masses)
     if not 1 <= m <= points.shape[0]:
         raise ValueError(f"m={m} must lie in 1..{points.shape[0]}")
-    labels = _agglomerate(points, masses.masses, m, rng=None, temperature=0.0)
-    return _labels_to_assignment(points, masses.masses, labels)
+    w = masses.masses
+    labels = _agglomerate(points, w, m, rng=None, temperature=0.0, pairs=_ward_pairs(points, w))
+    return _labels_to_assignment(points, w, labels)
 
 
 def stochastic_ward(
@@ -198,20 +235,18 @@ def stochastic_ward(
     n = points.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must lie in 1..{n}")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be positive and finite")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     w = masses.masses
     if m == n:  # nothing to merge: every point is its own cluster
         return _labels_to_assignment(points, w, np.arange(n))
-    pair_index = np.triu_indices(n, k=1)
+    pairs = _ward_pairs(points, w)
     best: Optional[Tuple[float, np.ndarray]] = None
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        labels = _agglomerate(
-            points, w, m, rng=rng, temperature=temperature, pair_index=pair_index
-        )
+        labels = _agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
         obj = _objective_for_labels(points, w, labels)
         if best is None or obj < best[0]:
             best = (obj, labels)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import clustering
 from partfuse.clustering import _labels_to_assignment
 
 
@@ -121,6 +122,130 @@ class TestStochasticWard:
         with pytest.raises(ValueError):
             pf.stochastic_ward(pts, uniform(4), 2, restarts=0)
 
+    def test_non_finite_temperature_rejected(self, rng):
+        pts = rng.normal(size=(8, 2))
+        for temperature in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="temperature"):
+                pf.stochastic_ward(pts, uniform(8), 3, temperature=temperature, restarts=2)
+
+    def test_pair_state_built_once_per_call(self, rng, monkeypatch):
+        calls = []
+        real = clustering._ward_delta_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(clustering, "_ward_delta_matrix", counted)
+        pts = rng.normal(size=(7, 3))
+        for restarts in (1, 4, 9):
+            calls.clear()
+            pf.stochastic_ward(pts, uniform(7), 3, restarts=restarts)
+            assert len(calls) == 1
+        calls.clear()
+        pf.stochastic_ward(pts, uniform(7), 7, restarts=4)
+        assert calls == []
+
+
+def _dense_agglomerate(points, weights, m, rng, temperature):
+    """Ward agglomeration on the full n x n delta matrix, the reference for
+    the condensed pair state: every merge gathers all pairs and rebuilds the
+    merged cluster's row and column."""
+
+    def ward_delta_matrix(centers, w):
+        sq = np.einsum("ij,ij->i", centers, centers)
+        d2 = np.maximum(sq[:, None] - 2.0 * (centers @ centers.T) + sq[None, :], 0.0)
+        delta = ((w[:, None] * w[None, :]) / (w[:, None] + w[None, :])) * d2
+        np.fill_diagonal(delta, np.inf)
+        return delta
+
+    def median(values):
+        k = values.size
+        if k == 0:
+            return 0.0
+        half = k // 2
+        part = np.partition(values, half)
+        if k % 2:
+            return float(part[half])
+        return float(0.5 * (part[half] + part[:half].max()))
+
+    n = points.shape[0]
+    centers = points.copy()
+    w = weights.copy()
+    labels = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    delta = ward_delta_matrix(centers, w)
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(n - m):
+        flat = delta[iu, ju]
+        if rng is None:
+            pick = int(np.argmin(flat))
+        else:
+            lo = flat.min()
+            med = median(flat[np.isfinite(flat)])
+            scale = max(med, 1e-300) * temperature
+            cum = np.cumsum(np.exp((lo - flat) / scale))
+            u = rng.random() * cum[-1]
+            pick = min(int(np.searchsorted(cum, u, side="right")), flat.size - 1)
+        i, j = int(iu[pick]), int(ju[pick])
+        tot = w[i] + w[j]
+        centers[i] = (w[i] * centers[i] + w[j] * centers[j]) / tot
+        w[i] = tot
+        alive[j] = False
+        labels[labels == j] = i
+        delta[j, :] = np.inf
+        delta[:, j] = np.inf
+        d2 = np.einsum("ij,ij->i", centers - centers[i], centers - centers[i])
+        row = (w * w[i] / (w + w[i])) * d2
+        row[~alive] = np.inf
+        row[i] = np.inf
+        delta[i, :] = row
+        delta[:, i] = row
+    return labels
+
+
+class TestCondensedPairState:
+    def test_labels_match_dense_reference(self):
+        for case in range(40):
+            rng = np.random.default_rng(500 + case)
+            n = int(rng.integers(2, 61))
+            pts = rng.normal(size=(n, int(rng.integers(1, 9))))
+            if case % 3 == 0:  # duplicated points: exact ties in delta
+                pts = pts[rng.integers(0, max(1, n // 3), size=n)]
+            elif case % 3 == 1:  # coarse grid: more exact ties
+                pts = np.round(2 * pts)
+            w = pf.DiscreteMeasure(rng.random(n) + 0.05).masses if case % 2 else uniform(n).masses
+            m = int(rng.integers(1, n))
+            pairs = clustering._ward_pairs(pts, w)
+            np.testing.assert_array_equal(
+                clustering._agglomerate(pts, w, m, None, 0.0, pairs),
+                _dense_agglomerate(pts, w, m, None, 0.0),
+            )
+            for seed, r in ((case, 0), (case, 1), (7, case)):
+                temperature = (0.03, 0.1, 2.0)[r % 3]
+                got = clustering._agglomerate(
+                    pts, w, m, np.random.default_rng((seed, r)), temperature, pairs
+                )
+                want = _dense_agglomerate(pts, w, m, np.random.default_rng((seed, r)), temperature)
+                np.testing.assert_array_equal(got, want)
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_everywhere(self, rng, bad):
+        pts = rng.normal(size=(8, 3))
+        pts[5, 1] = bad
+        mu = uniform(8)
+        with pytest.raises(ValueError, match="points must be finite"):
+            pf.greedy_ward(pts, mu, 3)
+        with pytest.raises(ValueError, match="points must be finite"):
+            pf.stochastic_ward(pts, mu, 3, restarts=2)
+        with pytest.raises(ValueError, match="points must be finite"):
+            pf.brute_force_clustering(pts, mu, 3)
+        a = _labels_to_assignment(pts, mu.masses, np.arange(8) % 3)
+        with pytest.raises(ValueError, match="points must be finite"):
+            pf.clustering_objective(pts, mu, a)
+
 
 class TestTranslationInvariance:
     def test_assignments_unchanged_by_shift(self):
@@ -188,6 +313,26 @@ class TestBruteForceClustering:
 
 
 class TestInvariants:
+    def test_centers_match_add_at_reference(self, rng):
+        # d >= n and d < n take different accumulation loops
+        for n, d in ((1, 7), (5, 7), (40, 7), (12, 30)):
+            pts = rng.normal(size=(n, d))
+            pts[::2, 0] = -0.0  # the sign of zero sums must match too
+            masses = rng.random(n) + 0.1
+            labels = rng.integers(0, max(1, n // 3), size=n) * 3  # not consecutive
+            uniq, inverse = np.unique(labels, return_inverse=True)
+            mass = np.zeros(len(uniq))
+            np.add.at(mass, inverse, masses)
+            centers = np.zeros((len(uniq), d))
+            np.add.at(centers, inverse, (masses / mass[inverse])[:, None] * pts)
+            a = _labels_to_assignment(pts, masses, labels)
+            np.testing.assert_array_equal(a.assign, inverse)
+            assert a.centers.tobytes() == centers.tobytes()
+            assert a.center_mass.tobytes() == mass.tobytes()
+            diff = pts - centers[inverse]
+            want = float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
+            assert clustering._objective_for_labels(pts, masses, labels) == want
+
     def test_center_mass_consistency(self, rng):
         pts = rng.normal(size=(8, 3))
         masses = pf.DiscreteMeasure(rng.random(8) + 0.2)
