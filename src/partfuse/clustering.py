@@ -60,17 +60,13 @@ def _cluster_centers(
     Centers sit at mass-weighted means.  Weights are normalized within each
     cluster, so singleton centers coincide bitwise with their point.  Each
     center adds its members' rows to 0.0 in index order, as np.add.at does
-    (but faster), with a Python loop over the shorter axis of points.
+    (but faster).
     """
     mass = np.bincount(labels, weights=masses, minlength=m)
     rows = (masses / mass[labels])[:, None] * points
     centers = np.zeros((m, points.shape[1]))
-    if points.shape[1] < points.shape[0]:
-        for t in range(points.shape[1]):
-            centers[:, t] = np.bincount(labels, weights=rows[:, t], minlength=m)
-    else:
-        for k, c in enumerate(labels.tolist()):
-            centers[c] += rows[k]
+    for k, c in enumerate(labels.tolist()):
+        centers[c] += rows[k]
     return centers, mass
 
 
@@ -104,11 +100,8 @@ def _objective_for_labels(points: np.ndarray, masses: np.ndarray, labels: np.nda
     return float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
 
 
-def _fast_median(values: np.ndarray) -> float:
-    """Median of values, which it partitions in place."""
-    k = values.size
-    if k == 0:
-        return 0.0
+def _fast_median(values: np.ndarray, k: int) -> float:
+    """Median of the k smallest entries of values, which it partitions in place."""
     half = k // 2
     values.partition(half)
     if k % 2:
@@ -176,13 +169,16 @@ def _agglomerate(
     delta = padded[:-1]
     diff = np.empty_like(centers)
     cum = np.empty_like(delta)
-    for _ in range(n - m):
+    for live in range(n, m, -1):
         if rng is None:
             pick = int(np.argmin(delta))
         else:
-            # exp((min - delta) / scale): dead pairs are inf and weight to 0
+            # exp((min - delta) / scale): dead pairs are inf and weight to 0;
+            # they sort after the live * (live - 1) / 2 finite deltas that the
+            # median is taken over
             lo = delta.min()
-            med = _fast_median(delta[np.isfinite(delta)])
+            np.copyto(cum, delta)
+            med = _fast_median(cum, live * (live - 1) // 2)
             scale = max(med, 1e-300) * temperature
             np.subtract(lo, delta, out=cum)
             np.divide(cum, scale, out=cum)

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import clustering as clst
 from . import fusion as fus
+from . import train as trainmod
 from .netcore import DenseNetwork, ShapeError, remap_neurons
 from .transport import DiscreteMeasure, KernelPair
 
@@ -112,6 +113,8 @@ def cluster_prune(
     kernel_list = []
     for layer in range(1, net.num_hidden + 1):
         feats, mu = fus.features_activation(net, data, layer)
+        if not np.isfinite(feats).all():
+            raise trainmod.NumericalFailure(f"layer {layer} activations are not finite")
         if spec.lam is not None and spec.lam != 0.5:
             factors = _provenance_factors(net, spec.lam, layer)
             mu = DiscreteMeasure(factors / factors.sum())

@@ -13,7 +13,7 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class NumericalFailure(RuntimeError):
-    """Training loss became non-finite."""
+    """A training loss or a network's activations became non-finite."""
 
 
 @dataclass(frozen=True)

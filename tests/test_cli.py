@@ -215,6 +215,20 @@ class TestPrune:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_overflowing_activations_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        net = pf.load(trained_dir / "pair0_A.pfnn")
+        weights = [w * 1e200 if k < 2 else w for k, w in enumerate(net.weights)]
+        big = tmp_path / "big.pfnn"
+        pf.save(pf.DenseNetwork.from_layers(weights, net.biases, net.activation), big)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "prune", "--data-dir", data_dir, "--net", big, "--method", "cluster",
+                "--factor", "0.5", "--cluster-restarts", "2", "--out", tmp_path / "o.pfnn",
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "not finite" in err
+
 
 class TestSweep:
     def test_deterministic_bytes_and_row_count(self, data_dir, trained_dir, tmp_path):
