@@ -43,6 +43,10 @@ class ClusterAssignment:
         return self.centers.shape[0]
 
 
+class MergeCostOverflow(ValueError):
+    """Finite points whose Ward merge costs overflow to inf or NaN."""
+
+
 def _check_points(points: np.ndarray, masses: DiscreteMeasure) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != len(masses):
@@ -133,14 +137,17 @@ def _ward_pairs(
     iu[k] < ju[k], in np.triu_indices order, and delta[k] is the cost of
     merging the two singletons.  slot[a, b] is that k for either order of
     a != b; slot[a, a] is the extra last entry of delta, which nothing reads,
-    so that a whole row of costs scatters at once.
+    so that a whole row of costs scatters at once.  Raises MergeCostOverflow
+    when a merge cost is not finite.
     """
     n = points.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     slot = np.full((n, n), iu.size)
     slot[iu, ju] = slot[ju, iu] = np.arange(iu.size)
-    delta = np.append(_ward_delta_matrix(points, weights)[iu, ju], np.inf)
-    return iu, ju, slot, delta
+    pair_delta = _ward_delta_matrix(points, weights)[iu, ju]
+    if not np.isfinite(pair_delta).all():
+        raise MergeCostOverflow("Ward merge costs are not finite")
+    return iu, ju, slot, np.append(pair_delta, np.inf)
 
 
 def _agglomerate(

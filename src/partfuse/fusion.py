@@ -14,6 +14,7 @@ import numpy as np
 
 from . import netcore, transport
 from .netcore import DenseNetwork, ShapeError, check_compatible, remap_neurons
+from .train import NumericalFailure
 from .transport import (
     Coupling,
     DiscreteMeasure,
@@ -293,6 +294,17 @@ def _fixed_point_rewards(net_a, net_b, couplings, layer: int) -> np.ndarray:
     return reward
 
 
+def _solve_layer(mu, nu, cost: np.ndarray, alpha: float, layer: int) -> Coupling:
+    """Partial transport on a cost computed from the two networks.
+
+    Finite weights or activations can still overflow into non-finite costs:
+    that is a numerical failure of the networks, not a malformed input.
+    """
+    if not np.isfinite(cost).all():
+        raise NumericalFailure(f"layer {layer} alignment costs are not finite")
+    return transport.solve_partial_ot(mu, nu, cost, alpha)
+
+
 def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfig) -> AlignResult:
     """Coordinate ascent over per-layer couplings of the global objective.
 
@@ -317,7 +329,7 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
             cost = -_fixed_point_rewards(net_a, net_b, couplings, layer)
             mu = couplings[layer - 1].row_marginal
             nu = couplings[layer - 1].col_marginal
-            new = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
+            new = _solve_layer(mu, nu, cost, alphas[layer - 1], layer)
             if not np.array_equal(new.matrix, couplings[layer - 1].matrix):
                 changed = True
             couplings[layer - 1] = new
@@ -353,14 +365,14 @@ def greedy_align(
             fa, mu = features_activation(net_a, sample, layer)
             fb, nu = features_activation(net_b, sample, layer)
             cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
+            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], layer)
     else:
         for layer in range(L, 0, -1):
             fa, fb = features_weight(net_a, net_b, couplings, layer)
             mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
             nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
             cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = transport.solve_partial_ot(mu, nu, cost, alphas[layer - 1])
+            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], layer)
 
     return AlignResult(tuple(couplings))
 

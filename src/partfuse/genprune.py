@@ -119,7 +119,10 @@ def cluster_prune(
             factors = _provenance_factors(net, spec.lam, layer)
             mu = DiscreteMeasure(factors / factors.sum())
         m = spec.target_widths[layer - 1]
-        assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
+        try:
+            assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
+        except clst.MergeCostOverflow as exc:
+            raise trainmod.NumericalFailure(f"layer {layer}: {exc}") from exc
         kernel_list.append(clst.assignment_to_kernels(assignment, mu))
     return apply_generalized_pruning(net, kernel_list)
 

@@ -183,8 +183,15 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
     """Integral min-cost transportation via successive shortest paths.
 
     Node potentials keep reduced costs nonnegative so plain Dijkstra
-    suffices; ties always resolve to the lowest node index, which makes
-    the returned flow deterministic.
+    suffices; ties always resolve to A before B and then to the lowest node
+    index, which makes the returned flow deterministic.
+
+    Every source row sits at distance 0, so those rows pop first and in
+    index order; they are relaxed together as one column-wise min, whose
+    argmin keeps the first row, as the strict `<` relaxation does.  Rounding
+    can leave a reduced cost below 0, and then that B node pops before the
+    remaining sources: the batch is skipped when any source row but the
+    last has a negative reduced cost, and the sources pop one by one.
     """
     n_a, n_b = cost.shape
     c = cost - min(0.0, float(cost.min()))  # nonnegative, same minimizers
@@ -194,44 +201,60 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
     pot_a = np.zeros(n_a)
     pot_b = np.zeros(n_b)
     inf = np.inf
+    # Dijkstra keys, A nodes first so that argmin breaks ties as above;
+    # finished and unreached nodes hold inf
+    key = np.empty(n_a + n_b)
+    key_a, key_b = key[:n_a], key[n_a:]
 
     while rem_s.sum() > 0:
-        dist_a = np.where(rem_s > 0, 0.0, inf)
-        dist_b = np.full(n_b, inf)
-        par_b = np.full(n_b, -1, dtype=np.int64)  # A-node feeding each B-node
+        src = np.flatnonzero(rem_s > 0)
+        dist_a = np.full(n_a, inf)
+        dist_a[src] = 0.0
         par_a = np.full(n_a, -1, dtype=np.int64)  # B-node feeding each A-node
-        done_a = np.zeros(n_a, dtype=bool)
-        done_b = np.zeros(n_b, dtype=bool)
+        open_a = np.ones(n_a, dtype=bool)
+        open_b = np.ones(n_b, dtype=bool)
+        key_a.fill(inf)
+        red = (0.0 + c[src]) + pot_a[src, None] - pot_b
+        if red[:-1].min(initial=0.0) < 0.0:
+            dist_b = np.full(n_b, inf)
+            par_b = np.full(n_b, -1, dtype=np.int64)  # A-node feeding each B-node
+            key_a[src] = 0.0
+        else:
+            first = red.argmin(axis=0)
+            dist_b = red[first, np.arange(n_b)]
+            par_b = src[first]
+            open_a[src] = False
+        key_b[:] = dist_b
         target = -1
         while True:
-            da = np.where(done_a, inf, dist_a)
-            ia = int(np.argmin(da))
-            db = np.where(done_b, inf, dist_b)
-            ib = int(np.argmin(db))
-            if da[ia] >= inf and db[ib] >= inf:
+            k = int(key.argmin())
+            d = key[k]
+            if d == inf:
                 break
-            if da[ia] <= db[ib]:
-                done_a[ia] = True
-                nd = da[ia] + c[ia] + pot_a[ia] - pot_b
+            key[k] = inf
+            if k < n_a:
+                open_a[k] = False
+                nd = d + c[k] + pot_a[k] - pot_b
                 # never relax into finished nodes: rounding noise on tight
                 # arcs could otherwise rewrite their parents and knot the
                 # walk-back path into a cycle
-                better = (nd < dist_b) & ~done_b
-                if better.any():
-                    dist_b[better] = nd[better]
-                    par_b[better] = ia
+                better = ((nd < dist_b) & open_b).nonzero()[0]
+                if better.size:
+                    dist_b[better] = key_b[better] = nd[better]
+                    par_b[better] = k
             else:
+                ib = k - n_a
                 if rem_d[ib] > 0:
                     target = ib
                     break
-                done_b[ib] = True
-                back = flow[:, ib] > 0
-                if back.any():
-                    nd = np.where(back, db[ib] - c[:, ib] + pot_b[ib] - pot_a, inf)
-                    better = (nd < dist_a) & ~done_a
-                    if better.any():
-                        dist_a[better] = nd[better]
-                        par_a[better] = ib
+                open_b[ib] = False
+                rows = (flow[:, ib] > 0).nonzero()[0]
+                nd = d - c[rows, ib] + pot_b[ib] - pot_a[rows]
+                keep = ((nd < dist_a[rows]) & open_a[rows]).nonzero()[0]
+                if keep.size:
+                    better = rows[keep]
+                    dist_a[better] = key_a[better] = nd[keep]
+                    par_a[better] = ib
         if target < 0:
             raise RuntimeError("flow network disconnected; marginals inconsistent")
 

@@ -209,6 +209,19 @@ class TestTradeoffSweep:
         assert [r.error for r in records] == ["FloatingPointError"] * 4
         assert [r.csv_row().split(",")[4] for r in records] == ["error:FloatingPointError"] * 4
 
+    def test_overflowing_alignment_costs_are_numerical_failures(self, rng):
+        a, b = self._pair()
+        big = pf.DenseNetwork.from_layers(
+            [w * 1e160 if k == 1 else w for k, w in enumerate(b.weights)], b.biases, b.activation
+        )
+        cfg = pf.FusionConfig(align=pf.AlignMethod.GREEDY)
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = pf.tradeoff_sweep(
+                a, big, [0.5], [0.5], ["partial-ot", "prune-post"], self._eval_data(rng),
+                cfg_base=cfg,
+            )
+        assert [r.error for r in records] == ["NumericalFailure"] * 2
+
     def test_partial_ot_cell_needs_an_alignment(self):
         a, b = self._pair()
         with pytest.raises(ValueError, match="alignment"):

@@ -112,6 +112,27 @@ class TestFuse:
         assert code == 0
         assert pf.load(out).hidden_dims == (12, 6)
 
+    def test_overflowing_alignment_costs_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        net = pf.load(trained_dir / "pair0_B.pfnn")
+        weights = [w * 1e160 if k == 1 else w for k, w in enumerate(net.weights)]
+        pf.save(
+            pf.DenseNetwork.from_layers(weights, net.biases, net.activation),
+            trained_dir / "big_B.pfnn",
+        )
+        manifest = trained_dir / "big_manifest.txt"
+        manifest.write_text("pair0_A.pfnn A0\nbig_B.pfnn B0\n")
+        out = tmp_path / "x.pfnn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "fuse", "--data-dir", data_dir, "--manifest", manifest, "--pair", "0",
+                "--method", "partial-ot", "--align", "greedy", "--features", "weights",
+                "--out", out,
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "alignment costs are not finite" in err
+        assert not out.exists()
+
     def test_unknown_pair_exit_1(self, data_dir, trained_dir, tmp_path):
         code = run([
             "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
@@ -228,6 +249,23 @@ class TestPrune:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "not finite" in err
+
+    def test_overflowing_merge_costs_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        # the activations stay finite; their squared distances do not
+        net = pf.load(trained_dir / "pair0_A.pfnn")
+        weights = [w * 1e200 if k == 0 else w for k, w in enumerate(net.weights)]
+        big = tmp_path / "big.pfnn"
+        pf.save(pf.DenseNetwork.from_layers(weights, net.biases, net.activation), big)
+        out = tmp_path / "o.pfnn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "prune", "--data-dir", data_dir, "--net", big, "--method", "cluster",
+                "--factor", "0.5", "--cluster-restarts", "2", "--out", out,
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "merge costs are not finite" in err
+        assert not out.exists()
 
 
 class TestSweep:

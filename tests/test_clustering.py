@@ -246,6 +246,16 @@ class TestNonFinitePoints:
         with pytest.raises(ValueError, match="points must be finite"):
             pf.clustering_objective(pts, mu, a)
 
+    def test_overflowing_merge_costs_rejected(self, rng):
+        # finite points whose squared distances overflow
+        pts = rng.normal(size=(8, 3)) * 1e160
+        mu = uniform(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(clustering.MergeCostOverflow):
+                pf.greedy_ward(pts, mu, 3)
+            with pytest.raises(clustering.MergeCostOverflow):
+                pf.stochastic_ward(pts, mu, 3, restarts=2)
+
 
 class TestTranslationInvariance:
     def test_assignments_unchanged_by_shift(self):

@@ -1,7 +1,12 @@
+import inspect
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import transport
 from partfuse.transport import (
     DegenerateNeuronError,
     transport_objective,
@@ -252,3 +257,215 @@ class TestOracleAgreement:
             c = pf.solve_ot(mu, nu, cost)
             bf_obj, _ = pf.brute_force_ot(mu, nu, cost)
             assert abs(transport_objective(c.matrix, cost) - bf_obj) <= 1e-9
+
+
+def _reference_min_cost_flow(supply, demand, cost):
+    """The successive-shortest-path solver before its source rows were
+    relaxed as one batch: every source pops on its own, and each pop scans
+    both sides with np.where.  The reference for bitwise-equal flows."""
+    n_a, n_b = cost.shape
+    c = cost - min(0.0, float(cost.min()))
+    flow = np.zeros((n_a, n_b), dtype=np.int64)
+    rem_s = supply.astype(np.int64).copy()
+    rem_d = demand.astype(np.int64).copy()
+    pot_a = np.zeros(n_a)
+    pot_b = np.zeros(n_b)
+    inf = np.inf
+
+    while rem_s.sum() > 0:
+        dist_a = np.where(rem_s > 0, 0.0, inf)
+        dist_b = np.full(n_b, inf)
+        par_b = np.full(n_b, -1, dtype=np.int64)
+        par_a = np.full(n_a, -1, dtype=np.int64)
+        done_a = np.zeros(n_a, dtype=bool)
+        done_b = np.zeros(n_b, dtype=bool)
+        target = -1
+        while True:
+            da = np.where(done_a, inf, dist_a)
+            ia = int(np.argmin(da))
+            db = np.where(done_b, inf, dist_b)
+            ib = int(np.argmin(db))
+            if da[ia] >= inf and db[ib] >= inf:
+                break
+            if da[ia] <= db[ib]:
+                done_a[ia] = True
+                nd = da[ia] + c[ia] + pot_a[ia] - pot_b
+                better = (nd < dist_b) & ~done_b
+                if better.any():
+                    dist_b[better] = nd[better]
+                    par_b[better] = ia
+            else:
+                if rem_d[ib] > 0:
+                    target = ib
+                    break
+                done_b[ib] = True
+                back = flow[:, ib] > 0
+                if back.any():
+                    nd = np.where(back, db[ib] - c[:, ib] + pot_b[ib] - pot_a, inf)
+                    better = (nd < dist_a) & ~done_a
+                    if better.any():
+                        dist_a[better] = nd[better]
+                        par_a[better] = ib
+        if target < 0:
+            raise RuntimeError("flow network disconnected; marginals inconsistent")
+
+        d_t = dist_b[target]
+        path = []
+        j = target
+        delta = rem_d[target]
+        while True:
+            i = int(par_b[j])
+            path.append((i, j, True))
+            if par_a[i] < 0:
+                delta = min(delta, rem_s[i])
+                break
+            jprev = int(par_a[i])
+            path.append((i, jprev, False))
+            delta = min(delta, flow[i, jprev])
+            j = jprev
+        for i, jj, forward in path:
+            if forward:
+                flow[i, jj] += delta
+            else:
+                flow[i, jj] -= delta
+        src = path[-1][0]
+        rem_s[src] -= delta
+        rem_d[target] -= delta
+        pot_a += np.minimum(dist_a, d_t)
+        pot_b += np.minimum(dist_b, d_t)
+    return flow
+
+
+def _flow_instance(seed):
+    """(supply, demand, cost) exactly as solve_ot / solve_partial_ot build it."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 7
+    big = seed % 50 == 49  # sweep-sized: non-square, larger denominators
+    lo, hi = (30, 65) if big else (2, 31) if kind == 6 else (1, 14)
+    n_a, n_b = int(rng.integers(lo, hi)), int(rng.integers(lo, hi))
+    if kind == 6:  # separable: every plan is optimal, rounding breaks the ties
+        u, v = rng.integers(0, 10, size=n_a) / 10, rng.integers(0, 10, size=n_b) / 10
+        cost = u[:, None] + v[None, :] + 0.1 * (seed % 2) * rng.integers(0, 2, size=(n_a, n_b))
+    elif kind == 0:
+        cost = rng.normal(size=(n_a, n_b))
+    elif kind == 1:  # many ties
+        cost = rng.integers(0, 3, size=(n_a, n_b)).astype(float)
+    elif kind == 2:  # duplicated rows
+        rows = rng.normal(size=(max(1, n_a // 2), n_b)).round(1)
+        cost = rows[rng.integers(0, rows.shape[0], size=n_a)]
+    elif kind == 3:  # negative, reward-style
+        cost = -rng.exponential(size=(n_a, n_b))
+    elif kind == 4:  # squared distances between grid points
+        cost = pf.cost_matrix(
+            rng.integers(0, 3, size=(n_a, 2)).astype(float),
+            rng.integers(0, 3, size=(n_b, 2)).astype(float),
+        )
+    else:
+        cost = 10.0 * rng.normal(size=(n_a, n_b)).round(1)
+    if big or rng.random() < 0.5:
+        mu, nu = np.full(n_a, 1.0 / n_a), np.full(n_b, 1.0 / n_b)
+    else:
+        a = rng.integers(1, 5, size=n_a).astype(float)
+        b = rng.integers(1, 5, size=n_b).astype(float)
+        mu, nu = a / a.sum(), b / b.sum()
+    alpha = (Fraction(0), Fraction(1, 4), Fraction(2, 5))[seed % 3]
+    if not alpha:
+        sup, dem, _ = transport._integerize_pair(mu, nu)
+        return sup, dem, cost
+    if cost.min() < 0.0:
+        cost = cost - cost.min()
+    sup, dem, _ = transport._integerize_pair(mu, nu, alpha)
+    ext = np.zeros((n_a + 1, n_b + 1))
+    ext[:n_a, :n_b] = cost
+    ext[-1, -1] = cost.max() + 1.0
+    return sup, dem, ext
+
+
+def _lines_run(func, *args):
+    """Line numbers of func's own code that a call executes."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    def outer(frame, event, arg):
+        return local if frame.f_code is func.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(outer)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+class TestMinCostFlowReference:
+    def test_flows_match_reference_bitwise(self):
+        for seed in range(320):
+            sup, dem, cost = _flow_instance(seed)
+            np.testing.assert_array_equal(
+                transport._min_cost_flow(sup, dem, cost),
+                _reference_min_cost_flow(sup, dem, cost),
+                err_msg=f"instance {seed}",
+            )
+
+    def test_negative_reduced_cost_skips_the_batch(self):
+        # a separable instance on which rounding leaves a source row other
+        # than the last with a reduced cost below 0, so a B node pops between
+        # the sources; relaxing every source in one batch would change the flow
+        sup, dem, cost = _flow_instance(1119)
+        lines, start = inspect.getsourcelines(transport._min_cost_flow)
+        fallback = start + next(k for k, text in enumerate(lines) if "key_a[src] = 0.0" in text)
+        assert fallback in _lines_run(transport._min_cost_flow, sup, dem, cost)
+        np.testing.assert_array_equal(
+            transport._min_cost_flow(sup, dem, cost), _reference_min_cost_flow(sup, dem, cost)
+        )
+
+
+class TestWorkingSizeOracles:
+    """Exact objectives at the sizes fusion solves, against scipy."""
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_solve_ot_matches_linear_sum_assignment(self, n):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(n)
+        cost = pf.cost_matrix(rng.normal(size=(n, 101)), rng.normal(size=(n, 101)))
+        plan = pf.solve_ot(uniform(n), uniform(n), cost).matrix
+        rows, cols = optimize.linear_sum_assignment(cost)
+        want = cost[rows, cols].sum() / n
+        assert abs(transport_objective(plan, cost) - want) <= 1e-12 * want
+        # an exact vertex: a permutation matrix scaled by 1/n
+        assert np.array_equal(np.sort(plan, axis=1)[:, :-1], np.zeros((n, n - 1)))
+        assert np.array_equal(plan.max(axis=1), np.full(n, 1.0 / n))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_solve_partial_ot_matches_highs(self, alpha):
+        optimize = pytest.importorskip("scipy.optimize")
+        sparse = pytest.importorskip("scipy.sparse")
+        n = 100
+        rng = np.random.default_rng(7)
+        cost = pf.cost_matrix(rng.normal(size=(n, 101)), rng.normal(size=(n, 101)))
+        plan = pf.solve_partial_ot(uniform(n), uniform(n), cost, alpha).matrix
+        # variables pi[i, j] in row-major order; row and column sums capped
+        # by the marginals, the total fixed at 1 - alpha
+        sums = sparse.vstack([
+            sparse.kron(sparse.identity(n), np.ones((1, n))),
+            sparse.kron(np.ones((1, n)), sparse.identity(n)),
+        ]).tocsr()
+        lp = optimize.linprog(
+            cost.ravel(),
+            A_ub=sums,
+            b_ub=np.full(2 * n, 1.0 / n),
+            A_eq=np.ones((1, n * n)),
+            b_eq=[1.0 - alpha],
+            bounds=(0, None),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert lp.status == 0
+        assert abs(transport_objective(plan, cost) - lp.fun) <= 1e-9 * max(lp.fun, 1.0)
+        if alpha == 1.0:
+            assert not plan.any()
