@@ -46,7 +46,6 @@ from .fusion import (
     greedy_align,
     ot_fuse,
     partial_fuse,
-    split_partial_neuron,
 )
 from .genprune import (
     PruneMethod,

@@ -23,17 +23,15 @@ class ParamReport:
     per_layer: Tuple[Tuple[int, int], ...]
     total_nonzero: int
     total_entries: int
-    ratio_vs_single: Optional[float] = None
 
 
-def count_params(net: DenseNetwork, reference_nonzero: Optional[int] = None) -> ParamReport:
+def count_params(net: DenseNetwork) -> ParamReport:
     per_layer = []
     for w in net.weights:
         per_layer.append((int(w.size), int(np.count_nonzero(w))))
     total_nz = sum(nz for _, nz in per_layer)
     total = sum(t for t, _ in per_layer)
-    ratio = None if reference_nonzero is None else total_nz / reference_nonzero
-    return ParamReport(tuple(per_layer), total_nz, total, ratio)
+    return ParamReport(tuple(per_layer), total_nz, total)
 
 
 def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float, float]:

@@ -31,7 +31,22 @@ def _parse_alpha(text: str):
     return values[0] if len(values) == 1 else values
 
 
-def _load_mnist_train(args):
+def _positive_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {value}")
+    return value
+
+
+def _kept_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {text}")
+    return value
+
+
+def _load_split(args, split: str):
+    """The "train" or "test" split of the MNIST directory; only that split's files are opened."""
     paths = datamod.find_mnist(Path(args.data_dir) if args.data_dir else None)
     if paths is None:
         raise FileNotFoundError(
@@ -39,9 +54,12 @@ def _load_mnist_train(args):
             f"{datamod.DATA_DIR_ENV} environment variable at a directory "
             "holding train-images-idx3-ubyte etc."
         )
-    train = datamod.load_idx(paths["train_images"], paths["train_labels"])
-    test = datamod.load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+    return datamod.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
+
+
+def _reads_features(method: str, features: str) -> bool:
+    """Whether a fuse or sweep cell of `method` reads training-split inputs."""
+    return method == "cluster" or (method == "partial-ot" and features == "activations")
 
 
 def _manifest_path_pairs(manifest: Path):
@@ -83,7 +101,7 @@ def _fusion_config(args, lam: float, alpha) -> fus.FusionConfig:
 
 
 def cmd_train(args) -> int:
-    train, _ = _load_mnist_train(args)
+    train = _load_split(args, "train")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = [train.inputs.shape[1], *([args.width] * args.depth), int(train.labels.max()) + 1]
@@ -127,22 +145,19 @@ def cmd_fuse(args) -> int:
     idx, path_a, path_b = chosen[0]
     net_a, net_b = netcore.load(path_a), netcore.load(path_b)
     alpha = _parse_alpha(args.alpha)
-    feature_data = None
-    eval_data = None
+    cfg = _fusion_config(args, args.lam, alpha) if args.method == "partial-ot" else None
+    reads_features = _reads_features(args.method, args.features)
+    feature_data = eval_data = None
     if args.data_dir or datamod.data_dir():
         try:
-            train, test = _load_mnist_train(args)
-            feature_data = train.inputs
-            eval_data = test
+            eval_data = _load_split(args, "test")
+            if reads_features:
+                feature_data = _load_split(args, "train").inputs
         except FileNotFoundError:
             if args.data_dir:
                 raise  # only a directory from the environment may lack MNIST
-    needs_data = args.method in ("cluster",) or (
-        args.method == "partial-ot" and args.features == "activations"
-    )
-    if needs_data and feature_data is None:
+    if reads_features and feature_data is None:
         raise UsageError(f"method {args.method}/{args.features} needs data for features")
-    cfg = _fusion_config(args, args.lam, alpha)
     start = time.perf_counter() if args.timing else None
     alignment = None  # aligned here so --export-couplings writes what was fused
     if args.method == "partial-ot":
@@ -186,7 +201,7 @@ def cmd_prune(args) -> int:
     spec = gp.PruneSpec(widths, gp.PruneMethod(args.method))
     feature_data = None
     if spec.method is gp.PruneMethod.CLUSTER:
-        feature_data = _load_mnist_train(args)[0].inputs
+        feature_data = _load_split(args, "train").inputs
     pruned = gp.prune(net, spec, feature_data, restarts=args.cluster_restarts, seed=args.seed)
     netcore.save(pruned, args.out)
     print(f"wrote {args.out} widths={pruned.hidden_dims}")
@@ -194,12 +209,23 @@ def cmd_prune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pairs = _manifest_path_pairs(Path(args.manifest))
-    train, test = _load_mnist_train(args)
     alphas = [_parse_alpha(a) for a in args.alphas.split(";") if a.strip()]
     lambdas = [float(p) for p in args.lambdas.split(",") if p.strip()]
     methods = [m for m in args.methods.split(",") if m.strip()]
-    cfg_base = _fusion_config(args, 0.5, 0.0)
+    # the whole grid is checked before the first cell; only an alpha list's
+    # length depends on the pair, so a mismatch there stays an error row
+    for method in methods:
+        if method != "partial-ot":
+            gp.PruneMethod(method)
+    cfg_base = _fusion_config(args, 0.5, 0.0) if "partial-ot" in methods else None
+    for alpha in alphas:
+        fus.FusionConfig(alpha=alpha)
+    for lam in lambdas:
+        fus.FusionConfig(lam=lam)
+    pairs = _manifest_path_pairs(Path(args.manifest))
+    test = _load_split(args, "test")
+    reads_features = any(_reads_features(m, args.features) for m in methods)
+    feature_data = _load_split(args, "train").inputs if reads_features else None
 
     def run_pair(item):
         idx, path_a, path_b = item
@@ -211,7 +237,7 @@ def cmd_sweep(args) -> int:
             lambdas,
             methods,
             test,
-            feature_data=train.inputs,
+            feature_data=feature_data,
             seed=idx,
             cfg_base=cfg_base,
             cluster_restarts=args.cluster_restarts,
@@ -242,8 +268,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_stats(args) -> int:
     net_a, net_b = netcore.load(args.net_a), netcore.load(args.net_b)
-    train, _ = _load_mnist_train(args)
-    sample = train.inputs[: args.sample_count]
+    sample = _load_split(args, "train").inputs[: args.sample_count]
     lines = ["block,layer,network,statistic,neuron,value"]
     reports = [
         analysis.similarity_stats(net_a, net_b, sample, layer)
@@ -286,15 +311,15 @@ def build_parser() -> _Parser:
         if timing:
             p.add_argument("--timing", action="store_true", help="measure wall time (breaks byte reproducibility)")
         if restarts:
-            p.add_argument("--cluster-restarts", type=int, default=1000)
+            p.add_argument("--cluster-restarts", type=_positive_count, default=1000)
 
     p_train = sub.add_parser("train", help="train seeded pairs of MLPs")
     add_common(p_train)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--pairs", type=int, default=5)
+    p_train.add_argument("--pairs", type=_positive_count, default=5)
     p_train.add_argument("--split-digit", type=int, default=None, help="heterogeneous split; omit to train on the full data")
-    p_train.add_argument("--width", type=int, default=100)
-    p_train.add_argument("--depth", type=int, default=3)
+    p_train.add_argument("--width", type=_positive_count, default=100)
+    p_train.add_argument("--depth", type=_positive_count, default=3)
     p_train.add_argument("--epochs", type=int, default=50)
     p_train.add_argument("--seed-base", type=int, default=0)
 
@@ -315,7 +340,7 @@ def build_parser() -> _Parser:
     add_common(p_prune, restarts=True)
     p_prune.add_argument("--net", required=True)
     p_prune.add_argument("--method", choices=["cluster", "prune", "prune-post"], default="prune")
-    p_prune.add_argument("--factor", type=float, default=0.5, help="kept fraction of each hidden layer")
+    p_prune.add_argument("--factor", type=_kept_fraction, default=0.5, help="kept fraction of each hidden layer")
     p_prune.add_argument("--widths", default=None, help="explicit comma list of target widths")
     p_prune.add_argument("--seed", type=int, default=0)
     p_prune.add_argument("--out", required=True)
@@ -335,7 +360,7 @@ def build_parser() -> _Parser:
     add_common(p_stats)
     p_stats.add_argument("--net-a", required=True)
     p_stats.add_argument("--net-b", required=True)
-    p_stats.add_argument("--sample-count", type=int, default=1000)
+    p_stats.add_argument("--sample-count", type=_positive_count, default=1000)
     p_stats.add_argument("--out", default=None)
 
     return parser

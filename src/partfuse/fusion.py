@@ -52,16 +52,18 @@ class FusionConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
+        if any(not 0.0 <= float(a) <= 1.0 for a in np.atleast_1d(self.alpha)):
+            raise ValueError("every alpha must lie in [0, 1]")
+        if self.align is AlignMethod.FIXED_POINT and self.features is not FeatureKind.WEIGHTS:
+            raise ValueError("the fixed-point aligner requires weight features")
 
     def alphas(self, num_hidden: int) -> Tuple[float, ...]:
+        """One alpha per hidden layer; only a list's length depends on the network."""
         if np.isscalar(self.alpha):
-            values = (float(self.alpha),) * num_hidden
-        else:
-            values = tuple(float(a) for a in self.alpha)
-            if len(values) != num_hidden:
-                raise ValueError(f"alpha list has {len(values)} entries, expected {num_hidden}")
-        if any(not 0.0 <= a <= 1.0 for a in values):
-            raise ValueError("every alpha must lie in [0, 1]")
+            return (float(self.alpha),) * num_hidden
+        values = tuple(float(a) for a in self.alpha)
+        if len(values) != num_hidden:
+            raise ValueError(f"alpha list has {len(values)} entries, expected {num_hidden}")
         return values
 
 
@@ -313,8 +315,7 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
     fixed.  Stops early once a sweep changes nothing.
     """
     check_compatible(net_a, net_b)
-    if cfg.features is not FeatureKind.WEIGHTS:
-        raise ValueError("the fixed-point aligner requires weight features")
+    replace(cfg, align=AlignMethod.FIXED_POINT)  # FusionConfig rejects activation features here
     L = net_a.num_hidden
     alphas = cfg.alphas(L)
     couplings = [
@@ -396,36 +397,13 @@ def align(
 # Splitting partially matched neurons
 
 
-def split_partial_neuron(
-    net: DenseNetwork, layer: int, index: int, kappa: float, mu_total: float,
-    side: str = "A",
-) -> Tuple[DenseNetwork, SplitDirective]:
-    """Replace neuron `index` of hidden `layer` by a matched and a leftover copy.
-
-    Both copies keep the original outgoing weights; their incoming weights
-    and bias are scaled by kappa/mu and (mu-kappa)/mu.  For RELU networks
-    the function is preserved exactly (positive homogeneity); for GELU it
-    is an approximation.  The matched copy stays at `index`, the leftover
-    copy is appended at the end of the layer.
-    """
-    if not 0.0 < kappa < mu_total:
-        raise ValueError("kappa must be strictly between 0 and the neuron's mass")
-    if not 1 <= layer <= net.num_hidden:
-        raise ShapeError(f"layer {layer} out of range")
-    n = net.hidden_dims[layer - 1]
-    if not 0 <= index < n:
-        raise ShapeError(f"index {index} out of range for width {n}")
-    neuron_map, _ = _split_operators(np.zeros(n), [(index, kappa, mu_total)])
-    out = remap_neurons(net, {layer: neuron_map})
-    return out, SplitDirective(side, layer, index, float(kappa), float(mu_total))
-
-
 def _split_operators(masses: np.ndarray, splits):
     """The (src, scale) neuron map of a batch of splits, and the masses after it.
 
     splits: list of (index, kappa, mu).  Matched copies keep their slot and
     take mass kappa; leftover copies are appended in split order and take
-    mu - kappa.
+    mu - kappa.  Incoming weights scale with the mass share, which keeps a
+    ReLU network's function exactly (positive homogeneity) but not a GELU's.
     """
     n = len(masses)
     src = np.concatenate([np.arange(n), np.zeros(len(splits), dtype=np.int64)])

@@ -32,12 +32,6 @@ class TestCountParams:
         want = pf.theoretical_counts(0.5, 8, 8, "partial-fusion")[0]
         assert report.per_layer[1][1] == int(want)
 
-    def test_ratio_vs_reference(self):
-        net = rand_net((4, 6, 3), seed=5)
-        base = pf.count_params(net).total_nonzero
-        report = pf.count_params(net, reference_nonzero=base)
-        assert report.ratio_vs_single == pytest.approx(1.0)
-
 
 class TestTheoreticalCounts:
     def test_alpha_half_reference_values(self):

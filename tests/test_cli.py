@@ -1,10 +1,12 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import partfuse as pf
 from partfuse import analysis, cli, fusion, transport
+from partfuse import data as datamod
 from partfuse.data import write_idx_images, write_idx_labels
 
 
@@ -320,6 +322,49 @@ class TestSweep:
         assert out.read_text() == cli.CSV_HEADER + "\n"
 
 
+    @pytest.mark.parametrize("grid", [
+        ["--methods", "bogus"],
+        ["--methods", "partial-ot,bogus"],
+        ["--alphas", "1.5"],
+        ["--alphas", "nan"],
+        ["--alphas", "0;0.5,-0.1"],
+        ["--lambdas", "2"],
+        ["--lambdas", "0.5,nan"],
+        ["--methods", "prune,partial-ot", "--features", "activations", "--align", "fixed-point"],
+    ], ids=lambda g: " ".join(g))
+    def test_bad_grid_exit_1_before_any_cell(self, data_dir, trained_dir, tmp_path, capsys, grid):
+        out = tmp_path / "bad.csv"
+        code = run([
+            "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--alphas", "0.5", "--lambdas", "0.5", "--methods", "partial-ot", *grid,
+            "--out", out,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
+    def test_activations_with_fixed_point_allowed_without_partial_ot(self, data_dir, trained_dir, tmp_path):
+        out = tmp_path / "prune.csv"
+        code = run([
+            "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--alphas", "0.5", "--lambdas", "0.5", "--methods", "prune",
+            "--features", "activations", "--align", "fixed-point", "--out", out,
+        ])
+        assert code == 0
+        assert "error" not in out.read_text()
+
+    def test_alpha_list_of_wrong_depth_is_an_error_row(self, data_dir, trained_dir, tmp_path):
+        out = tmp_path / "depth.csv"
+        code = run([
+            "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--alphas", "0.2,0.4,0.6", "--lambdas", "0.5", "--methods", "partial-ot,prune",
+            "--out", out,
+        ])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(r.split(",")[4] == "error:ValueError" for r in rows)
+
+
 class TestStats:
     def test_same_checkpoint_twice_zero_cross(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "stats.csv"
@@ -436,3 +481,90 @@ class TestTrainEpochsZero:
         assert code == 0
         net = pf.load(out / "pair0_A.pfnn")
         assert net.equals(init_network([36, 5, 5, 4], pf.ActivationKind.GELU, seed=0))
+
+
+REQUIRED_FLAGS = {
+    "train": ["--out", "{tmp}/o"],
+    "stats": ["--net-a", "{ckpt}", "--net-b", "{ckpt}", "--out", "{tmp}/o"],
+    "prune": ["--net", "{ckpt}", "--method", "cluster", "--out", "{tmp}/o"],
+    "fuse": ["--manifest", "{manifest}", "--method", "cluster", "--out", "{tmp}/o"],
+    "sweep": ["--manifest", "{manifest}", "--methods", "cluster", "--alphas", "0.5",
+              "--lambdas", "0.5", "--out", "{tmp}/o"],
+}
+
+
+def fill(argv, tmp_path, trained_dir, data_dir):
+    """argv with its {tmp}, {ckpt} and {manifest} fields filled in, reading data_dir."""
+    paths = {"tmp": tmp_path, "ckpt": trained_dir / "pair0_A.pfnn", "manifest": trained_dir / "manifest.txt"}
+    return [a.format(**paths) for a in argv] + ["--data-dir", str(data_dir)]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", "--width 0 --depth 2"),
+        ("train", "--depth 0"),
+        ("train", "--pairs 0"),
+        ("stats", "--sample-count -5"),
+        ("prune", "--factor -0.5"),
+        ("prune", "--factor 0"),
+        ("prune", "--factor 1.5"),
+        ("prune", "--factor nan"),
+        ("prune", "--cluster-restarts 0"),
+        ("fuse", "--cluster-restarts 0"),
+        ("sweep", "--cluster-restarts 0"),
+    ])
+    def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, command, flags):
+        argv = [command, *REQUIRED_FLAGS[command], *flags.split()]
+        assert run(fill(argv, tmp_path, trained_dir, data_dir)) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "o").exists()
+
+
+def _splits_read(monkeypatch, argv):
+    """The MNIST splits whose IDX files one CLI call opens."""
+    read = set()
+    load_idx = datamod.load_idx
+
+    def recording(images_path, labels_path):
+        for path in (images_path, labels_path):
+            read.add("train" if Path(path).name.startswith("train") else "test")
+        return load_idx(images_path, labels_path)
+
+    monkeypatch.setattr(datamod, "load_idx", recording)
+    assert run(argv) == 0
+    return read
+
+
+class TestSplitsRead:
+    """Each command opens only the MNIST split it reads."""
+
+    SWEEP = ["sweep", "--manifest", "{manifest}", "--alphas", "0.5", "--lambdas", "0.5",
+             "--cluster-restarts", "2", "--out", "{tmp}/s.csv"]
+    FUSE = ["fuse", "--manifest", "{manifest}", "--out", "{tmp}/f.pfnn", "--cluster-restarts", "2"]
+
+    @pytest.mark.parametrize("argv, splits", [
+        pytest.param(["train", "--out", "{tmp}/run", "--pairs", "1", "--width", "3", "--depth", "1",
+                      "--epochs", "0"], {"train"}, id="train"),
+        pytest.param(["prune", "--net", "{ckpt}", "--method", "cluster", "--cluster-restarts", "2",
+                      "--out", "{tmp}/p.pfnn"], {"train"}, id="prune-cluster"),
+        pytest.param(["stats", "--net-a", "{ckpt}", "--net-b", "{ckpt}", "--out", "{tmp}/s.csv"],
+                     {"train"}, id="stats"),
+        pytest.param(["prune", "--net", "{ckpt}", "--out", "{tmp}/p.pfnn"], set(), id="prune-prune"),
+        pytest.param([*FUSE, "--method", "partial-ot"], {"test"}, id="fuse-partial-ot-weights"),
+        pytest.param([*FUSE, "--method", "prune"], {"test"}, id="fuse-prune"),
+        pytest.param([*FUSE, "--method", "prune-post"], {"test"}, id="fuse-prune-post"),
+        pytest.param([*SWEEP, "--methods", "partial-ot,prune,prune-post"], {"test"}, id="sweep-weights"),
+        pytest.param([*FUSE, "--method", "cluster"], {"train", "test"}, id="fuse-cluster"),
+        pytest.param([*FUSE, "--features", "activations", "--align", "greedy"], {"train", "test"},
+                     id="fuse-partial-ot-activations"),
+        pytest.param([*SWEEP, "--methods", "partial-ot,cluster"], {"train", "test"}, id="sweep-cluster"),
+    ])
+    def test_command_reads_only_its_splits(self, data_dir, trained_dir, tmp_path, monkeypatch, argv, splits):
+        assert _splits_read(monkeypatch, fill(argv, tmp_path, trained_dir, data_dir)) == splits
+
+    def test_corrupt_training_file_fails_only_commands_that_read_it(self, data_dir, trained_dir, tmp_path, capsys):
+        (data_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00")
+        fuse = ["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt"]
+        assert run([*fuse, "--out", tmp_path / "w.pfnn"]) == 0
+        assert run([*fuse, "--method", "cluster", "--cluster-restarts", "2", "--out", tmp_path / "c.pfnn"]) == 2
+        assert "truncated payload while reading images magic" in capsys.readouterr().err

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse.fusion import MatchPlan
-from partfuse.netcore import ShapeError
+from partfuse.fusion import MatchPlan, build_match_plan
+from partfuse.netcore import ShapeError, remap_neurons
 
 from conftest import rand_net
 
@@ -89,27 +89,34 @@ class TestOtFuse:
         assert np.abs(pf.forward(fused, x) - pf.forward(b, x)).max() <= 1e-8
 
 
+def half_matched_coupling(n, index):
+    """Identity partial coupling of two width-n layers; neuron `index` is half matched."""
+    pi = np.eye(n) / n
+    pi[index, index] /= 2
+    mu = pf.DiscreteMeasure.uniform(n)
+    return pf.Coupling(pi, mu, mu, alpha=0.5 / n)
+
+
 class TestSplitPartialNeuron:
+    """The split fuse_aligned runs: build_match_plan's neuron map, then remap_neurons."""
+
     def test_relu_function_preserved(self, rng):
         net = rand_net((4, 6, 3), pf.ActivationKind.RELU, seed=9)
-        out, directive = pf.split_partial_neuron(net, 1, 2, kappa=0.5 / 6, mu_total=1.0 / 6)
+        plan, map_a, _ = build_match_plan(half_matched_coupling(6, 2), 1)
+        out = remap_neurons(net, {1: map_a})
         assert out.hidden_dims == (7,)
         x = rng.normal(size=(40, 4))
         assert np.abs(pf.forward(out, x) - pf.forward(net, x)).max() <= 1e-12
-        assert directive.index == 2
+        assert [(d.side, d.index) for d in plan.split_directives] == [("A", 2), ("B", 2)]
 
     def test_gelu_deviation_is_small_but_reported(self, rng):
         net = rand_net((4, 6, 3), pf.ActivationKind.GELU, seed=10)
-        out, _ = pf.split_partial_neuron(net, 1, 0, kappa=0.5 / 6, mu_total=1.0 / 6)
+        _, map_a, _ = build_match_plan(half_matched_coupling(6, 0), 1)
+        out = remap_neurons(net, {1: map_a})
         x = rng.normal(size=(40, 4))
         deviation = np.abs(pf.forward(out, x) - pf.forward(net, x)).max()
         assert np.isfinite(deviation)
         assert deviation > 0.0  # the split is only approximate for GELU
-
-    def test_boundary_kappa_rejected(self):
-        net = rand_net((4, 6, 3), seed=11)
-        with pytest.raises(ValueError):
-            pf.split_partial_neuron(net, 1, 0, kappa=1.0 / 6, mu_total=1.0 / 6)
 
 
 class TestAssemble:
