@@ -38,6 +38,13 @@ def _positive_count(text: str) -> int:
     return value
 
 
+def _nonnegative_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {value}")
+    return value
+
+
 def _kept_fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -320,7 +327,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--split-digit", type=int, default=None, help="heterogeneous split; omit to train on the full data")
     p_train.add_argument("--width", type=_positive_count, default=100)
     p_train.add_argument("--depth", type=_positive_count, default=3)
-    p_train.add_argument("--epochs", type=int, default=50)
+    p_train.add_argument("--epochs", type=_nonnegative_count, default=50)
     p_train.add_argument("--seed-base", type=int, default=0)
 
     p_fuse = sub.add_parser("fuse", help="fuse or ensemble-prune one checkpoint pair")

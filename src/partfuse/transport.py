@@ -3,14 +3,16 @@
 Marginal masses are snapped to a common integer denominator and the
 transport problem is solved as an integral min-cost flow (successive
 shortest paths with node potentials), so returned objectives are exact
-minima rather than floating-point approximations.
+minima rather than floating-point approximations.  Unit-capacity instances
+are first solved as a dense assignment, whose plan is kept only when its
+duals prove it the unique optimum.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -179,8 +181,200 @@ def _integerize_pair(
     return sup, dem, den
 
 
+UNIQUE_TOL = 1e-9
+
+
+def _assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-cost perfect matching of a square matrix by shortest augmenting
+    paths (Jonker & Volgenant 1987, in Crouse's row-by-row form).
+
+    Returns (col4row, u, v) with u[i] + v[j] <= cost[i, j] up to rounding,
+    equal where j = col4row[i].  A search that reaches several columns at
+    the same distance takes an unassigned one, which ends the search.
+    """
+    n = cost.shape[0]
+    inf = np.inf
+    u = np.zeros(n)
+    v = np.zeros(n)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    for cur in range(n):
+        key = np.full(n, inf)  # distance of each open column, inf once closed
+        shortest = np.empty(n)  # distance of each closed column
+        path = np.full(n, -1, dtype=np.int64)  # row preceding each column
+        closed = []
+        # a closed column's -inf dual makes its reduced cost +inf, so the
+        # strict `<` never reopens it
+        v_open = v.copy()
+        rows = []  # assigned rows the search reached
+        i, min_val = cur, 0.0
+        while True:
+            r = (cost[i] - v_open) + (min_val - u[i])
+            path[r < key] = i
+            np.minimum(key, r, out=key)
+            j = int(key.argmin())
+            min_val = float(key[j])
+            if min_val == inf:
+                raise RuntimeError("assignment infeasible")
+            if row4col[j] >= 0:
+                ties = (key == min_val).nonzero()[0]
+                if ties.size > 1:
+                    free = ties[row4col[ties] < 0]
+                    if free.size:
+                        j = int(free[0])
+            shortest[j] = min_val
+            key[j] = inf
+            v_open[j] = -inf
+            closed.append(j)
+            if row4col[j] < 0:
+                break
+            i = int(row4col[j])
+            rows.append(i)
+        u[cur] += min_val
+        if rows:
+            back = np.array(rows)
+            u[back] += min_val - shortest[col4row[back]]
+        done = np.array(closed)
+        v[done] -= min_val - shortest[done]
+        while True:  # augment along the path into column j
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, u, v
+
+
+def _strong_components(adj: Sequence[Sequence[int]]) -> np.ndarray:
+    """Strongly connected component label of every node (Tarjan, iterative)."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp = np.full(n, -1, dtype=np.int64)
+    stack = []
+    counter = labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            node, k = work.pop()
+            if k == 0:
+                index[node] = low[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack[node] = True
+            else:  # back from the child adj[node][k - 1]
+                low[node] = min(low[node], low[adj[node][k - 1]])
+            nbrs = adj[node]
+            while k < len(nbrs):
+                w = nbrs[k]
+                k += 1
+                if index[w] < 0:
+                    work.append((node, k))
+                    work.append((w, 0))
+                    break
+                if on_stack[w]:
+                    low[node] = min(low[node], index[w])
+            else:
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp[w] = labels
+                        if w == node:
+                            break
+                    labels += 1
+    return comp
+
+
+def _unique_optimum(
+    cost: np.ndarray, flow: np.ndarray, pot_a: np.ndarray, pot_b: np.ndarray
+) -> bool:
+    """Whether the potentials prove `flow` the unique optimum with a margin.
+
+    With tol = UNIQUE_TOL * max(1, max|cost|), an arc is tight when its
+    reduced cost is <= tol.  Another plan differs from `flow` by cycles of
+    residual arcs: forward arcs, and reversed arcs that carry flow.  The
+    reduced costs must be >= -eps everywhere and within eps of 0 on the
+    flow arcs, with the rounding allowance eps = tol / (2 (n_a + n_b)): a
+    simple cycle has at most n_a + n_b arcs, so one that uses an arc that
+    is not tight costs more than tol / 2.  The residual graph of tight arcs
+    has no simple directed cycle of length >= 4 exactly when each strongly
+    connected component is a bidirected tree: no tight arc without flow
+    inside a component, and the flow arcs a forest.  Then every other plan
+    costs more than `flow` by over tol / 2.
+    """
+    n_a, n_b = cost.shape
+    tol = UNIQUE_TOL * max(1.0, float(np.abs(cost).max()))
+    eps = tol / (2 * (n_a + n_b))
+    red = cost - pot_a[:, None] - pot_b[None, :]
+    carries = flow > 0
+    if not (red.min() >= -eps and np.abs(red[carries]).max() <= eps):
+        return False
+    tight_a, tight_b = (red <= tol).nonzero()
+    back_b, back_a = carries.T.nonzero()
+    adj = [[] for _ in range(n_a + n_b)]
+    for i, j in zip(tight_a.tolist(), (tight_b + n_a).tolist()):
+        adj[i].append(j)
+    for j, i in zip((back_b + n_a).tolist(), back_a.tolist()):
+        adj[j].append(i)
+    comp = _strong_components(adj)
+    inner = comp[tight_a] == comp[tight_b + n_a]
+    if (inner & ~carries[tight_a, tight_b]).any():
+        return False
+    return int(carries.sum()) == n_a + n_b - int(comp.max()) - 1
+
+
+def _dense_flow(
+    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
+) -> Optional[np.ndarray]:
+    """The flow of a unit-capacity instance when it is certified unique, else None.
+
+    Unit capacity: a square instance whose supplies and demands are all 1,
+    except that the last node on each side may carry the same V > 1 (the
+    virtual point of a partial problem).  That node is expanded into V unit
+    copies, so the instance is an (n - 1 + V)-square assignment, and the
+    plan is aggregated back.  Before the solve the real block drops by
+    delta, the k-th smallest real row minimum (k = n - 1 - V real matches),
+    and the virtual-virtual arc rises by delta.  That is a change of
+    potentials, so every plan's cost moves by the same constant; without
+    it the zero-cost virtual columns draw every row first, and the solve
+    takes about twice as long.
+    """
+    n_a, n_b = cost.shape
+    if n_a != n_b:
+        return None
+    m, copies = n_a - 1, int(supply[-1])
+    if copies < 1 or int(demand[-1]) != copies:
+        return None
+    if np.any(supply[:m] != 1) or np.any(demand[:m] != 1):
+        return None
+    k = m - copies
+    delta = 0.0
+    if copies > 1 and k >= 1:
+        delta = float(np.partition(cost[:m, :m].min(axis=1), k - 1)[k - 1])
+    node = np.minimum(np.arange(m + copies), m)  # expanded index -> node
+    expanded = cost[node][:, node]
+    expanded[:m, :m] -= delta
+    expanded[m:, m:] += delta
+    col4row, u, v = _assignment(expanded)
+    flow = np.zeros((n_a, n_b), dtype=np.int64)
+    np.add.at(flow, (node, node[col4row]), 1)
+    # back to potentials on `cost`: the largest dual among a node's copies
+    pot_a = np.append(u[:m] + delta, u[m:].max())
+    pot_b = np.append(v[:m], v[m:].max() - delta)
+    return flow if _unique_optimum(cost, flow, pot_a, pot_b) else None
+
+
 def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Integral min-cost transportation via successive shortest paths.
+
+    A unit-capacity instance (see `_dense_flow`) is first solved as a dense
+    assignment; its plan is returned when its duals certify it as the
+    unique optimum with a margin, so it is the plan the search below would
+    return.  Every other instance, including every tie, goes to the search.
 
     Node potentials keep reduced costs nonnegative so plain Dijkstra
     suffices; ties always resolve to A before B and then to the lowest node
@@ -193,6 +387,9 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
     remaining sources: the batch is skipped when any source row but the
     last has a negative reduced cost, and the sources pop one by one.
     """
+    flow = _dense_flow(supply, demand, cost)
+    if flow is not None:
+        return flow
     n_a, n_b = cost.shape
     c = cost - min(0.0, float(cost.min()))  # nonnegative, same minimizers
     flow = np.zeros((n_a, n_b), dtype=np.int64)

@@ -504,6 +504,7 @@ class TestCountFlags:
         ("train", "--width 0 --depth 2"),
         ("train", "--depth 0"),
         ("train", "--pairs 0"),
+        ("train", "--epochs -3"),
         ("stats", "--sample-count -5"),
         ("prune", "--factor -0.5"),
         ("prune", "--factor 0"),

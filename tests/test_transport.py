@@ -336,6 +336,43 @@ def _reference_min_cost_flow(supply, demand, cost):
     return flow
 
 
+def _instance_cost(rng, kind, n_a, n_b, odd):
+    """A cost matrix of one of the seven instance kinds."""
+    if kind == 6:  # separable: every plan is optimal, rounding breaks the ties
+        u, v = rng.integers(0, 10, size=n_a) / 10, rng.integers(0, 10, size=n_b) / 10
+        return u[:, None] + v[None, :] + 0.1 * odd * rng.integers(0, 2, size=(n_a, n_b))
+    if kind == 0:
+        return rng.normal(size=(n_a, n_b))
+    if kind == 1:  # many ties
+        return rng.integers(0, 3, size=(n_a, n_b)).astype(float)
+    if kind == 2:  # duplicated rows
+        rows = rng.normal(size=(max(1, n_a // 2), n_b)).round(1)
+        return rows[rng.integers(0, rows.shape[0], size=n_a)]
+    if kind == 3:  # negative, reward-style
+        return -rng.exponential(size=(n_a, n_b))
+    if kind == 4:  # squared distances between grid points
+        return pf.cost_matrix(
+            rng.integers(0, 3, size=(n_a, 2)).astype(float),
+            rng.integers(0, 3, size=(n_b, 2)).astype(float),
+        )
+    return 10.0 * rng.normal(size=(n_a, n_b)).round(1)
+
+
+def _network(mu, nu, cost, alpha):
+    """The (supply, demand, cost) flow network solve_partial_ot builds."""
+    if not alpha:
+        sup, dem, _ = transport._integerize_pair(mu, nu)
+        return sup, dem, cost
+    if cost.min() < 0.0:
+        cost = cost - cost.min()
+    n_a, n_b = cost.shape
+    sup, dem, _ = transport._integerize_pair(mu, nu, alpha)
+    ext = np.zeros((n_a + 1, n_b + 1))
+    ext[:n_a, :n_b] = cost
+    ext[-1, -1] = cost.max() + 1.0
+    return sup, dem, ext
+
+
 def _flow_instance(seed):
     """(supply, demand, cost) exactly as solve_ot / solve_partial_ot build it."""
     rng = np.random.default_rng(seed)
@@ -343,25 +380,7 @@ def _flow_instance(seed):
     big = seed % 50 == 49  # sweep-sized: non-square, larger denominators
     lo, hi = (30, 65) if big else (2, 31) if kind == 6 else (1, 14)
     n_a, n_b = int(rng.integers(lo, hi)), int(rng.integers(lo, hi))
-    if kind == 6:  # separable: every plan is optimal, rounding breaks the ties
-        u, v = rng.integers(0, 10, size=n_a) / 10, rng.integers(0, 10, size=n_b) / 10
-        cost = u[:, None] + v[None, :] + 0.1 * (seed % 2) * rng.integers(0, 2, size=(n_a, n_b))
-    elif kind == 0:
-        cost = rng.normal(size=(n_a, n_b))
-    elif kind == 1:  # many ties
-        cost = rng.integers(0, 3, size=(n_a, n_b)).astype(float)
-    elif kind == 2:  # duplicated rows
-        rows = rng.normal(size=(max(1, n_a // 2), n_b)).round(1)
-        cost = rows[rng.integers(0, rows.shape[0], size=n_a)]
-    elif kind == 3:  # negative, reward-style
-        cost = -rng.exponential(size=(n_a, n_b))
-    elif kind == 4:  # squared distances between grid points
-        cost = pf.cost_matrix(
-            rng.integers(0, 3, size=(n_a, 2)).astype(float),
-            rng.integers(0, 3, size=(n_b, 2)).astype(float),
-        )
-    else:
-        cost = 10.0 * rng.normal(size=(n_a, n_b)).round(1)
+    cost = _instance_cost(rng, kind, n_a, n_b, seed % 2)
     if big or rng.random() < 0.5:
         mu, nu = np.full(n_a, 1.0 / n_a), np.full(n_b, 1.0 / n_b)
     else:
@@ -369,16 +388,20 @@ def _flow_instance(seed):
         b = rng.integers(1, 5, size=n_b).astype(float)
         mu, nu = a / a.sum(), b / b.sum()
     alpha = (Fraction(0), Fraction(1, 4), Fraction(2, 5))[seed % 3]
-    if not alpha:
-        sup, dem, _ = transport._integerize_pair(mu, nu)
-        return sup, dem, cost
-    if cost.min() < 0.0:
-        cost = cost - cost.min()
-    sup, dem, _ = transport._integerize_pair(mu, nu, alpha)
-    ext = np.zeros((n_a + 1, n_b + 1))
-    ext[:n_a, :n_b] = cost
-    ext[-1, -1] = cost.max() + 1.0
-    return sup, dem, ext
+    return _network(mu, nu, cost, alpha)
+
+
+def _unit_instance(seed):
+    """A square unit-capacity instance: uniform masses, n up to 100, alpha * n integral."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 7
+    alpha = (Fraction(0), Fraction(1, 4), Fraction(2, 5))[seed % 3]
+    step = alpha.denominator
+    top = 100 if seed % 20 == 19 else 30
+    n = step * int(rng.integers(-(-2 // step), top // step + 1))
+    cost = _instance_cost(rng, kind, n, n, seed % 2)
+    mu = np.full(n, 1.0 / n)
+    return kind, _network(mu, mu, cost, alpha)
 
 
 def _lines_run(func, *args):
@@ -425,6 +448,92 @@ class TestMinCostFlowReference:
         )
 
 
+class TestDensePath:
+    def test_unit_instances_match_reference_bitwise(self, monkeypatch):
+        taken = []  # per call: whether the dense path returned the flow
+        dense_flow = transport._dense_flow
+
+        def recording(supply, demand, cost):
+            flow = dense_flow(supply, demand, cost)
+            taken.append(flow is not None)
+            return flow
+
+        monkeypatch.setattr(transport, "_dense_flow", recording)
+        dense = {kind: 0 for kind in range(7)}
+        total = dict(dense)
+        for seed in range(336):
+            kind, (sup, dem, cost) = _unit_instance(seed)
+            np.testing.assert_array_equal(
+                transport._min_cost_flow(sup, dem, cost),
+                _reference_min_cost_flow(sup, dem, cost),
+                err_msg=f"unit instance {seed}",
+            )
+            dense[kind] += taken[-1]
+            total[kind] += 1
+        assert dense[0] == total[0]  # random costs: a unique optimum
+        assert dense[2] == 0  # duplicated rows: always a tie
+        assert 0 < sum(dense.values()) < sum(total.values())
+
+    def test_non_unit_instances_skip_the_assignment(self, monkeypatch):
+        def never(cost):
+            raise AssertionError("a non-unit instance entered the dense path")
+
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(64, 20))
+        cases = [(64, 32, 0.0), (32, 32, 0.4), (5, 5, 1 / 3)]
+        want = [pf.solve_partial_ot(uniform(a), uniform(b), pf.cost_matrix(x[:a], x[:b]), alpha)
+                for a, b, alpha in cases]
+        monkeypatch.setattr(transport, "_assignment", never)
+        for (a, b, alpha), plan in zip(cases, want):
+            got = pf.solve_partial_ot(uniform(a), uniform(b), pf.cost_matrix(x[:a], x[:b]), alpha)
+            np.testing.assert_array_equal(got.matrix, plan.matrix)
+
+    def test_ties_are_not_certified(self):
+        flow = np.eye(2, dtype=np.int64)
+        zero = np.zeros(2)
+        assert transport._unique_optimum(np.array([[0.0, 1.0], [1.0, 0.0]]), flow, zero, zero)
+        assert not transport._unique_optimum(np.zeros((2, 2)), flow, zero, zero)
+        # a three-node star through a virtual point carrying two units is a tree
+        star = np.array([[0, 1], [1, 1]])
+        cost = np.array([[5.0, 0.0], [0.0, 9.0]])
+        assert transport._unique_optimum(cost, star, np.array([-9.0, 0.0]), np.array([0.0, 9.0]))
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_duals_certify_at_working_sizes(self, monkeypatch, n, alpha):
+        """Feasible, complementary-slack duals, and the plan linear_sum_assignment finds."""
+        optimize = pytest.importorskip("scipy.optimize")
+        seen = []
+        unique_optimum = transport._unique_optimum
+
+        def recording(cost, flow, pot_a, pot_b):
+            seen.append((cost, flow, pot_a, pot_b))
+            return unique_optimum(cost, flow, pot_a, pot_b)
+
+        monkeypatch.setattr(transport, "_unique_optimum", recording)
+        rng = np.random.default_rng(n)
+        cost = pf.cost_matrix(rng.normal(size=(n, 101)), rng.normal(size=(n, 101)))
+        plan = pf.solve_partial_ot(uniform(n), uniform(n), cost, alpha).matrix
+        (ext, flow, pot_a, pot_b), = seen
+        assert unique_optimum(ext, flow, pot_a, pot_b)  # the dense path returned the plan
+        eps = 1e-9 * max(1.0, np.abs(ext).max()) / (4 * ext.shape[0])
+        red = ext - pot_a[:, None] - pot_b[None, :]
+        assert red.min() >= -eps
+        assert np.abs(red[flow > 0]).max() <= eps
+        assert np.array_equal(plan, flow[:n, :n] / n)
+        # the same plan as scipy on the assignment with the virtual point's
+        # copies spelled out: zero cost to reach them, a penalty among them
+        copies = round(alpha * n)
+        full = np.zeros((n + copies, n + copies))
+        full[:n, :n] = cost
+        full[n:, n:] = cost.max() + 1.0
+        rows, cols = optimize.linear_sum_assignment(full)
+        real = (rows < n) & (cols < n)
+        want = np.zeros((n, n))
+        want[rows[real], cols[real]] = 1.0 / n
+        assert np.array_equal(plan, want)
+
+
 class TestWorkingSizeOracles:
     """Exact objectives at the sizes fusion solves, against scipy."""
 
@@ -443,10 +552,16 @@ class TestWorkingSizeOracles:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_solve_partial_ot_matches_highs(self, alpha):
+        self._check_against_highs(100, alpha, seed=7)
+
+    def test_solve_partial_ot_matches_highs_at_200(self):
+        self._check_against_highs(200, 0.4, seed=8)
+
+    @staticmethod
+    def _check_against_highs(n, alpha, seed):
         optimize = pytest.importorskip("scipy.optimize")
         sparse = pytest.importorskip("scipy.sparse")
-        n = 100
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng(seed)
         cost = pf.cost_matrix(rng.normal(size=(n, 101)), rng.normal(size=(n, 101)))
         plan = pf.solve_partial_ot(uniform(n), uniform(n), cost, alpha).matrix
         # variables pi[i, j] in row-major order; row and column sums capped
