@@ -328,7 +328,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--width", type=_positive_count, default=100)
     p_train.add_argument("--depth", type=_positive_count, default=3)
     p_train.add_argument("--epochs", type=_nonnegative_count, default=50)
-    p_train.add_argument("--seed-base", type=int, default=0)
+    p_train.add_argument("--seed-base", type=_nonnegative_count, default=0)
 
     p_fuse = sub.add_parser("fuse", help="fuse or ensemble-prune one checkpoint pair")
     add_common(p_fuse, timing=True, restarts=True)
@@ -349,7 +349,7 @@ def build_parser() -> _Parser:
     p_prune.add_argument("--method", choices=["cluster", "prune", "prune-post"], default="prune")
     p_prune.add_argument("--factor", type=_kept_fraction, default=0.5, help="kept fraction of each hidden layer")
     p_prune.add_argument("--widths", default=None, help="explicit comma list of target widths")
-    p_prune.add_argument("--seed", type=int, default=0)
+    p_prune.add_argument("--seed", type=_nonnegative_count, default=0)
     p_prune.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="full grid over methods, alphas, lambdas, pairs")

@@ -4,8 +4,11 @@ The target regime has m as a large fraction of n; the solvers are Ward-style
 agglomeration, greedy or stochastic best-of-restarts.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import lru_cache, partial
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +59,17 @@ def _check_points(points: np.ndarray, masses: DiscreteMeasure) -> np.ndarray:
     return points
 
 
+# Rows per block of the per-restart temporaries: they stay O(_ROW_BLOCK x d),
+# not O(n x d), so restarts running in parallel add little memory.
+_ROW_BLOCK = 64
+
+
+@lru_cache(maxsize=128)  # restarts at small n call it thousands of times
+def _row_blocks(n: int) -> Tuple[slice, ...]:
+    """Consecutive slices of at most _ROW_BLOCK rows that cover rows 0..n-1."""
+    return tuple(slice(s, min(s + _ROW_BLOCK, n)) for s in range(0, n, _ROW_BLOCK))
+
+
 def _cluster_centers(
     points: np.ndarray, masses: np.ndarray, labels: np.ndarray, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,11 +80,14 @@ def _cluster_centers(
     center adds its members' rows to 0.0 in index order, as np.add.at does
     (but faster).
     """
+    n, d = points.shape
     mass = np.bincount(labels, weights=masses, minlength=m)
-    rows = (masses / mass[labels])[:, None] * points
-    centers = np.zeros((m, points.shape[1]))
-    for k, c in enumerate(labels.tolist()):
-        centers[c] += rows[k]
+    scale = (masses / mass[labels])[:, None]
+    centers = np.zeros((m, d))
+    for b in _row_blocks(n):
+        block = scale[b] * points[b]
+        for k, c in enumerate(labels[b].tolist()):
+            centers[c] += block[k]
     return centers, mass
 
 
@@ -97,11 +114,14 @@ def clustering_objective(
 
 def _objective_for_labels(points: np.ndarray, masses: np.ndarray, labels: np.ndarray) -> float:
     # labels need not be consecutive
-    centers, _ = _cluster_centers(points, masses, labels, points.shape[0])
-    # one n x d temporary, not two
-    diff = centers[labels]
-    np.subtract(points, diff, out=diff)
-    return float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
+    n = points.shape[0]
+    centers, _ = _cluster_centers(points, masses, labels, n)
+    d2 = np.empty(n)
+    for b in _row_blocks(n):
+        diff = centers[labels[b]]
+        np.subtract(points[b], diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=d2[b])
+    return float((masses * d2).sum())
 
 
 def _fast_median(values: np.ndarray, k: int) -> float:
@@ -166,16 +186,20 @@ def _agglomerate(
     A merge rewrites only the O(n) pairs of its two clusters; dead pairs
     stay in place at inf.
     """
-    n = points.shape[0]
+    n, d = points.shape
     centers = points.copy()
     w = weights.copy()
     labels = np.arange(n)
-    alive = np.ones(n, dtype=bool)
+    dead = np.zeros(n, dtype=bool)
     iu, ju, slot, delta0 = pairs
     padded = delta0.copy()
     delta = padded[:-1]
-    diff = np.empty_like(centers)
-    cum = np.empty_like(delta)
+    odds = np.empty_like(delta)
+    cum = np.empty_like(delta)  # a cumsum onto its own input would hold the GIL
+    # squared distances to the merged center, one block of rows at a time
+    d2 = np.empty(n)
+    diff = np.empty((min(n, _ROW_BLOCK), d))
+    blocks = [(centers[b], diff[: b.stop - b.start], d2[b]) for b in _row_blocks(n)]
     for live in range(n, m, -1):
         if rng is None:
             pick = int(np.argmin(delta))
@@ -184,29 +208,31 @@ def _agglomerate(
             # they sort after the live * (live - 1) / 2 finite deltas that the
             # median is taken over
             lo = delta.min()
-            np.copyto(cum, delta)
-            med = _fast_median(cum, live * (live - 1) // 2)
+            odds[...] = delta
+            med = _fast_median(odds, live * (live - 1) // 2)
             scale = max(med, 1e-300) * temperature
-            np.subtract(lo, delta, out=cum)
-            np.divide(cum, scale, out=cum)
-            np.exp(cum, out=cum)
-            cum.cumsum(out=cum)
+            np.subtract(lo, delta, out=odds)
+            np.divide(odds, scale, out=odds)
+            np.exp(odds, out=odds)
+            odds.cumsum(out=cum)
             u = rng.random() * cum[-1]
             pick = min(int(cum.searchsorted(u, side="right")), delta.size - 1)
         i, j = int(iu[pick]), int(ju[pick])
         # merged cluster keeps the smaller slot
-        tot = w[i] + w[j]
-        centers[i] = (w[i] * centers[i] + w[j] * centers[j]) / tot
+        wi, wj = w[i], w[j]
+        tot = wi + wj
+        centers[i] = (wi * centers[i] + wj * centers[j]) / tot
         w[i] = tot
-        alive[j] = False
+        dead[j] = True
         labels[labels == j] = i
         padded[slot[j]] = np.inf
-        np.subtract(centers, centers[i], out=diff)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        row = (w * w[i] / (w + w[i])) * d2
-        row[~alive] = np.inf
-        row[i] = np.inf
-        padded[slot[i]] = row
+        center = centers[i]
+        for rows, block_diff, block_d2 in blocks:
+            np.subtract(rows, center, out=block_diff)
+            np.einsum("ij,ij->i", block_diff, block_diff, out=block_d2)
+        row = (w * tot / (w + tot)) * d2
+        row[dead] = np.inf
+        padded[slot[i]] = row  # row[i] lands in the unread extra entry
     return labels
 
 
@@ -218,6 +244,28 @@ def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterA
     w = masses.masses
     labels = _agglomerate(points, w, m, rng=None, temperature=0.0, pairs=_ward_pairs(points, w))
     return _labels_to_assignment(points, w, labels)
+
+
+# Below this many point coordinates (n x d) a restart is too short for a
+# second thread to pay off, so restarts run serially without a pool.
+# Two-thread speed-ups by shape are in the prune-cluster BENCH file.
+_PARALLEL_MIN_SIZE = 2**16
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _best_restart(results: Iterable[Tuple[float, np.ndarray]]) -> np.ndarray:
+    """Labels of the lowest objective; the strict < keeps the earliest on ties."""
+    best_obj, best_labels = np.inf, None
+    for obj, labels in results:
+        if best_labels is None or obj < best_obj:
+            best_obj, best_labels = obj, labels
+    return best_labels
 
 
 def stochastic_ward(
@@ -232,7 +280,9 @@ def stochastic_ward(
 
     Restart r draws from an independent generator keyed by (seed, r), so
     enlarging the restart budget with the same seed only ever improves the
-    returned objective.  Ties keep the earliest restart.
+    returned objective.  Ties keep the earliest restart.  Large instances
+    run their restarts in threads, one per available CPU; the result does
+    not depend on how many there are.
     """
     points = _check_points(points, masses)
     n = points.shape[0]
@@ -242,18 +292,32 @@ def stochastic_ward(
         raise ValueError("temperature must be positive and finite")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     w = masses.masses
     if m == n:  # nothing to merge: every point is its own cluster
         return _labels_to_assignment(points, w, np.arange(n))
     pairs = _ward_pairs(points, w)
-    best: Optional[Tuple[float, np.ndarray]] = None
-    for r in range(restarts):
+
+    def restart(r: int) -> Tuple[float, np.ndarray]:
         rng = np.random.default_rng((seed, r))
         labels = _agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
-        obj = _objective_for_labels(points, w, labels)
-        if best is None or obj < best[0]:
-            best = (obj, labels)
-    return _labels_to_assignment(points, w, best[1])
+        return _objective_for_labels(points, w, labels), labels
+
+    workers = 1 if points.size < _PARALLEL_MIN_SIZE else min(restarts, _available_cpus())
+    if workers == 1:
+        return _labels_to_assignment(points, w, _best_restart(map(restart, range(restarts))))
+    # numpy releases the GIL inside each restart's array work.  The calling
+    # thread runs every workers-th restart itself, so only workers - 1 threads
+    # keep restart state on heaps of their own after the call; pool threads
+    # take the caller's floating-point error policy.
+    pool = ThreadPoolExecutor(workers - 1, initializer=partial(np.seterr, **np.geterr()))
+    try:
+        pooled = pool.map(restart, [r for r in range(restarts) if r % workers])
+        labels = _best_restart(next(pooled) if r % workers else restart(r) for r in range(restarts))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return _labels_to_assignment(points, w, labels)
 
 
 def assignment_to_kernels(

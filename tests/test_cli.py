@@ -513,11 +513,17 @@ class TestCountFlags:
         ("prune", "--cluster-restarts 0"),
         ("fuse", "--cluster-restarts 0"),
         ("sweep", "--cluster-restarts 0"),
+        ("prune", "--seed -1"),
+        ("train", "--seed-base -5"),
     ])
-    def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, command, flags):
-        argv = [command, *REQUIRED_FLAGS[command], *flags.split()]
-        assert run(fill(argv, tmp_path, trained_dir, data_dir)) == 1
+    def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
+                                          command, flags):
+        argv = fill([command, *REQUIRED_FLAGS[command], *flags.split()], tmp_path, trained_dir, data_dir)
+        read = []
+        monkeypatch.setattr(datamod, "load_idx", lambda *paths: read.extend(paths))
+        assert run(argv) == 1
         assert capsys.readouterr().err.startswith("usage error:")
+        assert read == []  # rejected before any data is loaded
         assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,15 @@ class TestStochasticWard:
         with pytest.raises(ValueError):
             pf.stochastic_ward(pts, uniform(4), 2, restarts=0)
 
+    def test_negative_seed_rejected_before_any_work(self, rng, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("pair state built for a negative seed")
+
+        monkeypatch.setattr(clustering, "_ward_pairs", no_work)
+        for m in (3, 8):  # m == n returns before the pair state too
+            with pytest.raises(ValueError, match="seed"):
+                pf.stochastic_ward(rng.normal(size=(8, 2)), uniform(8), m, restarts=2, seed=-1)
+
     def test_non_finite_temperature_rejected(self, rng):
         pts = rng.normal(size=(8, 2))
         for temperature in (np.nan, np.inf):
@@ -228,6 +239,167 @@ class TestCondensedPairState:
                 )
                 want = _dense_agglomerate(pts, w, m, np.random.default_rng((seed, r)), temperature)
                 np.testing.assert_array_equal(got, want)
+
+
+def _whole_array_cluster_centers(points, masses, labels, m):
+    """The centroid helper before row blocking: one n x d temporary of rows."""
+    mass = np.bincount(labels, weights=masses, minlength=m)
+    rows = (masses / mass[labels])[:, None] * points
+    centers = np.zeros((m, points.shape[1]))
+    for k, c in enumerate(labels.tolist()):
+        centers[c] += rows[k]
+    return centers, mass
+
+
+def _whole_array_objective(points, masses, labels):
+    """The restart objective before row blocking: one n x d difference."""
+    centers, _ = _whole_array_cluster_centers(points, masses, labels, points.shape[0])
+    diff = centers[labels]
+    np.subtract(points, diff, out=diff)
+    return float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
+
+
+class TestRowBlocks:
+    """Per-restart temporaries built 64 rows at a time give bitwise the
+    whole-array values, below, at and past one block."""
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 200])
+    def test_centers_and_objective_match_whole_array(self, n):
+        rng = np.random.default_rng(n)
+        for d in (1, 3, 130):
+            pts = rng.normal(size=(n, d))
+            pts[::3, 0] = -0.0  # the sign of zero sums must match too
+            masses = rng.random(n) + 0.1
+            # slot ids as _agglomerate leaves them: not consecutive
+            slots = np.sort(rng.choice(n, size=max(1, n // 3), replace=False))
+            labels = slots[rng.integers(0, slots.size, size=n)]
+            centers, mass = clustering._cluster_centers(pts, masses, labels, n)
+            want_centers, want_mass = _whole_array_cluster_centers(pts, masses, labels, n)
+            assert centers.tobytes() == want_centers.tobytes()
+            assert mass.tobytes() == want_mass.tobytes()
+            assert clustering._objective_for_labels(pts, masses, labels) == _whole_array_objective(
+                pts, masses, labels
+            )
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 200])
+    def test_merge_rows_match_whole_array(self, n):
+        # _dense_agglomerate computes each merged row over the whole n x d array
+        rng = np.random.default_rng(100 + n)
+        grid = np.round(2 * rng.normal(size=(n, 2)))  # exact ties: any changed bit re-breaks them
+        for pts, w in (
+            (grid, uniform(n).masses),
+            (rng.normal(size=(n, 70)), pf.DiscreteMeasure(rng.random(n) + 0.05).masses),
+        ):
+            m = max(1, n // 4)
+            pairs = clustering._ward_pairs(pts, w)
+            np.testing.assert_array_equal(
+                clustering._agglomerate(pts, w, m, None, 0.0, pairs),
+                _dense_agglomerate(pts, w, m, None, 0.0),
+            )
+            d = pts.shape[1]
+            got = clustering._agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1, pairs)
+            want = _dense_agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1)
+            np.testing.assert_array_equal(got, want)
+
+
+def _restart_results(points, masses, m, temperature, restarts, seed):
+    """(objective, labels) of each restart, one after another on this thread."""
+    w = masses.masses
+    pairs = clustering._ward_pairs(points, w)
+    results = []
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        labels = clustering._agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
+        results.append((_whole_array_objective(points, w, labels), labels))
+    return results
+
+
+def _serial_stochastic_ward(points, masses, m, temperature, restarts, seed):
+    """The restart loop before threads: the strict < keeps the earliest best."""
+    best = None
+    for obj, labels in _restart_results(points, masses, m, temperature, restarts, seed):
+        if best is None or obj < best[0]:
+            best = (obj, labels)
+    return _labels_to_assignment(points, masses.masses, best[1])
+
+
+def _square_corners(copies, d):
+    """Four corners of a square, each repeated: pairing them across either
+    side gives two partitions of exactly equal objective."""
+    corners = np.zeros((4, d))
+    corners[[1, 3], 0] = corners[[2, 3], 1] = 1e5
+    return np.repeat(corners, copies, axis=0)
+
+
+def _parallel_instances():
+    rng = np.random.default_rng(77)
+    relu = np.maximum(rng.normal(size=(90, 800)), 0.0)
+    return {
+        # (points, masses, m, temperature, restarts, seed)
+        "below-threshold": (rng.normal(size=(40, 30)), uniform(40), 25, 0.1, 12, 3),
+        "above-threshold": (relu, pf.DiscreteMeasure(rng.random(90) + 0.05), 60, 0.1, 7, 5),
+        # 64 x 1024 points sit exactly at the threshold; masses 1/64 keep
+        # every center and objective exact, so the two pairings tie bitwise
+        "duplicated-rows": (_square_corners(16, 1024), uniform(64), 2, 0.1, 9, 0),
+    }
+
+
+class TestParallelRestarts:
+    """stochastic_ward equals the serial restart loop bitwise for any CPU count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(_parallel_instances()))
+    def test_matches_serial_loop(self, monkeypatch, case, workers):
+        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
+        monkeypatch.setattr(clustering, "_available_cpus", lambda: workers)
+        got = pf.stochastic_ward(points, masses, m, temperature=temperature, restarts=restarts, seed=seed)
+        want = _serial_stochastic_ward(points, masses, m, temperature, restarts, seed)
+        assert got.assign.tobytes() == want.assign.tobytes()
+        assert got.centers.tobytes() == want.centers.tobytes()
+
+    def test_duplicated_rows_tie_across_restarts(self):
+        # the premise of the duplicated-rows case: a later restart reaches the
+        # best objective with another partition, so only the earliest may win
+        points, masses, m, temperature, restarts, seed = _parallel_instances()["duplicated-rows"]
+        results = _restart_results(points, masses, m, temperature, restarts, seed)
+        best = min(obj for obj, _ in results)
+        partitions = {
+            _labels_to_assignment(points, masses.masses, labels).assign.tobytes()
+            for obj, labels in results
+            if obj == best
+        }
+        assert len(partitions) >= 2
+
+    @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
+    def test_pool_only_above_threshold(self, monkeypatch, case, threads):
+        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
+        pools = []
+
+        class RecordingPool(clustering.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(clustering, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(clustering, "_available_cpus", lambda: 3)
+        pf.stochastic_ward(points, masses, m, temperature=temperature, restarts=restarts, seed=seed)
+        # the calling thread runs a share of the restarts itself
+        assert pools == ([threads] if threads else [])
+
+    def test_workers_take_the_callers_error_policy(self, monkeypatch):
+        # mostly identical rows: the median delta is 0, so the pick weights
+        # overflow to -inf before exp
+        pts = np.zeros((80, 1000))
+        pts[70:, :2] = 1e5 * np.random.default_rng(4).normal(size=(10, 2))
+        mu = uniform(80)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            _serial_stochastic_ward(pts, mu, 5, 0.1, 4, 0)
+        monkeypatch.setattr(clustering, "_available_cpus", lambda: 3)
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pf.stochastic_ward(pts, mu, 5, restarts=4)
+            want = _serial_stochastic_ward(pts, mu, 5, 0.1, 4, 0)
+        assert got.assign.tobytes() == want.assign.tobytes()
 
 
 class TestNonFinitePoints:
