@@ -109,6 +109,8 @@ def _fusion_config(args, lam: float, alpha) -> fus.FusionConfig:
 
 def cmd_train(args) -> int:
     train = _load_split(args, "train")
+    if args.split_digit is not None and args.split_digit not in train.labels:
+        raise UsageError(f"--split-digit {args.split_digit}: class not present in the training labels")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dims = [train.inputs.shape[1], *([args.width] * args.depth), int(train.labels.max()) + 1]
@@ -324,7 +326,7 @@ def build_parser() -> _Parser:
     add_common(p_train)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--pairs", type=_positive_count, default=5)
-    p_train.add_argument("--split-digit", type=int, default=None, help="heterogeneous split; omit to train on the full data")
+    p_train.add_argument("--split-digit", type=_nonnegative_count, default=None, help="heterogeneous split; omit to train on the full data")
     p_train.add_argument("--width", type=_positive_count, default=100)
     p_train.add_argument("--depth", type=_positive_count, default=3)
     p_train.add_argument("--epochs", type=_nonnegative_count, default=50)
@@ -360,7 +362,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--methods", default="partial-ot")
     p_sweep.add_argument("--features", choices=["weights", "activations"], default="weights")
     p_sweep.add_argument("--align", choices=["greedy", "fixed-point"], default="fixed-point")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=_positive_count, default=1)
     p_sweep.add_argument("--out", default=None)
 
     p_stats = sub.add_parser("stats", help="neuron similarity report for two checkpoints")

@@ -246,10 +246,11 @@ def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterA
     return _labels_to_assignment(points, w, labels)
 
 
-# Below this many point coordinates (n x d) a restart is too short for a
-# second thread to pay off, so restarts run serially without a pool.
-# Two-thread speed-ups by shape are in the prune-cluster BENCH file.
-_PARALLEL_MIN_SIZE = 2**16
+# Below this much work per restart, n (n + d) for its pair deltas and its
+# centers, a second thread does not pay off, so restarts run serially
+# without a pool.  Two-thread speed-ups by shape are in the prune-cluster
+# BENCH file.
+_PARALLEL_MIN_WORK = 50_000
 
 
 def _available_cpus() -> int:
@@ -285,7 +286,7 @@ def stochastic_ward(
     not depend on how many there are.
     """
     points = _check_points(points, masses)
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must lie in 1..{n}")
     if not 0 < temperature < np.inf:
@@ -304,7 +305,7 @@ def stochastic_ward(
         labels = _agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
         return _objective_for_labels(points, w, labels), labels
 
-    workers = 1 if points.size < _PARALLEL_MIN_SIZE else min(restarts, _available_cpus())
+    workers = 1 if n * (n + d) < _PARALLEL_MIN_WORK else min(restarts, _available_cpus())
     if workers == 1:
         return _labels_to_assignment(points, w, _best_restart(map(restart, range(restarts))))
     # numpy releases the GIL inside each restart's array work.  The calling

@@ -64,6 +64,16 @@ class TestTrain:
         ])
         assert code == 0
 
+    def test_absent_split_digit_leaves_no_out(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run([
+            "train", "--data-dir", data_dir, "--out", out, "--pairs", "1",
+            "--width", "5", "--depth", "2", "--epochs", "1", "--split-digit", "11",
+        ])
+        assert code == 1
+        assert "class not present" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_identical_checkpoints(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -515,6 +525,9 @@ class TestCountFlags:
         ("sweep", "--cluster-restarts 0"),
         ("prune", "--seed -1"),
         ("train", "--seed-base -5"),
+        ("train", "--split-digit -1"),
+        ("sweep", "--jobs 0"),
+        ("sweep", "--jobs -4"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                           command, flags):

@@ -338,7 +338,7 @@ def _parallel_instances():
         # (points, masses, m, temperature, restarts, seed)
         "below-threshold": (rng.normal(size=(40, 30)), uniform(40), 25, 0.1, 12, 3),
         "above-threshold": (relu, pf.DiscreteMeasure(rng.random(90) + 0.05), 60, 0.1, 7, 5),
-        # 64 x 1024 points sit exactly at the threshold; masses 1/64 keep
+        # 64 x 1024 points, just above the threshold; masses 1/64 keep
         # every center and objective exact, so the two pairings tie bitwise
         "duplicated-rows": (_square_corners(16, 1024), uniform(64), 2, 0.1, 9, 0),
     }
@@ -370,9 +370,9 @@ class TestParallelRestarts:
         }
         assert len(partitions) >= 2
 
-    @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
-    def test_pool_only_above_threshold(self, monkeypatch, case, threads):
-        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Thread counts of the pools stochastic_ward makes at 3 CPUs."""
         pools = []
 
         class RecordingPool(clustering.ThreadPoolExecutor):
@@ -382,8 +382,21 @@ class TestParallelRestarts:
 
         monkeypatch.setattr(clustering, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(clustering, "_available_cpus", lambda: 3)
+        return pools
+
+    @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
+    def test_pool_only_above_threshold(self, pools, case, threads):
+        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
         pf.stochastic_ward(points, masses, m, temperature=temperature, restarts=restarts, seed=seed)
         # the calling thread runs a share of the restarts itself
+        assert pools == ([threads] if threads else [])
+
+    @pytest.mark.parametrize("n, d, threads", [(200, 100, 1), (100, 300, 0)])
+    def test_threshold_counts_pair_work(self, pools, n, d, threads):
+        # 200 x 100 has fewer coordinates than 100 x 300 but more pair work;
+        # two restarts need one pool thread
+        points = np.random.default_rng(n).normal(size=(n, d))
+        pf.stochastic_ward(points, uniform(n), n - 5, restarts=2)
         assert pools == ([threads] if threads else [])
 
     def test_workers_take_the_callers_error_policy(self, monkeypatch):

@@ -534,8 +534,127 @@ class TestDensePath:
         assert np.array_equal(plan, want)
 
 
+def _sweep_instance(n_a, n_b, alpha, copied, seed):
+    """A sweep-shaped flow network: B's first `copied` feature rows copy A's,
+    as prune-post fuses an ensemble onto its pruned copy."""
+    rng = np.random.default_rng(seed)
+    xa = rng.normal(size=(n_a, 20))
+    xb = np.vstack([xa[:copied], rng.normal(size=(n_b - copied, 20))])
+    mu, nu = np.full(n_a, 1.0 / n_a), np.full(n_b, 1.0 / n_b)
+    return _network(mu, nu, pf.cost_matrix(xa, xb), Fraction(alpha).limit_denominator())
+
+
+class TestSimplexPath:
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Per _simplex_flow call: whether it returned the flow."""
+        taken = []
+        simplex_flow = transport._simplex_flow
+
+        def recording(supply, demand, cost):
+            flow = simplex_flow(supply, demand, cost)
+            taken.append(flow is not None)
+            return flow
+
+        monkeypatch.setattr(transport, "_simplex_flow", recording)
+        return taken
+
+    def test_non_unit_instances_match_reference_bitwise(self, taken):
+        simplex = {kind: 0 for kind in range(7)}
+        total = dict(simplex)
+        for seed in range(320):
+            sup, dem, cost = _flow_instance(seed)
+            if transport._unit_capacity(sup, dem):
+                continue
+            np.testing.assert_array_equal(
+                transport._min_cost_flow(sup, dem, cost),
+                _reference_min_cost_flow(sup, dem, cost),
+                err_msg=f"instance {seed}",
+            )
+            simplex[seed % 7] += taken[-1]
+            total[seed % 7] += 1
+        assert len(taken) == sum(total.values())
+        assert simplex[0] == total[0] > 0  # random costs: a unique optimum
+        assert simplex[3] == total[3] > 0  # negative rewards
+        assert simplex[6] == 0  # separable: every plan ties
+
+    @pytest.mark.parametrize("n_a, n_b, alpha, copied, seed", [
+        (64, 45, 0, 0, 1), (64, 45, 0, 45, 2), (64, 32, 0, 0, 3), (64, 32, 0, 32, 4),
+        (32, 32, 0.4, 0, 5), (32, 32, 0.4, 16, 6),
+    ])
+    def test_sweep_shapes_match_reference_bitwise(self, taken, n_a, n_b, alpha, copied, seed):
+        sup, dem, cost = _sweep_instance(n_a, n_b, alpha, copied, seed)
+        np.testing.assert_array_equal(
+            transport._min_cost_flow(sup, dem, cost), _reference_min_cost_flow(sup, dem, cost)
+        )
+        assert taken == [True]
+
+    def test_pivot_bound_zero_gives_the_search(self, taken, monkeypatch):
+        monkeypatch.setattr(transport, "_PIVOTS_PER_NODE", 0)
+        sup, dem, cost = _sweep_instance(64, 45, 0, 45, 2)
+        np.testing.assert_array_equal(
+            transport._min_cost_flow(sup, dem, cost), _reference_min_cost_flow(sup, dem, cost)
+        )
+        assert taken == [False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degenerate_instance_terminates(self, taken, seed):
+        # supplies 1 and demands 2: the least-cost start and most pivots are
+        # degenerate, and the zero-cost instance ties everywhere
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, 2, size=(8, 4)).astype(float) if seed else np.zeros((8, 4))
+        sup, dem = np.ones(8, dtype=np.int64), np.full(4, 2, dtype=np.int64)
+        np.testing.assert_array_equal(
+            transport._min_cost_flow(sup, dem, cost), _reference_min_cost_flow(sup, dem, cost)
+        )
+        assert len(taken) == 1
+        if not seed:
+            assert taken == [False]
+
+
 class TestWorkingSizeOracles:
     """Exact objectives at the sizes fusion solves, against scipy."""
+
+    def test_prune_post_shape_matches_highs_with_certified_duals(self, monkeypatch):
+        """solve_ot from uniform 200 to uniform 140: the simplex's duals are
+        feasible and complementary-slack, and HiGHS finds the same objective."""
+        optimize = pytest.importorskip("scipy.optimize")
+        sparse = pytest.importorskip("scipy.sparse")
+        seen = []
+        unique_optimum = transport._unique_optimum
+
+        def recording(cost, flow, pot_a, pot_b):
+            seen.append((flow, pot_a, pot_b))
+            return unique_optimum(cost, flow, pot_a, pot_b)
+
+        monkeypatch.setattr(transport, "_unique_optimum", recording)
+        n_a, n_b = 200, 140
+        rng = np.random.default_rng(9)
+        xa = rng.normal(size=(n_a, 101))
+        xb = np.vstack([xa[:70], rng.normal(size=(n_b - 70, 101))])
+        cost = pf.cost_matrix(xa, xb)
+        plan = pf.solve_ot(uniform(n_a), uniform(n_b), cost).matrix
+        (flow, pot_a, pot_b), = seen
+        assert unique_optimum(cost, flow, pot_a, pot_b)
+        assert np.array_equal(plan, flow / 1400)
+        eps = 1e-9 * max(1.0, np.abs(cost).max()) / (2 * (n_a + n_b))
+        red = cost - pot_a[:, None] - pot_b[None, :]
+        assert red.min() >= -eps
+        assert np.abs(red[flow > 0]).max() <= eps
+        sums = sparse.vstack([
+            sparse.kron(sparse.identity(n_a), np.ones((1, n_b))),
+            sparse.kron(np.ones((1, n_a)), sparse.identity(n_b)),
+        ]).tocsr()
+        lp = optimize.linprog(
+            cost.ravel(),
+            A_eq=sums,
+            b_eq=np.concatenate([np.full(n_a, 1.0 / n_a), np.full(n_b, 1.0 / n_b)]),
+            bounds=(0, None),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert lp.status == 0
+        assert abs(transport_objective(plan, cost) - lp.fun) <= 1e-9 * max(lp.fun, 1.0)
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     def test_solve_ot_matches_linear_sum_assignment(self, n):
