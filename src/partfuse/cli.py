@@ -154,7 +154,10 @@ def cmd_fuse(args) -> int:
     idx, path_a, path_b = chosen[0]
     net_a, net_b = netcore.load(path_a), netcore.load(path_b)
     alpha = _parse_alpha(args.alpha)
-    cfg = _fusion_config(args, args.lam, alpha) if args.method == "partial-ot" else None
+    # every method's --lambda and --alpha are checked before any data is read
+    plain = fus.FusionConfig(lam=args.lam, alpha=alpha)  # the aligner flags are partial-ot's
+    cfg = _fusion_config(args, args.lam, alpha) if args.method == "partial-ot" else plain
+    cfg.alphas(net_a.num_hidden)
     reads_features = _reads_features(args.method, args.features)
     feature_data = eval_data = None
     if args.data_dir or datamod.data_dir():

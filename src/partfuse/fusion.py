@@ -83,17 +83,17 @@ class MatchPlan:
     """Partition of one layer into isolated/fused sets plus restricted kernels.
 
     Index sets refer to the (post-split) neurons of that layer; kernels are
-    restricted to fused_b x fused_a.  Boundary layers are fully fused with
-    identity kernels.
+    restricted to fused_b x fused_a.  A boundary layer (input or output) is
+    shared by both networks: every neuron is fused with itself, and its
+    kernels are None because the identity translation needs no product.
     """
 
     isolated_a: np.ndarray
     fused_a: np.ndarray
     isolated_b: np.ndarray
     fused_b: np.ndarray
-    kernels: KernelPair
+    kernels: Optional[KernelPair]
     split_directives: Tuple[SplitDirective, ...] = ()
-    identity: bool = False  # boundary marker: kernels are exact identities
 
     def __post_init__(self):
         for name in ("isolated_a", "fused_a", "isolated_b", "fused_b"):
@@ -105,7 +105,10 @@ class MatchPlan:
             all_idx = np.concatenate([iso, fused])
             if not np.array_equal(np.sort(all_idx), np.arange(n)):
                 raise ShapeError("isolated and fused sets must partition the layer")
-        if self.kernels.k_ab.shape != (len(self.fused_b), len(self.fused_a)):
+        if self.kernels is None:
+            if len(self.fused_a) != len(self.fused_b):
+                raise ShapeError("a plan without kernels must fuse its neurons one to one")
+        elif self.kernels.k_ab.shape != (len(self.fused_b), len(self.fused_a)):
             raise ShapeError("kernel shape does not match the fused sets")
 
     @property
@@ -121,21 +124,9 @@ class MatchPlan:
         return len(self.isolated_a) + len(self.fused_b) + len(self.isolated_b)
 
     @classmethod
-    def fully_fused(cls, kernels: KernelPair, identity: bool = False) -> "MatchPlan":
-        n_b, n_a = kernels.k_ab.shape
-        empty = np.empty(0, dtype=np.int64)
-        return cls(
-            isolated_a=empty,
-            fused_a=np.arange(n_a),
-            isolated_b=empty,
-            fused_b=np.arange(n_b),
-            kernels=kernels,
-            identity=identity,
-        )
-
-    @classmethod
     def boundary(cls, n: int) -> "MatchPlan":
-        return cls.fully_fused(KernelPair.identity(n), identity=True)
+        empty, every = np.empty(0, dtype=np.int64), np.arange(n)
+        return cls(empty, every, empty, every, kernels=None)
 
 
 @dataclass(frozen=True)
@@ -491,8 +482,8 @@ def assemble_partial_layer(
     ib_o, fb_o = plan_out.isolated_b, plan_out.fused_b
     ia_i, fa_i = plan_in.isolated_a, plan_in.fused_a
     ib_i, fb_i = plan_in.isolated_b, plan_in.fused_b
-    k_out = plan_out.kernels.k_ab  # |F_B^out| x |F_A^out|
-    k_in = plan_in.kernels.k_ba  # |F_A^in| x |F_B^in|
+    k_out = None if plan_out.kernels is None else plan_out.kernels.k_ab  # |F_B^out| x |F_A^out|
+    k_in = None if plan_in.kernels is None else plan_in.kernels.k_ba  # |F_A^in| x |F_B^in|
     pa, pf, pb = len(ia_o), len(fb_o), len(ib_o)
     qa, qf, qb = len(ia_i), len(fb_i), len(ib_i)
     out = np.zeros((pa + pf + pb, qa + qf + qb))
@@ -501,14 +492,14 @@ def assemble_partial_layer(
 
     out[:pa, :qa] = w_a[np.ix_(ia_o, ia_i)]
     mid_a_cols = w_a[np.ix_(ia_o, fa_i)]
-    out[:pa, cols_f] = mid_a_cols if plan_in.identity else mid_a_cols @ k_in
+    out[:pa, cols_f] = mid_a_cols if k_in is None else mid_a_cols @ k_in
 
     moved = w_a[np.ix_(fa_o, ia_i)]
-    out[rows_f, :qa] = lam * (moved if plan_out.identity else k_out @ moved)
+    out[rows_f, :qa] = lam * (moved if k_out is None else k_out @ moved)
     core = w_a[np.ix_(fa_o, fa_i)]
-    if not plan_out.identity:
+    if k_out is not None:
         core = k_out @ core
-    if not plan_in.identity:
+    if k_in is not None:
         core = core @ k_in
     out[rows_f, cols_f] = (1.0 - lam) * w_b[np.ix_(fb_o, fb_i)] + lam * core
     out[rows_f, qa + qf :] = (1.0 - lam) * w_b[np.ix_(fb_o, ib_i)]
@@ -516,7 +507,7 @@ def assemble_partial_layer(
     out[pa + pf :, cols_f] = w_b[np.ix_(ib_o, fb_i)]
     out[pa + pf :, qa + qf :] = w_b[np.ix_(ib_o, ib_i)]
 
-    moved_bias = b_a[fa_o] if plan_out.identity else k_out @ b_a[fa_o]
+    moved_bias = b_a[fa_o] if k_out is None else k_out @ b_a[fa_o]
     bias = np.concatenate(
         [b_a[ia_o], (1.0 - lam) * b_b[fb_o] + lam * moved_bias, b_b[ib_o]]
     )

@@ -32,9 +32,16 @@ class ActivationKind(Enum):
             return np.maximum(x, 0.0)
         if self is ActivationKind.IDENTITY:
             return x
-        # tanh approximation of GELU with the usual fixed constants
-        inner = _GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))
-        return 0.5 * x * (1.0 + np.tanh(inner))
+        # tanh approximation of GELU with the usual fixed constants, evaluated in
+        # the order of 0.5 * x * (1 + tanh(scale * (x + cubic * x**3))) into two buffers
+        t = np.multiply(x, x)
+        t *= x
+        t *= _GELU_CUBIC
+        t += x
+        t *= _GELU_SCALE
+        np.tanh(t, out=t)
+        t += 1.0
+        return np.multiply(0.5 * x, t, out=t)
 
     def value_and_derivative(self, x: np.ndarray):
         """Both at once; the GELU path shares one tanh evaluation."""
@@ -155,6 +162,7 @@ class LabeledDataset:
             raise ShapeError("dataset is empty")
         if labels.min() < 0:
             raise ValueError("negative label")
+        inputs.flags.writeable = False  # checked once here; evaluate_accuracy trusts them
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "labels", labels)
 
@@ -169,15 +177,19 @@ def _check_batch(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def forward(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
-    """Evaluate the network, returning an N x output_dim matrix of logits."""
-    h = _check_batch(net, batch)
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if l < last:
+def _propagate(net: DenseNetwork, h: np.ndarray, layers: int) -> np.ndarray:
+    """The first `layers` weight layers, each but the output layer activated, on a checked batch."""
+    for l in range(layers):
+        h = h @ net.weights[l].T
+        h += net.biases[l]  # in place: the product is a new array
+        if l < net.num_hidden:
             h = net.activation.apply(h)
     return h
+
+
+def forward(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
+    """Evaluate the network, returning an N x output_dim matrix of logits."""
+    return _propagate(net, _check_batch(net, batch), len(net.weights))
 
 
 def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
@@ -187,10 +199,7 @@ def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
     """
     if not 1 <= layer <= net.num_hidden:
         raise ShapeError(f"layer {layer} out of range 1..{net.num_hidden}")
-    h = _check_batch(net, batch)
-    for l in range(layer):
-        h = net.activation.apply(h @ net.weights[l].T + net.biases[l])
-    return h
+    return _propagate(net, _check_batch(net, batch), layer)
 
 
 def check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
@@ -281,7 +290,7 @@ def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
         raise ShapeError("dataset feature dimension does not match the network")
     if dataset.labels.max() >= net.output_dim:
         raise ValueError("label outside the network's output range")
-    logits = forward(net, dataset.inputs)
+    logits = _propagate(net, dataset.inputs, len(net.weights))
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
 

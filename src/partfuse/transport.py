@@ -12,7 +12,7 @@ optimum.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -129,10 +129,6 @@ class KernelPair:
         object.__setattr__(self, "k_ab", k_ab)
         object.__setattr__(self, "k_ba", k_ba)
 
-    @classmethod
-    def identity(cls, n: int) -> "KernelPair":
-        return cls(np.eye(n), np.eye(n))
-
 
 def cost_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances between feature rows."""
@@ -150,12 +146,14 @@ def cost_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 # Integral reformulation
 
 
-def _rationalize(masses: np.ndarray, max_denominator: int = 10**6) -> Sequence[Fraction]:
-    fracs = [Fraction(float(m)).limit_denominator(max_denominator) for m in masses]
-    err = max((abs(float(f) - float(m)) for f, m in zip(fracs, masses)), default=0.0)
+def _rationalize(masses: np.ndarray, max_denominator: int = 10**6) -> Tuple[list, np.ndarray]:
+    """(fracs, inverse): each distinct mass as a Fraction, and masses[i] is fracs[inverse[i]]."""
+    values, inverse = np.unique(masses, return_inverse=True)
+    fracs = [Fraction(float(m)).limit_denominator(max_denominator) for m in values]
+    err = max((abs(float(f) - float(m)) for f, m in zip(fracs, values)), default=0.0)
     if err > MARGINAL_TOL:
         raise ValueError("masses do not admit an exact small-denominator representation")
-    return fracs
+    return fracs, inverse
 
 
 def _integerize_pair(
@@ -165,18 +163,17 @@ def _integerize_pair(
 
     A nonzero alpha appends a virtual point of mass alpha * total to each side.
     """
-    fa = _rationalize(mu)
-    fb = _rationalize(nu)
+    fa, ia = _rationalize(mu)
+    fb, ib = _rationalize(nu)
     if alpha:
-        virtual = alpha * sum(fa)
+        virtual = alpha * sum(f * int(c) for f, c in zip(fa, np.bincount(ia)))
+        ia, ib = np.append(ia, len(fa)), np.append(ib, len(fb))
         fa, fb = [*fa, virtual], [*fb, virtual]
-    den = 1
-    for f in itertools.chain(fa, fb):
-        den = den * f.denominator // gcd(den, f.denominator)
-        if den > 10**9:
-            raise ValueError("common denominator of the marginal masses is too large")
-    sup = np.array([int(f * den) for f in fa], dtype=np.int64)
-    dem = np.array([int(f * den) for f in fb], dtype=np.int64)
+    den = lcm(*{f.denominator for f in itertools.chain(fa, fb)})
+    if den > 10**9:
+        raise ValueError("common denominator of the marginal masses is too large")
+    sup = np.array([int(f * den) for f in fa], dtype=np.int64)[ia]
+    dem = np.array([int(f * den) for f in fb], dtype=np.int64)[ib]
     if sup.sum() != dem.sum():
         raise ValueError("marginal totals are not balanced")
     return sup, dem, den

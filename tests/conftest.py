@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from partfuse import ActivationKind, DenseNetwork
+from partfuse.fusion import MatchPlan
+from partfuse.transport import KernelPair
 from partfuse.train import init_network
 
 
@@ -18,6 +20,19 @@ def rand_net(dims, activation=ActivationKind.GELU, seed=0, bias_scale=0.1):
         biases=biases,
         activation=activation,
     )
+
+
+def random_plan(rng, n_a, n_b):
+    """Plan with random partitions and kernels derived from a random coupling."""
+    ia = np.sort(rng.choice(n_a, size=int(rng.integers(0, n_a - 1)), replace=False))
+    ib = np.sort(rng.choice(n_b, size=int(rng.integers(0, n_b - 1)), replace=False))
+    fa = np.setdiff1d(np.arange(n_a), ia)
+    fb = np.setdiff1d(np.arange(n_b), ib)
+    raw = rng.random((len(fa), len(fb))) + 0.05
+    kernels = KernelPair(
+        k_ab=(raw / raw.sum(axis=1)[:, None]).T, k_ba=raw / raw.sum(axis=0)[None, :]
+    )
+    return MatchPlan(isolated_a=ia, fused_a=fa, isolated_b=ib, fused_b=fb, kernels=kernels)
 
 
 @pytest.fixture

@@ -528,6 +528,13 @@ class TestCountFlags:
         ("train", "--split-digit -1"),
         ("sweep", "--jobs 0"),
         ("sweep", "--jobs -4"),
+        ("fuse", "--method prune --lambda 1.5"),
+        ("fuse", "--method prune-post --lambda nan"),
+        ("fuse", "--method prune --alpha 1.5"),
+        ("fuse", "--method cluster --lambda 1.5"),
+        ("fuse", "--method cluster --alpha nan"),
+        ("fuse", "--method partial-ot --alpha 0.4,0.4,0.4"),
+        ("fuse", "--method prune-post --alpha 0.4,0.4,0.4"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                           command, flags):

@@ -5,7 +5,7 @@ import partfuse as pf
 from partfuse.fusion import MatchPlan, build_match_plan
 from partfuse.netcore import ShapeError, remap_neurons
 
-from conftest import rand_net
+from conftest import rand_net, random_plan
 
 
 def permuted_pair(dims, seed):
@@ -146,6 +146,31 @@ class TestAssemble:
         )
         np.testing.assert_allclose(w[:, :6], 0.5 * a.weights[1])
         np.testing.assert_allclose(w[:, 6:], 0.5 * b.weights[1])
+
+    def test_boundary_plans_equal_explicit_identity_kernels(self):
+        for trial in range(20):
+            rng = np.random.default_rng(trial)
+            dims = (4, int(rng.integers(3, 7)), int(rng.integers(3, 7)), 3)
+            a, b = rand_net(dims, seed=300 + trial), rand_net(dims, seed=400 + trial)
+            plans = [random_plan(rng, a.hidden_dims[l], b.hidden_dims[l]) for l in range(2)]
+            lam = float(rng.random())
+            eye = [
+                MatchPlan(np.empty(0), np.arange(n), np.empty(0), np.arange(n), pf.KernelPair(np.eye(n), np.eye(n)))
+                for n in (dims[0], dims[-1])
+            ]
+            lean = [MatchPlan.boundary(dims[0]), *plans, MatchPlan.boundary(dims[-1])]
+            explicit = [eye[0], *plans, eye[1]]
+            for l in range(3):
+                args = (a.weights[l], b.weights[l], a.biases[l], b.biases[l])
+                w, bias = pf.assemble_partial_layer(*args, lean[l], lean[l + 1], lam)
+                w_eye, bias_eye = pf.assemble_partial_layer(*args, explicit[l], explicit[l + 1], lam)
+                assert np.array_equal(w, w_eye) and np.array_equal(bias, bias_eye)
+
+    def test_boundary_plan_has_no_kernels(self):
+        plan = MatchPlan.boundary(784)
+        assert plan.kernels is None and plan.fused_width == 784
+        with pytest.raises(ShapeError):
+            MatchPlan(np.empty(0), np.arange(3), np.empty(0), np.arange(4), kernels=None)
 
     def test_plan_shape_mismatch_rejected(self):
         a, b = rand_net((4, 6, 3), seed=16), rand_net((4, 6, 3), seed=17)

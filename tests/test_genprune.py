@@ -7,20 +7,7 @@ from partfuse.fusion import MatchPlan
 from partfuse.genprune import PruneMethod, PruneSpec
 from partfuse.transport import KernelPair
 
-from conftest import rand_net
-
-
-def random_plan(rng, n_a, n_b):
-    """Plan with random partitions and kernels derived from a random coupling."""
-    ia = np.sort(rng.choice(n_a, size=int(rng.integers(0, n_a - 1)), replace=False))
-    ib = np.sort(rng.choice(n_b, size=int(rng.integers(0, n_b - 1)), replace=False))
-    fa = np.setdiff1d(np.arange(n_a), ia)
-    fb = np.setdiff1d(np.arange(n_b), ib)
-    raw = rng.random((len(fa), len(fb))) + 0.05
-    kernels = KernelPair(
-        k_ab=(raw / raw.sum(axis=1)[:, None]).T, k_ba=raw / raw.sum(axis=0)[None, :]
-    )
-    return MatchPlan(isolated_a=ia, fused_a=fa, isolated_b=ib, fused_b=fb, kernels=kernels)
+from conftest import rand_net, random_plan
 
 
 def duplicate_neuron_net(seed=0, activation=pf.ActivationKind.RELU):
@@ -34,7 +21,7 @@ def duplicate_neuron_net(seed=0, activation=pf.ActivationKind.RELU):
 class TestApplyGeneralizedPruning:
     def test_identity_kernels_reproduce_network(self):
         net = rand_net((4, 6, 5, 3), seed=1)
-        kernels = [KernelPair.identity(6), KernelPair.identity(5)]
+        kernels = [KernelPair(np.eye(6), np.eye(6)), KernelPair(np.eye(5), np.eye(5))]
         out = pf.apply_generalized_pruning(net, kernels)
         assert out.equals(net)
 
@@ -240,7 +227,7 @@ class TestPruningKernelShapes:
         kernels = KernelPair(
             k_ab=(raw / raw.sum(axis=1)[:, None]).T, k_ba=raw / raw.sum(axis=0)[None, :]
         )
-        plan = MatchPlan.fully_fused(kernels)
+        plan = MatchPlan(np.empty(0), np.arange(n), np.empty(0), np.arange(n), kernels)
         k_es, k_se = pf.partial_fusion_as_pruning_kernels(plan, 0.5)
         assert k_es.shape == (n, 2 * n)
         np.testing.assert_allclose(k_es[:, :n], 0.5 * kernels.k_ab)

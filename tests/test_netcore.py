@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse.netcore import PfnnFormatError, ShapeError, remap_neurons
+from partfuse.netcore import _GELU_CUBIC, _GELU_SCALE, PfnnFormatError, ShapeError, remap_neurons
 
 from conftest import rand_net
 
@@ -79,6 +79,60 @@ class TestActivations:
         net = rand_net((5, 8, 3), seed=2)
         with pytest.raises(ShapeError):
             pf.activations(net, rng.normal(size=(2, 5)), 2)
+
+
+def _gelu_reference(x):
+    """GELU as one expression, one temporary per operation."""
+    inner = _GELU_SCALE * (x + _GELU_CUBIC * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+ACTIVATION_REFERENCES = {
+    pf.ActivationKind.GELU: _gelu_reference,
+    pf.ActivationKind.RELU: lambda x: np.maximum(x, 0.0),
+    pf.ActivationKind.IDENTITY: lambda x: x,
+}
+
+
+class TestEvaluationPath:
+    """The buffered evaluation path computes the plain expressions' bits."""
+
+    @pytest.mark.parametrize("kind", list(pf.ActivationKind), ids=lambda k: k.name)
+    def test_apply_is_bitwise_the_plain_expression(self, kind, rng):
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 1e150, -1e150])
+        x = np.concatenate([special, rng.normal(scale=3.0, size=400)]).reshape(17, 24)
+        before = x.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kind.apply(x)
+            want = ACTIVATION_REFERENCES[kind](x)
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+        assert x.tobytes() == before.tobytes()  # apply never mutates its input
+
+    @pytest.mark.parametrize("kind", list(pf.ActivationKind), ids=lambda k: k.name)
+    def test_forward_and_activations_leave_the_batch_unchanged(self, kind, rng):
+        net = rand_net((5, 9, 8, 3), kind, seed=8)
+        x = rng.normal(size=(12, 5))
+        before = x.copy()
+        h = x
+        for l in range(net.num_hidden + 1):
+            h = h @ net.weights[l].T + net.biases[l]
+            if l < net.num_hidden:
+                h = ACTIVATION_REFERENCES[kind](h)
+                assert pf.activations(net, x, l + 1).tobytes() == h.tobytes()
+        assert pf.forward(net, x).tobytes() == h.tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_dataset_inputs_are_read_only(self, rng):
+        data = pf.LabeledDataset(rng.normal(size=(6, 3)), np.arange(6) % 2)
+        assert not data.inputs.flags.writeable
+        with pytest.raises(ValueError):
+            data.inputs[0, 0] = np.nan
+
+    def test_nan_inputs_rejected_at_construction(self, rng):
+        x = rng.normal(size=(6, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            pf.LabeledDataset(x, np.zeros(6))
 
 
 class TestEnsemble:

@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 from fractions import Fraction
 
@@ -257,6 +258,82 @@ class TestOracleAgreement:
             c = pf.solve_ot(mu, nu, cost)
             bf_obj, _ = pf.brute_force_ot(mu, nu, cost)
             assert abs(transport_objective(c.matrix, cost) - bf_obj) <= 1e-9
+
+
+def _reference_rationalize(masses, max_denominator=10**6):
+    """Integerization one entry at a time: the gate for the per-distinct-mass version."""
+    fracs = [Fraction(float(m)).limit_denominator(max_denominator) for m in masses]
+    err = max((abs(float(f) - float(m)) for f, m in zip(fracs, masses)), default=0.0)
+    if err > transport.MARGINAL_TOL:
+        raise ValueError("masses do not admit an exact small-denominator representation")
+    return fracs
+
+
+def _reference_integerize_pair(mu, nu, alpha=Fraction(0)):
+    fa = _reference_rationalize(mu)
+    fb = _reference_rationalize(nu)
+    if alpha:
+        virtual = alpha * sum(fa)
+        fa, fb = [*fa, virtual], [*fb, virtual]
+    den = 1
+    for f in [*fa, *fb]:
+        den = den * f.denominator // math.gcd(den, f.denominator)
+        if den > 10**9:
+            raise ValueError("common denominator of the marginal masses is too large")
+    sup = np.array([int(f * den) for f in fa], dtype=np.int64)
+    dem = np.array([int(f * den) for f in fb], dtype=np.int64)
+    if sup.sum() != dem.sum():
+        raise ValueError("marginal totals are not balanced")
+    return sup, dem, den
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _mass_vectors():
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 32, 45, 64, 100, 140):
+        yield np.full(n, 1.0 / n)
+    for n in (5, 12, 60):
+        w = rng.integers(1, 5, size=n).astype(float)
+        yield w / w.sum()
+    # a split neuron: masses 1/45 and a partly matched copy pair
+    yield np.array([1 / 45] * 43 + [1 / 90, 1 / 90])
+    yield np.array([1 / 3, 1 / 140, 1 / 3, 1 / 45, 1 / 3 - 1 / 140 - 1 / 45])
+
+
+class TestIntegerization:
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(2, 5), Fraction(1, 3)])
+    def test_matches_per_entry_reference_bitwise(self, alpha):
+        vectors = list(_mass_vectors())
+        for mu in vectors:
+            fracs, inverse = transport._rationalize(mu)
+            assert [fracs[i] for i in inverse] == _reference_rationalize(mu)
+            for nu in vectors:
+                got = _outcome(transport._integerize_pair, mu, nu, alpha)
+                want = _outcome(_reference_integerize_pair, mu, nu, alpha)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert got[2] == want[2]
+                for g, w in zip(got[:2], want[:2]):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("mu, nu, message", [
+        ([1e-7, 1 - 1e-7], [0.5, 0.5], "small-denominator representation"),
+        ([0.5, 0.5], [1 / 3, 1e-7, 2 / 3 - 1e-7], "small-denominator representation"),
+        ([1 / 999983, 1 - 1 / 999983], [1 / 999979, 1 - 1 / 999979], "denominator of the marginal"),
+        ([1 / 3, 2 / 3], [0.5, 0.25], "not balanced"),
+    ])
+    def test_errors_match_the_reference(self, mu, nu, message):
+        mu, nu = np.array(mu), np.array(nu)
+        want = _outcome(_reference_integerize_pair, mu, nu)
+        assert isinstance(want, str) and message in want
+        assert _outcome(transport._integerize_pair, mu, nu) == want
 
 
 def _reference_min_cost_flow(supply, demand, cost):
