@@ -44,6 +44,7 @@ from .fusion import (
     fixed_point_align,
     fuse_aligned,
     greedy_align,
+    match_pair,
     ot_fuse,
     partial_fuse,
 )

@@ -187,19 +187,19 @@ def run_cell(
     feature_data: Optional[np.ndarray] = None,
     seed: int = 0,
     cluster_restarts: int = 1000,
-    alignment: Optional[fus.AlignResult] = None,
+    alignment: Optional[fus.MatchedPair] = None,
 ) -> DenseNetwork:
     """Build the fused or pruned network of one sweep cell.
 
-    A partial-ot cell assembles `alignment`, the pair's alignment at this
-    alpha (no lambda changes it).  Every other method names a PruneMethod
-    and prunes the lam-weighted ensemble to (1 + alpha) times the parent
-    widths.
+    A partial-ot cell assembles `alignment`, the pair matched to its
+    alignment at this alpha (`fusion.match_pair`; no lambda changes it).
+    Every other method names a PruneMethod and prunes the lam-weighted
+    ensemble to (1 + alpha) times the parent widths.
     """
     if method == "partial-ot":
         if alignment is None:
             raise ValueError("a partial-ot cell needs the pair's alignment")
-        return fus.fuse_aligned(net_a, net_b, alignment, lam)
+        return alignment.fuse(lam)
     alphas = fus.FusionConfig(alpha=alpha).alphas(net_a.num_hidden)
     spec = gp.PruneSpec(_target_widths(net_a, net_b, alphas), gp.PruneMethod(method), lam=lam)
     ensemble = netcore.make_ensemble(net_a, net_b, lam)
@@ -251,10 +251,11 @@ def tradeoff_sweep(
 ) -> List[RunRecord]:
     """Evaluate every (method, alpha, lambda) cell in deterministic grid order.
 
-    A partial-ot alpha is aligned once, in its first lambda's cell, and every
-    lambda fuses with that alignment (a failed alignment is retried, so its
-    error fills each of the alpha's rows).  A cell that raises becomes an
-    error row: the exception's type name in the accuracy column.
+    A partial-ot alpha is aligned and matched once, in its first lambda's
+    cell, and every lambda fuses that matched pair (a failed alignment is
+    retried, so its error fills each of the alpha's rows).  A cell that
+    raises becomes an error row: the exception's type name in the accuracy
+    column.
     """
     base = cfg_base or fus.FusionConfig()
     records = []
@@ -266,7 +267,8 @@ def tradeoff_sweep(
                 try:
                     if method == "partial-ot" and alignment is None:
                         cfg = replace(base, alpha=alpha)
-                        alignment = fus.align(net_a, net_b, cfg, data=feature_data)
+                        aligned = fus.align(net_a, net_b, cfg, data=feature_data)
+                        alignment = fus.match_pair(net_a, net_b, aligned)
                     net = run_cell(
                         net_a,
                         net_b,

@@ -183,7 +183,8 @@ def cmd_fuse(args) -> int:
         feature_data=feature_data,
         seed=idx,
         cluster_restarts=args.cluster_restarts,
-        alignment=alignment,
+        # a temporary: the split networks are freed before evaluation
+        alignment=fus.match_pair(net_a, net_b, alignment) if alignment else None,
     )
     record = analysis.cell_record(net, args.method, alpha, args.lam, idx, eval_data, start)
     if args.export_couplings:

@@ -3,6 +3,7 @@
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -43,15 +44,23 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} magic"))
-        if magic != expected_magic:
-            raise DataFormatError(
-                f"bad {what} magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-            )
-        ndim = magic & 0xFF
-        dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, f"{what} dims"))
-        payload = _read_exact(fh, int(np.prod(dims)), f"{what} payload")
+    """The array in one IDX file; every malformed file raises DataFormatError naming it."""
+    try:
+        with _open_maybe_gzip(path) as fh:
+            (magic,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} magic"))
+            if magic != expected_magic:
+                raise DataFormatError(
+                    f"bad {what} magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
+                )
+            ndim = magic & 0xFF
+            dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, f"{what} dims"))
+            if not all(dims):
+                raise DataFormatError(f"{what} dims {dims} hold no data")
+            payload = _read_exact(fh, int(np.prod(dims)), f"{what} payload")
+            if fh.read(1):  # reading to the end also checks a gzip stream's CRC
+                raise DataFormatError(f"{what} file runs past its payload")
+    except (DataFormatError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 

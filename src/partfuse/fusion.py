@@ -134,7 +134,7 @@ class AlignResult:
     """Per-layer couplings plus the ascent trace of the alignment objective.
 
     Alignment never reads the interpolation factor, so one result can be
-    assembled at any number of lambdas with `fuse_aligned`.
+    assembled at any number of lambdas (`match_pair`, then `MatchedPair.fuse`).
     """
 
     couplings: tuple
@@ -533,20 +533,40 @@ def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPla
     return DenseNetwork.from_layers(weights, biases, net_a.activation)
 
 
-def fuse_aligned(
-    net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult, lam: float
-) -> DenseNetwork:
-    """Split, partition and assemble the fused network of a computed alignment."""
+@dataclass(frozen=True)
+class MatchedPair:
+    """Both networks split to an alignment's match plans.
+
+    Nothing here depends on lambda, so one pair fuses at every lambda.
+    """
+
+    net_a: DenseNetwork
+    net_b: DenseNetwork
+    plans: tuple
+
+    def fuse(self, lam: float) -> DenseNetwork:
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError("lam must lie in [0, 1]")
+        return _assemble(self.net_a, self.net_b, self.plans, lam)
+
+
+def match_pair(net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult) -> MatchedPair:
+    """Split and partition both networks by a computed alignment."""
     check_compatible(net_a, net_b)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
     if len(alignment.couplings) != net_a.num_hidden:
         raise ShapeError("one coupling per hidden layer required")
     plans, maps_a, maps_b = [], {}, {}
     for layer, coupling in enumerate(alignment.couplings, start=1):
         plan, maps_a[layer], maps_b[layer] = build_match_plan(coupling, layer)
         plans.append(plan)
-    return _assemble(remap_neurons(net_a, maps_a), remap_neurons(net_b, maps_b), plans, lam)
+    return MatchedPair(remap_neurons(net_a, maps_a), remap_neurons(net_b, maps_b), tuple(plans))
+
+
+def fuse_aligned(
+    net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult, lam: float
+) -> DenseNetwork:
+    """Split, partition and assemble the fused network of a computed alignment."""
+    return match_pair(net_a, net_b, alignment).fuse(lam)
 
 
 def partial_fuse(

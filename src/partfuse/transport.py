@@ -4,9 +4,10 @@ Marginal masses are snapped to a common integer denominator and the
 transport problem is solved as an integral min-cost flow (successive
 shortest paths with node potentials), so returned objectives are exact
 minima rather than floating-point approximations.  Unit-capacity instances
-are first solved as a dense assignment and all others by a transportation
-simplex; either plan is kept only when its duals prove it the unique
-optimum.
+are first solved by shortest augmenting paths on the real block (k of them
+when a virtual point absorbs the unmatched mass) and all others by a
+transportation simplex; either plan is kept only when its duals prove it
+the unique optimum.
 """
 
 import itertools
@@ -182,65 +183,75 @@ def _integerize_pair(
 UNIQUE_TOL = 1e-9
 
 
-def _assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min-cost perfect matching of a square matrix by shortest augmenting
-    paths (Jonker & Volgenant 1987, in Crouse's row-by-row form).
+def _augment(cost: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k shortest augmenting paths on a square matrix (Jonker & Volgenant
+    1987; Dell'Amico & Martello 1997 for k < n).
 
-    Returns (col4row, u, v) with u[i] + v[j] <= cost[i, j] up to rounding,
-    equal where j = col4row[i].  A search that reaches several columns at
-    the same distance takes an unassigned one, which ends the search.
+    Returns (col4row, u, v), col4row[i] = -1 for an unmatched row, with
+    u[i] + v[j] <= cost[i, j] up to rounding, equal where j = col4row[i].
+    For k = n each path starts at the next row in index order (Crouse's
+    form).  For k < n every free row is a source: the free rows share one
+    dual, so a column's start key is its minimum over them, kept as rows
+    leave; and v starts at min(cost) everywhere, so the free columns keep
+    the largest v and a search may end at whichever it reaches first.
     """
     n = cost.shape[0]
     inf = np.inf
+    one = k == n
     u = np.zeros(n)
-    v = np.zeros(n)
-    col4row = np.full(n, -1, dtype=np.int64)
-    row4col = np.full(n, -1, dtype=np.int64)
-    for cur in range(n):
-        key = np.full(n, inf)  # distance of each open column, inf once closed
-        shortest = np.empty(n)  # distance of each closed column
-        path = np.full(n, -1, dtype=np.int64)  # row preceding each column
-        closed = []
-        # a closed column's -inf dual makes its reduced cost +inf, so the
-        # strict `<` never reopens it
+    v = np.zeros(n) if one else np.full(n, cost.min())
+    col4row = [-1] * n
+    row4col = [-1] * n
+    free = np.ones(n, dtype=bool)
+    low, arg = cost.min(axis=0), cost.argmin(axis=0)  # over the free rows
+    for cur in range(k):
+        # the source rows and their distances to every column
+        if one:
+            src, start = cur, cost[cur] - v
+        else:  # the free rows, whose dual is u[arg[0]]
+            src, start = free, low - v - u[arg[0]]
+        key = start.copy()  # distance of each open column, inf once closed
+        relaxed = [start]  # distances offered by the sources, then by each row reached
+        closed, dist = [], []  # the columns in pop order, and their distances
+        # a closed column's -inf dual makes its reduced cost +inf, so
+        # relaxing never reopens it
         v_open = v.copy()
-        rows = []  # assigned rows the search reached
-        i, min_val = cur, 0.0
+        rows = []  # the row matched to each closed column but the last
         while True:
-            r = (cost[i] - v_open) + (min_val - u[i])
-            path[r < key] = i
-            np.minimum(key, r, out=key)
             j = int(key.argmin())
             min_val = float(key[j])
             if min_val == inf:
                 raise RuntimeError("assignment infeasible")
-            if row4col[j] >= 0:
-                ties = (key == min_val).nonzero()[0]
-                if ties.size > 1:
-                    free = ties[row4col[ties] < 0]
-                    if free.size:
-                        j = int(free[0])
-            shortest[j] = min_val
             key[j] = inf
             v_open[j] = -inf
             closed.append(j)
-            if row4col[j] < 0:
+            dist.append(min_val)
+            i = row4col[j]
+            if i < 0:
                 break
-            i = int(row4col[j])
             rows.append(i)
-        u[cur] += min_val
-        if rows:
-            back = np.array(rows)
-            u[back] += min_val - shortest[col4row[back]]
-        done = np.array(closed)
-        v[done] -= min_val - shortest[done]
-        while True:  # augment along the path into column j
-            i = int(path[j])
+            r = cost[i] - v_open
+            r += min_val - u[i]
+            relaxed.append(r)
+            np.minimum(key, r, out=key)
+        u[src] += min_val
+        shortfall = min_val - np.array(dist)
+        u[rows] += shortfall[:-1]
+        v[closed] -= shortfall
+        while j >= 0:  # augment along the path into column j
+            # the row before j: the first to offer j its final distance
+            t = min(range(len(relaxed)), key=lambda t: relaxed[t][j])
+            i = rows[t - 1] if t else cur if one else int(arg[j])
             row4col[j] = i
             col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row, u, v
+        if not one:  # row i leaves the sources
+            free[i] = False
+            cols = (arg == i).nonzero()[0]
+            if cols.size:
+                left = free.nonzero()[0]
+                sub = cost[left[:, None], cols]
+                low[cols], arg[cols] = sub.min(axis=0), left[sub.argmin(axis=0)]
+    return np.array(col4row), u, v
 
 
 def _strong_components(adj: Sequence[Sequence[int]]) -> np.ndarray:
@@ -345,31 +356,28 @@ def _dense_flow(
 
     Unit capacity: a square instance whose supplies and demands are all 1,
     except that the last node on each side may carry the same V > 1 (the
-    virtual point of a partial problem).  That node is expanded into V unit
-    copies, so the instance is an (n - 1 + V)-square assignment, and the
-    plan is aggregated back.  Before the solve the real block drops by
-    delta, the k-th smallest real row minimum (k = n - 1 - V real matches),
-    and the virtual-virtual arc rises by delta.  That is a change of
-    potentials, so every plan's cost moves by the same constant; without
-    it the zero-cost virtual columns draw every row first, and the solve
-    takes about twice as long.
+    virtual point of a partial problem).  With V = 1 it is an assignment.
+    With V > 1 the real m x m block is solved for k = m - V matches after
+    the change of potentials c'[i, j] = c[i, j] - c[i, m] - c[m, j], which
+    makes every real-to-virtual arc cost 0 and moves every plan's cost by
+    the same constant; unmatched rows and columns go to the virtual point.
     """
-    n_a, n_b = cost.shape
-    m, copies = n_a - 1, int(supply[-1])
-    k = m - copies
-    delta = 0.0
-    if copies > 1 and k >= 1:
-        delta = float(np.partition(cost[:m, :m].min(axis=1), k - 1)[k - 1])
-    node = np.minimum(np.arange(m + copies), m)  # expanded index -> node
-    expanded = cost[node][:, node]
-    expanded[:m, :m] -= delta
-    expanded[m:, m:] += delta
-    col4row, u, v = _assignment(expanded)
-    flow = np.zeros((n_a, n_b), dtype=np.int64)
-    np.add.at(flow, (node, node[col4row]), 1)
-    # back to potentials on `cost`: the largest dual among a node's copies
-    pot_a = np.append(u[:m] + delta, u[m:].max())
-    pot_b = np.append(v[:m], v[m:].max() - delta)
+    n = cost.shape[0]
+    m, copies = n - 1, int(supply[-1])
+    flow = np.zeros((n, n), dtype=np.int64)
+    if copies == 1:
+        col4row, pot_a, pot_b = _augment(cost, n)
+        flow[np.arange(n), col4row] = 1
+    elif copies > m:  # the virtual-virtual arc must carry flow
+        return None
+    else:
+        to_virtual, from_virtual = cost[:m, m], cost[m, :m]
+        col4row, u, v = _augment(cost[:m, :m] - to_virtual[:, None] - from_virtual, m - copies)
+        flow[np.arange(m), np.where(col4row < 0, m, col4row)] = 1
+        flow[m, :m] = 1
+        flow[m, col4row[col4row >= 0]] = 0
+        pot_a = np.append(u + to_virtual, -v[flow[m, :m] > 0].max())
+        pot_b = np.append(v + from_virtual, -u[col4row < 0].max())
     return flow if _unique_optimum(cost, flow, pot_a, pot_b) else None
 
 
@@ -492,12 +500,12 @@ def _simplex_flow(
 def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Integral min-cost transportation via successive shortest paths.
 
-    A unit-capacity instance (see `_dense_flow`) is first solved as a dense
-    assignment, and any other one by the transportation simplex
-    (`_simplex_flow`).  Either plan is returned only when its duals certify
-    it as the unique optimum with a margin, so it is the plan the search
-    below would return.  Every instance they leave, including every tie,
-    goes to the search.
+    A unit-capacity instance (see `_dense_flow`) is first solved by k
+    shortest augmenting paths on its real block (`_augment`), and any other
+    one by the transportation simplex (`_simplex_flow`).  Either plan is
+    returned only when its duals certify it as the unique optimum with a
+    margin, so it is the plan the search below would return.  Every
+    instance they leave, including every tie, goes to the search.
 
     Node potentials keep reduced costs nonnegative so plain Dijkstra
     suffices; ties always resolve to A before B and then to the lowest node

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import analysis, transport
+from partfuse import analysis, fusion, transport
 
 from conftest import rand_net
 
@@ -190,6 +190,29 @@ class TestTradeoffSweep:
         )
         assert [r.error for r in records] == [None] * 3
         assert len(solves) == a.num_hidden  # not 3 * num_hidden
+
+    def test_builds_plans_once_per_alpha(self, rng, monkeypatch):
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        alphas, lams = [0.0, 0.5, [1.0, 0.25]], [0.0, 0.3, 0.7, 1.0]
+        # every cell fused from scratch, as fuse_aligned does
+        want = []
+        for alpha in alphas:
+            alignment = fusion.align(a, b, pf.FusionConfig(alpha=alpha))
+            for lam in lams:
+                net = fusion.fuse_aligned(a, b, alignment, lam)
+                want.append(analysis.cell_record(net, "partial-ot", alpha, lam, 0, data).csv_row())
+        layers = []
+        build = fusion.build_match_plan
+
+        def counting(pt, layer):
+            layers.append(layer)
+            return build(pt, layer)
+
+        monkeypatch.setattr(fusion, "build_match_plan", counting)
+        records = pf.tradeoff_sweep(a, b, alphas, lams, ["partial-ot"], data)
+        assert layers == [1, 2] * len(alphas)  # not once per lambda
+        assert [r.csv_row() for r in records] == want
 
     def test_alignment_error_fills_every_lambda_row(self, rng, monkeypatch):
         a, b = self._pair()

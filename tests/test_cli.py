@@ -1,3 +1,4 @@
+import gzip
 import struct
 from pathlib import Path
 
@@ -595,3 +596,14 @@ class TestSplitsRead:
         assert run([*fuse, "--out", tmp_path / "w.pfnn"]) == 0
         assert run([*fuse, "--method", "cluster", "--cluster-restarts", "2", "--out", tmp_path / "c.pfnn"]) == 2
         assert "truncated payload while reading images magic" in capsys.readouterr().err
+
+    def test_truncated_gzip_exits_2_naming_the_file(self, data_dir, tmp_path, capsys):
+        plain = data_dir / "train-images-idx3-ubyte"
+        gz = data_dir / "train-images-idx3-ubyte.gz"
+        blob = gzip.compress(plain.read_bytes())
+        gz.write_bytes(blob[: len(blob) // 2])
+        plain.unlink()
+        argv = ["train", "--data-dir", data_dir, "--out", tmp_path / "run", "--pairs", "1",
+                "--width", "3", "--depth", "1", "--epochs", "0"]
+        assert run(argv) == 2
+        assert f"data error: {gz}: " in capsys.readouterr().err

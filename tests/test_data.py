@@ -1,4 +1,5 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,29 @@ class TestIdx:
         write_idx_labels(lab_path, np.zeros(5, dtype=np.uint8))
         with pytest.raises(DataFormatError, match="count"):
             load_idx(img_path, lab_path)
+
+    @pytest.mark.parametrize(
+        "corrupt", ["truncated gzip", "corrupt deflate", "bad gzip CRC", "overlong", "no images"]
+    )
+    def test_corrupt_file_is_a_format_error_naming_it(self, tmp_path, corrupt):
+        img_path, lab_path, _, _ = make_fixture(tmp_path)
+        blob = gzip.compress(img_path.read_bytes())
+        bad = tmp_path / "images.gz"
+        if corrupt == "truncated gzip":
+            bad.write_bytes(blob[: len(blob) // 2])
+        elif corrupt == "corrupt deflate":
+            bad.write_bytes(blob[:12] + bytes(b ^ 0xFF for b in blob[12:30]) + blob[30:])
+        elif corrupt == "bad gzip CRC":  # the trailer's CRC-32, not the data
+            bad.write_bytes(blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:])
+        elif corrupt == "overlong":
+            bad = img_path
+            bad.write_bytes(bad.read_bytes() + b"\x00")
+        else:
+            bad = img_path
+            write_idx_images(bad, np.zeros((0, 4, 3), dtype=np.uint8))
+            write_idx_labels(lab_path, np.zeros(0, dtype=np.uint8))
+        with pytest.raises(DataFormatError, match=re.escape(f"{bad}: ")):
+            load_idx(bad, lab_path)
 
     def test_find_mnist_absent(self, tmp_path):
         assert find_mnist(tmp_path) is None

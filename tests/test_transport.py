@@ -526,8 +526,10 @@ class TestMinCostFlowReference:
 
 
 class TestDensePath:
-    def test_unit_instances_match_reference_bitwise(self, monkeypatch):
-        taken = []  # per call: whether the dense path returned the flow
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Per _dense_flow call: whether it returned the flow."""
+        taken = []
         dense_flow = transport._dense_flow
 
         def recording(supply, demand, cost):
@@ -536,6 +538,9 @@ class TestDensePath:
             return flow
 
         monkeypatch.setattr(transport, "_dense_flow", recording)
+        return taken
+
+    def test_unit_instances_match_reference_bitwise(self, taken):
         dense = {kind: 0 for kind in range(7)}
         total = dict(dense)
         for seed in range(336):
@@ -551,8 +556,34 @@ class TestDensePath:
         assert dense[2] == 0  # duplicated rows: always a tie
         assert 0 < sum(dense.values()) < sum(total.values())
 
+    def test_virtual_costs_match_reference_bitwise(self, taken):
+        """Legal input that solve_partial_ot never builds: the virtual row and
+        column cost something, and the virtual-virtual arc is a penalty on
+        even seeds and cheaper than every other arc on odd ones."""
+        dense = {(kind, cheap): 0 for kind in range(7) for cheap in (0, 1)}
+        total = dict(dense)
+        for seed in range(336):
+            kind, (sup, dem, cost) = _unit_instance(seed)
+            if sup[-1] == 1:  # no virtual point
+                continue
+            rng = np.random.default_rng(seed)
+            cost = cost.copy()
+            cost[-1], cost[:, -1] = rng.normal(size=len(sup)), rng.normal(size=len(sup))
+            cheap = seed % 2
+            cost[-1, -1] = cost.min() - 1.0 if cheap else cost.max() + 1.0
+            np.testing.assert_array_equal(
+                transport._min_cost_flow(sup, dem, cost),
+                _reference_min_cost_flow(sup, dem, cost),
+                err_msg=f"unit instance {seed}",
+            )
+            dense[kind, cheap] += taken[-1]
+            total[kind, cheap] += 1
+        for kind in (0, 3, 5):  # a unique optimum that leaves the penalty arc empty
+            assert dense[kind, 0] == total[kind, 0] > 0
+        assert dense[5, 1] > 0  # a cheap arc that stays empty is still certified
+
     def test_non_unit_instances_skip_the_assignment(self, monkeypatch):
-        def never(cost):
+        def never(cost, k):
             raise AssertionError("a non-unit instance entered the dense path")
 
         rng = np.random.default_rng(3)
@@ -560,7 +591,7 @@ class TestDensePath:
         cases = [(64, 32, 0.0), (32, 32, 0.4), (5, 5, 1 / 3)]
         want = [pf.solve_partial_ot(uniform(a), uniform(b), pf.cost_matrix(x[:a], x[:b]), alpha)
                 for a, b, alpha in cases]
-        monkeypatch.setattr(transport, "_assignment", never)
+        monkeypatch.setattr(transport, "_augment", never)
         for (a, b, alpha), plan in zip(cases, want):
             got = pf.solve_partial_ot(uniform(a), uniform(b), pf.cost_matrix(x[:a], x[:b]), alpha)
             np.testing.assert_array_equal(got.matrix, plan.matrix)
@@ -576,7 +607,7 @@ class TestDensePath:
         assert transport._unique_optimum(cost, star, np.array([-9.0, 0.0]), np.array([0.0, 9.0]))
 
     @pytest.mark.parametrize("n", [100, 200, 400])
-    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.4])
     def test_duals_certify_at_working_sizes(self, monkeypatch, n, alpha):
         """Feasible, complementary-slack duals, and the plan linear_sum_assignment finds."""
         optimize = pytest.importorskip("scipy.optimize")
