@@ -42,7 +42,6 @@ from .fusion import (
     features_activation,
     features_weight,
     fixed_point_align,
-    fuse_aligned,
     greedy_align,
     match_pair,
     ot_fuse,

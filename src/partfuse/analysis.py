@@ -69,7 +69,6 @@ class SimilarityReport:
 
     layer: int
     values: Dict[str, np.ndarray]
-    full_mean: Dict[str, float]
     conditional80: Dict[str, float]
     difference: Dict[str, float]
 
@@ -115,10 +114,9 @@ def similarity_stats(
         "mean_cross_ab": d_ab.mean(axis=1),
         "mean_cross_ba": d_ab.mean(axis=0),
     }
-    full = {k: float(np.mean(v)) for k, v in values.items()}
     cond = {k: _conditional_mean(v) for k, v in values.items()}
-    diff = {k: full[k] - cond[k] for k in values}
-    return SimilarityReport(layer, values, full, cond, diff)
+    diff = {k: float(np.mean(v)) - cond[k] for k, v in values.items()}
+    return SimilarityReport(layer, values, cond, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +125,17 @@ def similarity_stats(
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One sweep cell: what was built and how it measured."""
+    """One sweep cell: what was built and how it measured (nothing, for an error row)."""
 
     method: str
     alpha: str
     lam: float
     seed: int
-    accuracy: Optional[float]
-    nonzero_params: Optional[int]
-    total_params: Optional[int]
-    widths: Tuple[int, ...]
-    wall_ms: float
+    accuracy: Optional[float] = None
+    nonzero_params: Optional[int] = None
+    total_params: Optional[int] = None
+    widths: Tuple[int, ...] = ()
+    wall_ms: float = 0.0
     error: Optional[str] = None
 
     def csv_row(self) -> str:
@@ -282,18 +280,6 @@ def tradeoff_sweep(
                     )
                     records.append(cell_record(net, method, alpha, lam, seed, eval_data, start))
                 except Exception as exc:  # noqa: BLE001 - error rows by contract
-                    records.append(
-                        RunRecord(
-                            method=method,
-                            alpha=_format_alpha(alpha),
-                            lam=float(lam),
-                            seed=seed,
-                            accuracy=None,
-                            nonzero_params=None,
-                            total_params=None,
-                            widths=(),
-                            wall_ms=0.0,
-                            error=type(exc).__name__,
-                        )
-                    )
+                    cell = (method, _format_alpha(alpha), float(lam), seed)
+                    records.append(RunRecord(*cell, error=type(exc).__name__))
     return records

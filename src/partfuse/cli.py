@@ -70,13 +70,17 @@ def _reads_features(method: str, features: str) -> bool:
 
 
 def _manifest_path_pairs(manifest: Path):
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise datamod.DataFormatError(f"{manifest}: not UTF-8 text ({exc})") from None
     pairs = {}
-    for number, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         path, _, role = line.rpartition(" ")
-        if not path or role[:1] not in ("A", "B") or not role[1:].isdecimal():
+        if not path or "\0" in path or role[:1] not in ("A", "B") or not role[1:].isdecimal():
             raise datamod.DataFormatError(
                 f"{manifest}, line {number}: expected '<checkpoint> A<k>' or "
                 f"'<checkpoint> B<k>', got {line!r}"

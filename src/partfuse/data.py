@@ -1,6 +1,8 @@
 """Dataset ingestion (IDX format), heterogeneous splits, synthetic blobs."""
 
+import functools
 import gzip
+import math
 import os
 import struct
 import zlib
@@ -10,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .netcore import LabeledDataset
+from .netcore import LabeledDataset, read_exact
 
 DATA_DIR_ENV = "PARTFUSE_DATA_DIR"
 IDX_IMAGES_MAGIC = 0x00000803
@@ -36,27 +38,21 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise DataFormatError(f"truncated payload while reading {what}")
-    return data
-
-
 def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
     """The array in one IDX file; every malformed file raises DataFormatError naming it."""
     try:
         with _open_maybe_gzip(path) as fh:
-            (magic,) = struct.unpack(">I", _read_exact(fh, 4, f"{what} magic"))
+            read = functools.partial(read_exact, fh, error=DataFormatError)
+            (magic,) = struct.unpack(">I", read(4, f"{what} magic"))
             if magic != expected_magic:
                 raise DataFormatError(
                     f"bad {what} magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
                 )
             ndim = magic & 0xFF
-            dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, f"{what} dims"))
+            dims = struct.unpack(f">{ndim}I", read(4 * ndim, f"{what} dims"))
             if not all(dims):
                 raise DataFormatError(f"{what} dims {dims} hold no data")
-            payload = _read_exact(fh, int(np.prod(dims)), f"{what} payload")
+            payload = read(math.prod(dims), f"{what} payload")  # Python ints: np.prod wraps
             if fh.read(1):  # reading to the end also checks a gzip stream's CRC
                 raise DataFormatError(f"{what} file runs past its payload")
     except (DataFormatError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
@@ -133,6 +129,23 @@ def _take(data: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
     return LabeledDataset(data.inputs[idx], data.labels[idx])
 
 
+def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None) -> np.ndarray:
+    """Mask of round(fraction * size) members of each class, drawn in class order.
+
+    Class `whole`, when given, is taken entirely and draws nothing.
+    """
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(len(data), dtype=bool)
+    for c in np.unique(data.labels):
+        members = np.flatnonzero(data.labels == c)
+        if c == whole:
+            mask[members] = True
+        else:
+            k = int(round(fraction * members.size))
+            mask[rng.choice(members, size=k, replace=False)] = True
+    return mask
+
+
 def heterogeneous_split(
     data: LabeledDataset, spec: SplitSpec
 ) -> Tuple[LabeledDataset, LabeledDataset]:
@@ -141,21 +154,9 @@ def heterogeneous_split(
     Split B is the exact complement, so the two splits partition the data
     and B contains no specialist samples at all.
     """
-    classes = np.unique(data.labels)
-    if spec.special_digit not in classes:
+    if spec.special_digit not in data.labels:
         raise ValueError(f"class {spec.special_digit} not present in the data")
-    rng = np.random.default_rng(spec.seed)
-    in_a = np.zeros(len(data), dtype=bool)
-    for c in classes:
-        members = np.flatnonzero(data.labels == c)
-        if members.size == 0:
-            raise ValueError(f"class {c} is empty")
-        if c == spec.special_digit:
-            in_a[members] = True
-        else:
-            k = int(round(spec.minority_fraction * members.size))
-            chosen = rng.choice(members, size=k, replace=False)
-            in_a[chosen] = True
+    in_a = _per_class_draw(data, spec.minority_fraction, spec.seed, whole=spec.special_digit)
     return _take(data, np.flatnonzero(in_a)), _take(data, np.flatnonzero(~in_a))
 
 
@@ -165,14 +166,8 @@ def holdout(
     """Seeded split into (rest, held), stratified per class."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    held_mask = np.zeros(len(data), dtype=bool)
-    for c in np.unique(data.labels):
-        members = np.flatnonzero(data.labels == c)
-        k = int(round(fraction * members.size))
-        chosen = rng.choice(members, size=k, replace=False)
-        held_mask[chosen] = True
-    return _take(data, np.flatnonzero(~held_mask)), _take(data, np.flatnonzero(held_mask))
+    held = _per_class_draw(data, fraction, seed)
+    return _take(data, np.flatnonzero(~held)), _take(data, np.flatnonzero(held))
 
 
 def synthetic_blobs(

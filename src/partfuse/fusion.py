@@ -68,24 +68,16 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
-class SplitDirective:
-    """One partially matched neuron replaced by a fused and an isolated copy."""
-
-    side: str  # "A" or "B"
-    layer: int
-    index: int
-    matched_mass: float
-    total_mass: float
-
-
-@dataclass(frozen=True)
 class MatchPlan:
     """Partition of one layer into isolated/fused sets plus restricted kernels.
 
     Index sets refer to the (post-split) neurons of that layer; kernels are
-    restricted to fused_b x fused_a.  A boundary layer (input or output) is
-    shared by both networks: every neuron is fused with itself, and its
-    kernels are None because the identity translation needs no product.
+    restricted to fused_b x fused_a.  split_directives lists the partially
+    matched neurons as ("A" or "B", index) pairs: each keeps its slot as the
+    matched copy, and its leftover copy is appended to that network's layer.
+    A boundary layer (input or output) is shared by both networks: every
+    neuron is fused with itself, and its kernels are None because the
+    identity translation needs no product.
     """
 
     isolated_a: np.ndarray
@@ -93,7 +85,7 @@ class MatchPlan:
     isolated_b: np.ndarray
     fused_b: np.ndarray
     kernels: Optional[KernelPair]
-    split_directives: Tuple[SplitDirective, ...] = ()
+    split_directives: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self):
         for name in ("isolated_a", "fused_a", "isolated_b", "fused_b"):
@@ -388,40 +380,34 @@ def align(
 # Splitting partially matched neurons
 
 
-def _split_operators(masses: np.ndarray, splits):
-    """The (src, scale) neuron map of a batch of splits, and the masses after it.
+def _split_operators(matched: np.ndarray, masses: np.ndarray):
+    """The (src, scale) neuron map that splits one side's fractionally matched
+    neurons, the masses after it, and the indices it splits.
 
-    splits: list of (index, kappa, mu).  Matched copies keep their slot and
-    take mass kappa; leftover copies are appended in split order and take
-    mu - kappa.  Incoming weights scale with the mass share, which keeps a
-    ReLU network's function exactly (positive homogeneity) but not a GELU's.
+    A neuron of mass mu is split when both its matched mass kappa and its
+    leftover mu - kappa exceed MATCH_EPS * mu.  Matched copies keep their
+    slot and take mass kappa; leftover copies are appended in index order
+    and take mu - kappa.  Incoming weights scale with the mass share, which
+    keeps a ReLU network's function exactly (positive homogeneity) but not a
+    GELU's.
     """
-    n = len(masses)
-    src = np.concatenate([np.arange(n), np.zeros(len(splits), dtype=np.int64)])
-    scale = np.ones(len(src))
-    new_mass = np.concatenate([masses, np.zeros(len(splits))])
-    for k, (idx, kappa, mu) in enumerate(splits):
-        frac = kappa / mu
-        src[n + k] = idx
-        scale[idx], scale[n + k] = frac, 1.0 - frac
-        new_mass[idx], new_mass[n + k] = kappa, mu - kappa
-    return (src, scale), new_mass
+    eps = MATCH_EPS * masses
+    split = np.flatnonzero((matched > eps) & (masses - matched > eps))
+    kappa, mu = matched[split], masses[split]
+    frac = kappa / mu
+    src = np.concatenate([np.arange(len(masses)), split])
+    scale = np.concatenate([np.ones(len(masses)), 1.0 - frac])
+    scale[split] = frac
+    new_mass = np.concatenate([masses, mu - kappa])
+    new_mass[split] = kappa
+    return (src, scale), new_mass, split
 
 
 # ---------------------------------------------------------------------------
 # Plans and assembly
 
 
-def _expand_side(matched: np.ndarray, masses: np.ndarray):
-    """Classify neurons and list the splits a fractional matching requires."""
-    splits = []
-    for i, (kappa, mu) in enumerate(zip(matched, masses)):
-        if kappa > MATCH_EPS * mu and mu - kappa > MATCH_EPS * mu:
-            splits.append((i, float(kappa), float(mu)))
-    return splits
-
-
-def build_match_plan(pt: Coupling, layer: int):
+def build_match_plan(pt: Coupling):
     """Split fractionally matched neurons, partition, and restrict kernels.
 
     Returns (plan, map_a, map_b), where map_a and map_b are the (src, scale)
@@ -429,18 +415,14 @@ def build_match_plan(pt: Coupling, layer: int):
     """
     mu = pt.row_marginal.masses
     nu = pt.col_marginal.masses
-    splits_a = _expand_side(pt.matched_row_mass(), mu)
-    splits_b = _expand_side(pt.matched_col_mass(), nu)
-    map_a, mass_a = _split_operators(mu, splits_a)
-    map_b, mass_b = _split_operators(nu, splits_b)
+    map_a, mass_a, split_a = _split_operators(pt.matched_row_mass(), mu)
+    map_b, mass_b, split_b = _split_operators(pt.matched_col_mass(), nu)
     # matched copies keep their slot's row/column; leftover copies carry none
     pi = np.zeros((len(mass_a), len(mass_b)))
     pi[: len(mu), : len(nu)] = pt.matrix
     expanded = Coupling(pi, DiscreteMeasure(mass_a), DiscreteMeasure(mass_b), pt.alpha)
     iso_a, fused_a, iso_b, fused_b = _partition(expanded)
-    directives = tuple(
-        SplitDirective("A", layer, i, kappa, mu_i) for i, kappa, mu_i in splits_a
-    ) + tuple(SplitDirective("B", layer, i, kappa, mu_i) for i, kappa, mu_i in splits_b)
+    directives = tuple(("A", int(i)) for i in split_a) + tuple(("B", int(i)) for i in split_b)
     if len(fused_a) == 0:
         kernels = KernelPair(np.zeros((0, 0)), np.zeros((0, 0)))
     elif len(iso_a) == 0 and len(iso_b) == 0 and not directives:
@@ -450,15 +432,7 @@ def build_match_plan(pt: Coupling, layer: int):
         kernels = coupling_to_kernels(
             restrict_normalize_partial(expanded, iso_a.tolist(), iso_b.tolist())
         )
-    plan = MatchPlan(
-        isolated_a=iso_a,
-        fused_a=fused_a,
-        isolated_b=iso_b,
-        fused_b=fused_b,
-        kernels=kernels,
-        split_directives=directives,
-    )
-    return plan, map_a, map_b
+    return MatchPlan(iso_a, fused_a, iso_b, fused_b, kernels, directives), map_a, map_b
 
 
 def assemble_partial_layer(
@@ -530,7 +504,7 @@ def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPla
         )
         weights.append(w)
         biases.append(b)
-    return DenseNetwork.from_layers(weights, biases, net_a.activation)
+    return DenseNetwork(weights, biases, net_a.activation)
 
 
 @dataclass(frozen=True)
@@ -557,16 +531,9 @@ def match_pair(net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult)
         raise ShapeError("one coupling per hidden layer required")
     plans, maps_a, maps_b = [], {}, {}
     for layer, coupling in enumerate(alignment.couplings, start=1):
-        plan, maps_a[layer], maps_b[layer] = build_match_plan(coupling, layer)
+        plan, maps_a[layer], maps_b[layer] = build_match_plan(coupling)
         plans.append(plan)
     return MatchedPair(remap_neurons(net_a, maps_a), remap_neurons(net_b, maps_b), tuple(plans))
-
-
-def fuse_aligned(
-    net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult, lam: float
-) -> DenseNetwork:
-    """Split, partition and assemble the fused network of a computed alignment."""
-    return match_pair(net_a, net_b, alignment).fuse(lam)
 
 
 def partial_fuse(
@@ -581,7 +548,7 @@ def partial_fuse(
     (1 + alpha_l) times the parent width.  alpha = 0 is ot_fuse;
     alpha = 1 reproduces the ensemble as a function.
     """
-    return fuse_aligned(net_a, net_b, align(net_a, net_b, cfg, data), cfg.lam)
+    return match_pair(net_a, net_b, align(net_a, net_b, cfg, data)).fuse(cfg.lam)
 
 
 def ot_fuse(

@@ -15,7 +15,7 @@ from . import clustering as clst
 from . import fusion as fus
 from . import train as trainmod
 from .netcore import DenseNetwork, ShapeError, remap_neurons
-from .transport import DiscreteMeasure, KernelPair
+from .transport import DiscreteMeasure
 
 _MASS_FLOOR = 1e-9  # keeps lam-weighted masses positive at the lam = 0, 1 endpoints
 
@@ -49,24 +49,17 @@ class PruneSpec:
                 raise ValueError(f"target width {m} exceeds layer width {n}")
 
 
-def _unpack_kernels(pair) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(pair, KernelPair):
-        return pair.k_ab, pair.k_ba
-    k_es, k_se = pair
-    return np.asarray(k_es, dtype=np.float64), np.asarray(k_se, dtype=np.float64)
-
-
 def apply_generalized_pruning(net: DenseNetwork, kernels: Sequence) -> DenseNetwork:
     """Sandwich every weight matrix between per-layer kernels.
 
-    kernels[l] is the (K_es, K_se) pair of hidden layer l+1 (a KernelPair or
-    a plain matrix tuple; the partial-fusion kernels are not column
-    stochastic).  Boundary layers use implicit identities.  Biases move by
-    the left kernel alone.
+    kernels[l] is the (K_es, K_se) matrix pair of hidden layer l+1 (the
+    partial-fusion kernels are not column stochastic, so not a KernelPair).
+    Boundary layers use implicit identities.  Biases move by the left kernel
+    alone.
     """
     if len(kernels) != net.num_hidden:
         raise ShapeError("one kernel pair per hidden layer required")
-    pairs = [_unpack_kernels(p) for p in kernels]
+    pairs = [tuple(np.asarray(k, dtype=np.float64) for k in pair) for pair in kernels]
     for (k_es, k_se), n in zip(pairs, net.hidden_dims):
         if k_es.shape[1] != n or k_se.shape[0] != n or k_es.shape[0] != k_se.shape[1]:
             raise ShapeError("kernel shapes do not chain with the network")
@@ -82,7 +75,7 @@ def apply_generalized_pruning(net: DenseNetwork, kernels: Sequence) -> DenseNetw
             b = pairs[l][0] @ b
         weights.append(w)
         biases.append(b)
-    return DenseNetwork.from_layers(weights, biases, net.activation)
+    return DenseNetwork(weights, biases, net.activation)
 
 
 def _provenance_factors(net: DenseNetwork, lam: float, layer: int) -> np.ndarray:
@@ -123,7 +116,8 @@ def cluster_prune(
             assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
         except clst.MergeCostOverflow as exc:
             raise trainmod.NumericalFailure(f"layer {layer}: {exc}") from exc
-        kernel_list.append(clst.assignment_to_kernels(assignment, mu))
+        kp = clst.assignment_to_kernels(assignment, mu)
+        kernel_list.append((kp.k_ab, kp.k_ba))
     return apply_generalized_pruning(net, kernel_list)
 
 

@@ -1,5 +1,6 @@
 """Dense feedforward networks: evaluation, ensembling, serialization."""
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,14 +33,7 @@ class ActivationKind(Enum):
             return np.maximum(x, 0.0)
         if self is ActivationKind.IDENTITY:
             return x
-        # tanh approximation of GELU with the usual fixed constants, evaluated in
-        # the order of 0.5 * x * (1 + tanh(scale * (x + cubic * x**3))) into two buffers
-        t = np.multiply(x, x)
-        t *= x
-        t *= _GELU_CUBIC
-        t += x
-        t *= _GELU_SCALE
-        np.tanh(t, out=t)
+        t = _gelu_tanh(x)
         t += 1.0
         return np.multiply(0.5 * x, t, out=t)
 
@@ -49,14 +43,23 @@ class ActivationKind(Enum):
             return np.maximum(x, 0.0), (x > 0.0).astype(np.float64)
         if self is ActivationKind.IDENTITY:
             return x, np.ones_like(x)
-        sq = x * x
-        inner = _GELU_SCALE * (x + _GELU_CUBIC * (sq * x))
-        t = np.tanh(inner)
-        value = 0.5 * x * (1.0 + t)
+        t = _gelu_tanh(x)
         deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * _GELU_SCALE * (
-            1.0 + 3.0 * _GELU_CUBIC * sq
+            1.0 + 3.0 * _GELU_CUBIC * (x * x)
         )
-        return value, deriv
+        t += 1.0
+        return np.multiply(0.5 * x, t, out=t), deriv
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(scale * (x + cubic * x**3)), the tanh approximation of GELU with
+    the usual fixed constants, evaluated in that order into a new buffer."""
+    t = np.multiply(x, x)
+    t *= x
+    t *= _GELU_CUBIC
+    t += x
+    t *= _GELU_SCALE
+    return np.tanh(t, out=t)
 
 
 def _as_f64(a, name: str) -> np.ndarray:
@@ -68,50 +71,42 @@ def _as_f64(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DenseNetwork:
-    """An MLP with `len(hidden_dims)` hidden layers.
+    """An MLP built from its layers: weights[l] maps layer l to layer l + 1.
 
     weights[l] has shape (dims[l+1], dims[l]) for the dimension chain
-    dims = [input_dim, *hidden_dims, output_dim]; biases[l] matches the
-    rows of weights[l].  The activation is applied after every layer
-    except the last.  Instances are immutable: the arrays are marked
-    read-only so they can be shared freely across threads.
+    dims = (input_dim, *hidden_dims, output_dim), which is read off the
+    weights; biases[l] matches the rows of weights[l].  The activation is
+    applied after every layer except the last.  Instances are immutable:
+    the arrays are marked read-only so they can be shared freely across
+    threads.
 
     origins, when present, tags each hidden neuron of each layer with the
     parent it came from (0 = A, 1 = B) for ensembles built by
     make_ensemble.  It is not serialized.
     """
 
-    input_dim: int
-    hidden_dims: tuple
-    output_dim: int
     weights: tuple
     biases: tuple
     activation: ActivationKind
     origins: Optional[tuple] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if len(self.hidden_dims) < 1:
-            raise ShapeError("at least one hidden layer is required")
-        dims = self.dims
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ShapeError("expected one weight/bias per layer transition")
+        if len(self.weights) < 2 or len(self.biases) != len(self.weights):
+            raise ShapeError("expected one bias per weight matrix and at least one hidden layer")
         ws, bs = [], []
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             w = _as_f64(w, f"weights[{l}]")
             b = _as_f64(b, f"biases[{l}]")
-            if w.shape != (dims[l + 1], dims[l]):
-                raise ShapeError(
-                    f"weights[{l}] has shape {w.shape}, expected {(dims[l + 1], dims[l])}"
-                )
-            if b.shape != (dims[l + 1],):
-                raise ShapeError(f"biases[{l}] has shape {b.shape}, expected ({dims[l + 1]},)")
+            if w.ndim != 2 or (ws and w.shape[1] != ws[-1].shape[0]):
+                raise ShapeError(f"weights[{l}] has shape {w.shape}, which does not chain")
+            if b.shape != w.shape[:1]:
+                raise ShapeError(f"biases[{l}] has shape {b.shape}, expected ({w.shape[0]},)")
             w.flags.writeable = False
             b.flags.writeable = False
             ws.append(w)
             bs.append(b)
         object.__setattr__(self, "weights", tuple(ws))
         object.__setattr__(self, "biases", tuple(bs))
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if self.origins is not None:
             if len(self.origins) != self.num_hidden:
                 raise ShapeError("origins must tag every hidden layer")
@@ -121,23 +116,25 @@ class DenseNetwork:
                 tuple(np.asarray(o, dtype=np.int64) for o in self.origins),
             )
 
-    @classmethod
-    def from_layers(cls, weights, biases, activation, origins=None) -> "DenseNetwork":
-        """The network of these layers, its widths read off the weight shapes."""
-        weights = tuple(weights)
-        hidden = tuple(np.shape(w)[0] for w in weights[:-1])
-        return cls(
-            np.shape(weights[0])[1], hidden, np.shape(weights[-1])[0],
-            weights, tuple(biases), activation, origins,
-        )
-
     @property
     def dims(self) -> tuple:
         return (self.input_dim, *self.hidden_dims, self.output_dim)
 
     @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[1]
+
+    @property
+    def hidden_dims(self) -> tuple:
+        return tuple(w.shape[0] for w in self.weights[:-1])
+
+    @property
+    def output_dim(self) -> int:
+        return self.weights[-1].shape[0]
+
+    @property
     def num_hidden(self) -> int:
-        return len(self.hidden_dims)
+        return len(self.weights) - 1
 
     def equals(self, other: "DenseNetwork") -> bool:
         """Bitwise equality of architecture and parameters."""
@@ -245,7 +242,7 @@ def make_ensemble(net_a: DenseNetwork, net_b: DenseNetwork, lam: float) -> Dense
         np.concatenate([np.zeros(na, dtype=np.int64), np.ones(nb, dtype=np.int64)])
         for na, nb in zip(net_a.hidden_dims, net_b.hidden_dims)
     )
-    return DenseNetwork.from_layers(weights, biases, net_a.activation, origins)
+    return DenseNetwork(weights, biases, net_a.activation, origins)
 
 
 def permute_hidden_layer(net: DenseNetwork, layer: int, perm: Sequence[int]) -> DenseNetwork:
@@ -278,7 +275,7 @@ def remap_neurons(net: DenseNetwork, maps) -> DenseNetwork:
             w, b = scale[:, None] * w, scale * b
         weights[layer - 1], biases[layer - 1] = w, b
         weights[layer] = weights[layer][:, src]
-    return DenseNetwork.from_layers(weights, biases, net.activation)
+    return DenseNetwork(weights, biases, net.activation)
 
 
 def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
@@ -313,42 +310,57 @@ def save(net: DenseNetwork, path) -> None:
             fh.write(b.astype("<f8").tobytes())
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise PfnnFormatError(f"truncated file while reading {what}")
-    return data
+# A corrupt header can declare any size: reads go in chunks of at most this
+# many bytes, so no more is allocated than the file holds plus one chunk.
+READ_CHUNK = 1 << 26
+
+
+def read_exact(fh: BinaryIO, count: int, what: str, error: type) -> bytes:
+    """Exactly `count` bytes of fh; `error` (a format error) when the file ends first."""
+    chunks = []
+    while count > 0:
+        chunk = fh.read(min(count, READ_CHUNK))
+        if not chunk:
+            raise error(f"truncated payload while reading {what}")
+        chunks.append(chunk)
+        count -= len(chunk)
+    return b"".join(chunks)
+
+
+def _read_pfnn(fh: BinaryIO) -> DenseNetwork:
+    read = functools.partial(read_exact, fh, error=PfnnFormatError)
+    magic = read(4, "magic")
+    if magic != PFNN_MAGIC:
+        raise PfnnFormatError(f"bad magic {magic!r}, expected {PFNN_MAGIC!r}")
+    (version,) = struct.unpack("<I", read(4, "version"))
+    if version != PFNN_VERSION:
+        raise PfnnFormatError(f"unsupported version {version}")
+    (act_code,) = struct.unpack("<B", read(1, "activation"))
+    try:
+        act = ActivationKind(act_code)
+    except ValueError:
+        raise PfnnFormatError(f"unknown activation code {act_code}") from None
+    (L,) = struct.unpack("<I", read(4, "hidden layer count"))
+    if L < 1:
+        raise PfnnFormatError(f"hidden layer count {L} must be >= 1")
+    dims = struct.unpack(f"<{L + 2}I", read(4 * (L + 2), "dims"))
+    if any(d < 1 for d in dims):
+        raise PfnnFormatError(f"non-positive entry in dims {dims}")
+    weights, biases = [], []
+    for l in range(L + 1):
+        rows, cols = dims[l + 1], dims[l]
+        raw = read(8 * rows * cols, f"weights[{l}]")
+        weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols))
+        biases.append(np.frombuffer(read(8 * rows, f"biases[{l}]"), dtype="<f8"))
+    if fh.read(1):
+        raise PfnnFormatError("trailing data after final bias block")
+    return DenseNetwork(weights, biases, act)
 
 
 def load(path) -> DenseNetwork:
+    """The network in a PFNN file; any corrupt file raises PfnnFormatError naming it."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != PFNN_MAGIC:
-            raise PfnnFormatError(f"bad magic {magic!r}, expected {PFNN_MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != PFNN_VERSION:
-            raise PfnnFormatError(f"unsupported version {version}")
-        (act_code,) = struct.unpack("<B", _read_exact(fh, 1, "activation"))
         try:
-            act = ActivationKind(act_code)
-        except ValueError:
-            raise PfnnFormatError(f"unknown activation code {act_code}") from None
-        (L,) = struct.unpack("<I", _read_exact(fh, 4, "hidden layer count"))
-        if L < 1:
-            raise PfnnFormatError(f"hidden layer count {L} must be >= 1")
-        dims = struct.unpack(f"<{L + 2}I", _read_exact(fh, 4 * (L + 2), "dims"))
-        if any(d < 1 for d in dims):
-            raise PfnnFormatError(f"non-positive entry in dims {dims}")
-        weights, biases = [], []
-        for l in range(L + 1):
-            rows, cols = dims[l + 1], dims[l]
-            raw = _read_exact(fh, 8 * rows * cols, f"weights[{l}]")
-            weights.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols))
-            raw = _read_exact(fh, 8 * rows, f"biases[{l}]")
-            biases.append(np.frombuffer(raw, dtype="<f8"))
-        if fh.read(1):
-            raise PfnnFormatError("trailing data after final bias block")
-    try:
-        return DenseNetwork.from_layers(weights, biases, act)
-    except ValueError as exc:  # e.g. NaN/inf weights: bad file content
-        raise PfnnFormatError(f"{path}: {exc}") from None
+            return _read_pfnn(fh)
+        except ValueError as exc:  # a bad header, or bad content such as NaN weights
+            raise PfnnFormatError(f"{path}: {exc}") from None

@@ -38,7 +38,7 @@ def init_network(
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return DenseNetwork.from_layers(weights, biases, activation)
+    return DenseNetwork(weights, biases, activation)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -125,8 +125,6 @@ def _run_adam(
 
 def train_mlp(dims: Sequence[int], dataset: LabeledDataset, cfg: TrainConfig) -> DenseNetwork:
     """Train a fresh MLP of the given dimension chain on the dataset."""
-    if dims[0] != dataset.inputs.shape[1]:
-        raise ShapeError("input dimension does not match the dataset")
     if dataset.labels.max() >= dims[-1]:
         raise ShapeError("a label exceeds the output dimension")
     net = init_network(dims, ActivationKind.GELU, seed=cfg.seed)
@@ -140,7 +138,7 @@ def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig) -> D
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg)
-    return DenseNetwork.from_layers(weights, biases, net.activation)
+    return DenseNetwork(weights, biases, net.activation)
 
 
 def gradient_check(

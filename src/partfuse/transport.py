@@ -518,6 +518,8 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
     remaining sources: the batch is skipped when any source row but the
     last has a negative reduced cost, and the sources pop one by one.
     """
+    if supply.shape != cost.shape[:1] or demand.shape != cost.shape[1:]:
+        raise ShapeError("supply and demand do not match the cost matrix")
     route = _dense_flow if _unit_capacity(supply, demand) else _simplex_flow
     flow = route(supply, demand, cost)
     if flow is not None:
@@ -621,14 +623,14 @@ def _check_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> n
         raise ShapeError("cost matrix shape does not match the marginals")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix has non-finite entries")
+    if abs(mu.total - nu.total) > 1e-12:
+        raise ValueError("marginal totals differ")
     return cost
 
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> Coupling:
     """Exact minimizer of <cost, pi> over couplings of mu and nu."""
     cost = _check_cost(mu, nu, cost)
-    if abs(mu.total - nu.total) > 1e-12:
-        raise ValueError("marginal totals differ")
     sup, dem, den = _integerize_pair(mu.masses, nu.masses)
     flow = _min_cost_flow(sup, dem, cost)
     return Coupling(flow / den, mu, nu)
@@ -645,21 +647,20 @@ def solve_partial_ot(
 
     Balanced reduction: a virtual point of mass alpha * total joins each
     side, absorbing unmatched mass at zero cost; virtual-to-virtual routing
-    costs max(cost) + 1 so no optimal plan ever uses it.
+    costs max(cost) + 1 so no optimal plan ever uses it.  alpha is solved as
+    its nearest fraction with denominator at most 10**6, within MARGINAL_TOL,
+    so an alpha of at most MARGINAL_TOL is the alpha = 0 problem.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     cost = _check_cost(mu, nu, cost)
-    if abs(mu.total - nu.total) > 1e-12:
-        raise ValueError("marginal totals differ")
-    if alpha == 0.0:
-        return solve_ot(mu, nu, cost)
-    if alpha == 1.0:
-        return Coupling(np.zeros((len(mu), len(nu))), mu, nu, 1.0)
-
     frac_alpha = Fraction(float(alpha)).limit_denominator(10**6)
     if abs(float(frac_alpha) - alpha) > MARGINAL_TOL:
         raise ValueError("alpha does not admit an exact rational representation")
+    if frac_alpha == 0:
+        return solve_ot(mu, nu, cost)
+    if alpha == 1.0:
+        return Coupling(np.zeros((len(mu), len(nu))), mu, nu, 1.0)
     # shifting all real-to-real costs is argmin-preserving here because the
     # transported total is fixed; it keeps max(cost)+1 a dominating penalty
     # even when the caller passes negative (reward-derived) costs
@@ -731,8 +732,6 @@ def brute_force_ot(
 ) -> Tuple[float, np.ndarray]:
     """Provably optimal objective by enumerating integral transport plans."""
     cost = _check_cost(mu, nu, cost)
-    if abs(mu.total - nu.total) > 1e-12:
-        raise ValueError("marginal totals differ")
     sup, dem, den = _integerize_pair(mu.masses, nu.masses)
     n_a, n_b = cost.shape
 

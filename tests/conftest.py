@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,14 +14,7 @@ def rand_net(dims, activation=ActivationKind.GELU, seed=0, bias_scale=0.1):
     net = init_network(dims, activation, seed=seed)
     rng = np.random.default_rng(seed + 977)
     biases = tuple(bias_scale * rng.standard_normal(b.shape) for b in net.biases)
-    return DenseNetwork(
-        input_dim=net.input_dim,
-        hidden_dims=net.hidden_dims,
-        output_dim=net.output_dim,
-        weights=net.weights,
-        biases=biases,
-        activation=activation,
-    )
+    return DenseNetwork(net.weights, biases, activation)
 
 
 def random_plan(rng, n_a, n_b):
@@ -33,6 +28,20 @@ def random_plan(rng, n_a, n_b):
         k_ab=(raw / raw.sum(axis=1)[:, None]).T, k_ba=raw / raw.sum(axis=0)[None, :]
     )
     return MatchPlan(isolated_a=ia, fused_a=fa, isolated_b=ib, fused_b=fb, kernels=kernels)
+
+
+def pfnn_header(dims, version=1, activation=0, layers=None):
+    """The PFNN header of a dimension chain; layers defaults to len(dims) - 2."""
+    layers = len(dims) - 2 if layers is None else layers
+    head = b"PFNN" + struct.pack("<IBI", version, activation, layers)
+    return head + struct.pack(f"<{len(dims)}I", *dims)
+
+
+# a corrupt header may declare more than any machine holds: weights[0] of
+# these dims is 8 * (2**32 - 1)**2 bytes, above 2**63
+HUGE_PFNN_DIMS = (2**32 - 1, 2**32 - 1, 10)
+# 5 * 2**62 image bytes: above 2**63, and 2**62 once wrapped to int64
+HUGE_IDX_DIMS = (5 * 2**20, 2**21, 2**21)
 
 
 @pytest.fixture

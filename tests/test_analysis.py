@@ -11,7 +11,7 @@ class TestCountParams:
     def test_dense_layer_counts_literal_nonzeros(self):
         w0 = np.array([[1.0, 0.0], [2.0, 3.0], [0.0, 0.0]])
         net = pf.DenseNetwork(
-            2, (3,), 2, (w0, np.ones((2, 3))), (np.zeros(3), np.zeros(2)),
+            (w0, np.ones((2, 3))), (np.zeros(3), np.zeros(2)),
             pf.ActivationKind.RELU,
         )
         report = pf.count_params(net)
@@ -102,7 +102,7 @@ class TestSimilarityStats:
         w0 = np.array([[0.0], [0.0], [0.0]])
         b0 = np.array([0.0, 3.0, 10.0])
         net = pf.DenseNetwork(
-            1, (3,), 2, (w0, np.ones((2, 3))), (b0, np.zeros(2)), pf.ActivationKind.IDENTITY
+            (w0, np.ones((2, 3))), (b0, np.zeros(2)), pf.ActivationKind.IDENTITY
         )
         rep = pf.similarity_stats(net, net, np.zeros((1, 1)), 1)
         np.testing.assert_allclose(rep.values["nn_within_a"], [3.0, 3.0, 7.0])
@@ -195,23 +195,24 @@ class TestTradeoffSweep:
         a, b = self._pair()
         data = self._eval_data(rng)
         alphas, lams = [0.0, 0.5, [1.0, 0.25]], [0.0, 0.3, 0.7, 1.0]
-        # every cell fused from scratch, as fuse_aligned does
+        # every cell matched and fused from scratch
         want = []
         for alpha in alphas:
             alignment = fusion.align(a, b, pf.FusionConfig(alpha=alpha))
             for lam in lams:
-                net = fusion.fuse_aligned(a, b, alignment, lam)
+                net = fusion.match_pair(a, b, alignment).fuse(lam)
                 want.append(analysis.cell_record(net, "partial-ot", alpha, lam, 0, data).csv_row())
-        layers = []
+        couplings = []
         build = fusion.build_match_plan
 
-        def counting(pt, layer):
-            layers.append(layer)
-            return build(pt, layer)
+        def counting(pt):
+            couplings.append(pt)
+            return build(pt)
 
         monkeypatch.setattr(fusion, "build_match_plan", counting)
         records = pf.tradeoff_sweep(a, b, alphas, lams, ["partial-ot"], data)
-        assert layers == [1, 2] * len(alphas)  # not once per lambda
+        # each layer once per alpha, not once per lambda
+        assert [c.alpha for c in couplings] == [0.0, 0.0, 0.5, 0.5, 1.0, 0.25]
         assert [r.csv_row() for r in records] == want
 
     def test_alignment_error_fills_every_lambda_row(self, rng, monkeypatch):
@@ -228,7 +229,7 @@ class TestTradeoffSweep:
 
     def test_overflowing_alignment_costs_are_numerical_failures(self, rng):
         a, b = self._pair()
-        big = pf.DenseNetwork.from_layers(
+        big = pf.DenseNetwork(
             [w * 1e160 if k == 1 else w for k, w in enumerate(b.weights)], b.biases, b.activation
         )
         cfg = pf.FusionConfig(align=pf.AlignMethod.GREEDY)

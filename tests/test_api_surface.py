@@ -6,6 +6,7 @@ would break the traced benchmark silently, so the contract is checked in the
 main suite.  The tracer is only loaded, never installed.
 """
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -60,7 +62,7 @@ def test_hooked_results_keep_their_shape():
     cost = np.arange(9.0).reshape(3, 3)
     for coupling in (pf.solve_ot(mu, mu, cost), pf.solve_partial_ot(mu, mu, cost, alpha=0.5)):
         assert coupling.matrix.shape == (3, 3)
-    plan = pf.fusion.build_match_plan(pf.solve_partial_ot(mu, mu, cost, alpha=0.5), 1)[0]
+    plan = pf.fusion.build_match_plan(pf.solve_partial_ot(mu, mu, cost, alpha=0.5))[0]
     assert isinstance(plan.split_directives, tuple)
 
 
@@ -68,7 +70,7 @@ def test_hooked_results_keep_their_shape():
 # own pipeline), except two TrainConfig fields that only tests set:
 # learning_rate (the exit-3 test overflows the loss with it) and batch_size
 # (criteria 5 and 12 train with it).  A new option changes these lists on
-# purpose.
+# purpose, as does a new command-line flag in CLI_OPTIONS.
 CONFIG_FIELDS = {
     pf.FusionConfig: ("lam", "alpha", "features", "align"),
     pf.PruneSpec: ("target_widths", "method", "lam"),
@@ -86,6 +88,39 @@ PARAMETERS = {
         "feature_data", "seed", "cfg_base", "cluster_restarts", "measure_time",
     ),
 }
+
+
+# Each subcommand's option strings in parser order (--help included).
+CLI_OPTIONS = {
+    "train": (
+        "-h", "--help", "--data-dir", "--out", "--pairs", "--split-digit", "--width", "--depth",
+        "--epochs", "--seed-base",
+    ),
+    "fuse": (
+        "-h", "--help", "--data-dir", "--timing", "--cluster-restarts", "--manifest", "--pair",
+        "--alpha", "--lambda", "--features", "--align", "--method", "--out", "--records",
+        "--export-couplings",
+    ),
+    "prune": (
+        "-h", "--help", "--data-dir", "--cluster-restarts", "--net", "--method", "--factor",
+        "--widths", "--seed", "--out",
+    ),
+    "sweep": (
+        "-h", "--help", "--data-dir", "--timing", "--cluster-restarts", "--manifest", "--alphas",
+        "--lambdas", "--methods", "--features", "--align", "--jobs", "--out",
+    ),
+    "stats": ("-h", "--help", "--data-dir", "--net-a", "--net-b", "--sample-count", "--out"),
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: tuple(opt for action in sub._actions for opt in action.option_strings)
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("config", list(CONFIG_FIELDS), ids=lambda c: c.__name__)

@@ -8,7 +8,9 @@ import pytest
 import partfuse as pf
 from partfuse import analysis, cli, fusion, transport
 from partfuse import data as datamod
-from partfuse.data import write_idx_images, write_idx_labels
+from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
+
+from conftest import HUGE_IDX_DIMS, HUGE_PFNN_DIMS, pfnn_header
 
 
 @pytest.fixture
@@ -129,7 +131,7 @@ class TestFuse:
         net = pf.load(trained_dir / "pair0_B.pfnn")
         weights = [w * 1e160 if k == 1 else w for k, w in enumerate(net.weights)]
         pf.save(
-            pf.DenseNetwork.from_layers(weights, net.biases, net.activation),
+            pf.DenseNetwork(weights, net.biases, net.activation),
             trained_dir / "big_B.pfnn",
         )
         manifest = trained_dir / "big_manifest.txt"
@@ -153,7 +155,7 @@ class TestFuse:
         ])
         assert code == 1
 
-    @pytest.mark.parametrize("bad_line", ["pair0_A.pfnn", "pair0_A.pfnn Ax"])
+    @pytest.mark.parametrize("bad_line", ["pair0_A.pfnn", "pair0_A.pfnn Ax", "pair0_A\0.pfnn A0"])
     def test_malformed_manifest_line_exit_2(self, trained_dir, tmp_path, capsys, bad_line):
         manifest = trained_dir / "bad_manifest.txt"
         manifest.write_text(f"pair0_B.pfnn B0\n\n{bad_line}\n")
@@ -179,6 +181,38 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(manifest) in err
         assert "lines 1 and 2" in err and not (tmp_path / "x.pfnn").exists()
+
+    def test_non_utf8_manifest_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_bytes(b"\xff\xfe bad A0\n")
+        code = run(["fuse", "--manifest", manifest, "--out", tmp_path / "x.pfnn"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {manifest}: not UTF-8")
+
+    def test_alpha_within_1e_9_of_zero_is_alpha_zero(self, data_dir, trained_dir, tmp_path):
+        outs = []
+        for alpha in ("0", "1e-12"):
+            outs.append(tmp_path / f"alpha{alpha}.pfnn")
+            assert run([
+                "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                "--alpha", alpha, "--align", "greedy", "--out", outs[-1],
+            ]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_env_data_dir_without_mnist_cannot_feed_features(
+        self, trained_dir, tmp_path, monkeypatch, capsys
+    ):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setenv(datamod.DATA_DIR_ENV, str(empty))
+        code = run([
+            "fuse", "--manifest", trained_dir / "manifest.txt", "--method", "cluster",
+            "--out", tmp_path / "x.pfnn",
+        ])
+        assert code == 1
+        assert "needs data for features" in capsys.readouterr().err
+        assert not (tmp_path / "x.pfnn").exists()
 
     def test_directory_as_manifest_exit_2(self, tmp_path, capsys):
         code = run(["fuse", "--manifest", tmp_path, "--out", tmp_path / "x.pfnn"])
@@ -234,6 +268,20 @@ class TestPrune:
         code = run(["prune", "--net", bad, "--out", tmp_path / "o.pfnn"])
         assert code == 2
 
+    @pytest.mark.parametrize("header, message", [
+        pytest.param(pfnn_header(HUGE_PFNN_DIMS), "truncated payload while reading weights[0]",
+                     id="weights-above-2**63-bytes"),
+        pytest.param(pfnn_header((3, 4, 2), version=2), "unsupported version 2", id="version"),
+        pytest.param(pfnn_header((3, 2), layers=0), "hidden layer count 0", id="no-hidden-layer"),
+        pytest.param(pfnn_header((3, 0, 2)), "non-positive entry in dims", id="zero-dim"),
+    ])
+    def test_corrupt_header_exit_2_naming_the_file(self, tmp_path, capsys, header, message):
+        bad = tmp_path / "bad.pfnn"
+        bad.write_bytes(header + bytes(64))
+        code = run(["prune", "--net", bad, "--out", tmp_path / "o.pfnn"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: {message}")
+
     def test_directory_as_net_exit_2(self, tmp_path, capsys):
         code = run(["prune", "--net", tmp_path, "--out", tmp_path / "x.pfnn"])
         assert code == 2
@@ -253,7 +301,7 @@ class TestPrune:
         net = pf.load(trained_dir / "pair0_A.pfnn")
         weights = [w * 1e200 if k < 2 else w for k, w in enumerate(net.weights)]
         big = tmp_path / "big.pfnn"
-        pf.save(pf.DenseNetwork.from_layers(weights, net.biases, net.activation), big)
+        pf.save(pf.DenseNetwork(weights, net.biases, net.activation), big)
         with np.errstate(over="ignore", invalid="ignore"):
             code = run([
                 "prune", "--data-dir", data_dir, "--net", big, "--method", "cluster",
@@ -268,7 +316,7 @@ class TestPrune:
         net = pf.load(trained_dir / "pair0_A.pfnn")
         weights = [w * 1e200 if k == 0 else w for k, w in enumerate(net.weights)]
         big = tmp_path / "big.pfnn"
-        pf.save(pf.DenseNetwork.from_layers(weights, net.biases, net.activation), big)
+        pf.save(pf.DenseNetwork(weights, net.biases, net.activation), big)
         out = tmp_path / "o.pfnn"
         with np.errstate(over="ignore", invalid="ignore"):
             code = run([
@@ -596,6 +644,19 @@ class TestSplitsRead:
         assert run([*fuse, "--out", tmp_path / "w.pfnn"]) == 0
         assert run([*fuse, "--method", "cluster", "--cluster-restarts", "2", "--out", tmp_path / "c.pfnn"]) == 2
         assert "truncated payload while reading images magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
+    def test_oversized_idx_header_exits_2_naming_the_file(self, data_dir, tmp_path, capsys, gzipped):
+        images = data_dir / "train-images-idx3-ubyte"
+        blob = struct.pack(">4I", IDX_IMAGES_MAGIC, *HUGE_IDX_DIMS) + bytes(100)
+        if gzipped:
+            images.unlink()
+            images = data_dir / "train-images-idx3-ubyte.gz"
+        images.write_bytes(gzip.compress(blob) if gzipped else blob)
+        argv = ["train", "--data-dir", data_dir, "--out", tmp_path / "run", "--pairs", "1",
+                "--width", "3", "--depth", "1", "--epochs", "0"]
+        assert run(argv) == 2
+        assert f"data error: {images}: truncated payload" in capsys.readouterr().err
 
     def test_truncated_gzip_exits_2_naming_the_file(self, data_dir, tmp_path, capsys):
         plain = data_dir / "train-images-idx3-ubyte"

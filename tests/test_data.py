@@ -1,11 +1,13 @@
 import gzip
 import re
+import struct
 
 import numpy as np
 import pytest
 
 import partfuse as pf
 from partfuse.data import (
+    IDX_IMAGES_MAGIC,
     DataFormatError,
     find_mnist,
     load_idx,
@@ -13,6 +15,8 @@ from partfuse.data import (
     write_idx_labels,
 )
 from partfuse.train import TrainConfig, train_mlp
+
+from conftest import HUGE_IDX_DIMS
 
 
 def make_fixture(tmp_path, n=12, rows=4, cols=3, n_classes=3, seed=0):
@@ -81,6 +85,19 @@ class TestIdx:
             write_idx_images(bad, np.zeros((0, 4, 3), dtype=np.uint8))
             write_idx_labels(lab_path, np.zeros(0, dtype=np.uint8))
         with pytest.raises(DataFormatError, match=re.escape(f"{bad}: ")):
+            load_idx(bad, lab_path)
+
+    @pytest.mark.parametrize("dims", [
+        pytest.param(HUGE_IDX_DIMS, id="above-2**63-bytes"),
+        pytest.param((4_000_000_000, 28, 28), id="4e9-images"),
+    ])
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
+    def test_oversized_header_is_truncated_not_allocated(self, tmp_path, dims, gzipped):
+        _, lab_path, _, _ = make_fixture(tmp_path)
+        blob = struct.pack(">4I", IDX_IMAGES_MAGIC, *dims) + bytes(100)
+        bad = tmp_path / "huge-images"
+        bad.write_bytes(gzip.compress(blob) if gzipped else blob)
+        with pytest.raises(DataFormatError, match=re.escape(f"{bad}: truncated payload")):
             load_idx(bad, lab_path)
 
     def test_find_mnist_absent(self, tmp_path):

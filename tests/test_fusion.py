@@ -40,7 +40,7 @@ class TestFeatures:
         w0 = np.array(base.weights[0])
         b0 = np.array(base.biases[0])
         w0[3], b0[3] = w0[2], b0[2]
-        net = pf.DenseNetwork(4, (5,), 3, (w0, base.weights[1]), (b0, base.biases[1]), base.activation)
+        net = pf.DenseNetwork((w0, base.weights[1]), (b0, base.biases[1]), base.activation)
         fa, _ = pf.features_activation(net, rng.normal(size=(20, 4)), 1)
         np.testing.assert_array_equal(fa[2], fa[3])
 
@@ -61,7 +61,7 @@ class TestFeatures:
 
     def test_zero_weight_features(self):
         zero = pf.DenseNetwork(
-            3, (4,), 2, (np.zeros((4, 3)), np.zeros((2, 4))), (np.zeros(4), np.zeros(2)),
+            (np.zeros((4, 3)), np.zeros((2, 4))), (np.zeros(4), np.zeros(2)),
             pf.ActivationKind.RELU,
         )
         fa, fb = pf.features_weight(zero, zero, [None], 1)
@@ -98,20 +98,20 @@ def half_matched_coupling(n, index):
 
 
 class TestSplitPartialNeuron:
-    """The split fuse_aligned runs: build_match_plan's neuron map, then remap_neurons."""
+    """The split match_pair runs: build_match_plan's neuron map, then remap_neurons."""
 
     def test_relu_function_preserved(self, rng):
         net = rand_net((4, 6, 3), pf.ActivationKind.RELU, seed=9)
-        plan, map_a, _ = build_match_plan(half_matched_coupling(6, 2), 1)
+        plan, map_a, _ = build_match_plan(half_matched_coupling(6, 2))
         out = remap_neurons(net, {1: map_a})
         assert out.hidden_dims == (7,)
         x = rng.normal(size=(40, 4))
         assert np.abs(pf.forward(out, x) - pf.forward(net, x)).max() <= 1e-12
-        assert [(d.side, d.index) for d in plan.split_directives] == [("A", 2), ("B", 2)]
+        assert plan.split_directives == (("A", 2), ("B", 2))
 
     def test_gelu_deviation_is_small_but_reported(self, rng):
         net = rand_net((4, 6, 3), pf.ActivationKind.GELU, seed=10)
-        _, map_a, _ = build_match_plan(half_matched_coupling(6, 0), 1)
+        _, map_a, _ = build_match_plan(half_matched_coupling(6, 0))
         out = remap_neurons(net, {1: map_a})
         x = rng.normal(size=(40, 4))
         deviation = np.abs(pf.forward(out, x) - pf.forward(net, x)).max()

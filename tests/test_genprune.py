@@ -15,13 +15,13 @@ def duplicate_neuron_net(seed=0, activation=pf.ActivationKind.RELU):
     w0 = np.array(base.weights[0])
     b0 = np.array(base.biases[0])
     w0[3], b0[3] = w0[2], b0[2]
-    return pf.DenseNetwork(4, (6,), 3, (w0, base.weights[1]), (b0, base.biases[1]), activation)
+    return pf.DenseNetwork((w0, base.weights[1]), (b0, base.biases[1]), activation)
 
 
 class TestApplyGeneralizedPruning:
     def test_identity_kernels_reproduce_network(self):
         net = rand_net((4, 6, 5, 3), seed=1)
-        kernels = [KernelPair(np.eye(6), np.eye(6)), KernelPair(np.eye(5), np.eye(5))]
+        kernels = [(np.eye(6), np.eye(6)), (np.eye(5), np.eye(5))]
         out = pf.apply_generalized_pruning(net, kernels)
         assert out.equals(net)
 
@@ -68,7 +68,7 @@ class TestApplyGeneralizedPruning:
 
         assignment = _labels_to_assignment(feats, mu.masses, labels)
         kp = pf.assignment_to_kernels(assignment, mu)
-        out = pf.apply_generalized_pruning(net, [kp])
+        out = pf.apply_generalized_pruning(net, [(kp.k_ab, kp.k_ba)])
         np.testing.assert_array_equal(out.weights[0][1], net.weights[0][2])
         np.testing.assert_array_equal(out.weights[1][:, 1], net.weights[1][:, 2])
 
@@ -124,7 +124,7 @@ class TestUnstructuredPrune:
         w0 = np.zeros((3, 2))
         w0[0, 0], w0[1, 0], w0[2, 0] = 5.0, 1.0, 3.0
         net = pf.DenseNetwork(
-            2, (3,), 2, (w0, np.arange(6.0).reshape(2, 3)), (np.zeros(3), np.zeros(2)),
+            (w0, np.arange(6.0).reshape(2, 3)), (np.zeros(3), np.zeros(2)),
             pf.ActivationKind.RELU,
         )
         out = pf.unstructured_prune(net, PruneSpec((2,), PruneMethod.UNSTRUCTURED))
@@ -137,7 +137,7 @@ class TestUnstructuredPrune:
         w1 = np.array(base.weights[1])
         b0 = np.array(base.biases[0])
         w0[4], w1[:, 4], b0[4] = 0.0, 0.0, 0.0
-        net = pf.DenseNetwork(4, (5,), 3, (w0, w1), (b0, base.biases[1]), base.activation)
+        net = pf.DenseNetwork((w0, w1), (b0, base.biases[1]), base.activation)
         out = pf.unstructured_prune(net, PruneSpec((4,), PruneMethod.UNSTRUCTURED))
         x = rng.normal(size=(30, 4))
         assert np.abs(pf.forward(out, x) - pf.forward(net, x)).max() <= 1e-12
@@ -145,7 +145,7 @@ class TestUnstructuredPrune:
     def test_tie_break_keeps_lowest_index(self):
         w0 = np.ones((4, 2))
         net = pf.DenseNetwork(
-            2, (4,), 2, (w0, np.arange(8.0).reshape(2, 4)), (np.zeros(4), np.zeros(2)),
+            (w0, np.arange(8.0).reshape(2, 4)), (np.zeros(4), np.zeros(2)),
             pf.ActivationKind.RELU,
         )
         out = pf.unstructured_prune(net, PruneSpec((2,), PruneMethod.UNSTRUCTURED))
@@ -172,7 +172,7 @@ class TestPostprocess:
         # with summed outgoing weights; transport restores the function
         w0 = np.full((2, 4), 0.7)
         net = pf.DenseNetwork(
-            4, (2,), 3, (w0, rng.normal(size=(3, 2))), (np.full(2, 0.1), np.zeros(3)),
+            (w0, rng.normal(size=(3, 2))), (np.full(2, 0.1), np.zeros(3)),
             pf.ActivationKind.RELU,
         )
         out = pf.prune_with_postprocess(net, PruneSpec((1,), PruneMethod.UNSTRUCTURED_POSTPROCESS))

@@ -1,19 +1,20 @@
+import io
+import re
+
 import numpy as np
 import pytest
 
 import partfuse as pf
+from partfuse import netcore
 from partfuse.netcore import _GELU_CUBIC, _GELU_SCALE, PfnnFormatError, ShapeError, remap_neurons
 
-from conftest import rand_net
+from conftest import HUGE_PFNN_DIMS, pfnn_header, rand_net
 
 
 def identity_net(n, depth=2):
     eye = np.eye(n)
     zero = np.zeros(n)
     return pf.DenseNetwork(
-        input_dim=n,
-        hidden_dims=(n,) * depth,
-        output_dim=n,
         weights=(eye,) * (depth + 1),
         biases=(zero,) * (depth + 1),
         activation=pf.ActivationKind.IDENTITY,
@@ -28,9 +29,6 @@ class TestForward:
 
     def test_hand_evaluated_relu_net(self):
         net = pf.DenseNetwork(
-            input_dim=1,
-            hidden_dims=(2,),
-            output_dim=1,
             weights=(np.array([[1.0], [-1.0]]), np.array([[1.0, 1.0]])),
             biases=(np.zeros(2), np.zeros(1)),
             activation=pf.ActivationKind.RELU,
@@ -180,12 +178,12 @@ class TestPermutationInvariance:
 
 
 class TestRemapNeurons:
-    def test_from_layers_reads_widths(self):
+    def test_widths_read_off_the_weights(self):
         net = rand_net((5, 9, 8, 3), seed=6)
-        rebuilt = pf.DenseNetwork.from_layers(net.weights, net.biases, net.activation)
+        rebuilt = pf.DenseNetwork(net.weights, net.biases, net.activation)
         assert rebuilt.dims == (5, 9, 8, 3) and rebuilt.equals(net)
         with pytest.raises(ShapeError):
-            pf.DenseNetwork.from_layers(net.weights[::-1], net.biases, net.activation)
+            pf.DenseNetwork(net.weights[::-1], net.biases, net.activation)
 
     def test_delete_permute_and_split(self, rng):
         net = rand_net((5, 9, 8, 3), pf.ActivationKind.RELU, seed=7)
@@ -242,6 +240,31 @@ class TestSerialization:
         with pytest.raises(PfnnFormatError, match="activation"):
             pf.load(path)
 
+    @pytest.mark.parametrize("dims, layers", [
+        pytest.param(HUGE_PFNN_DIMS, None, id="weights-above-2**63-bytes"),
+        pytest.param((100000, 100000, 10), None, id="weights-100000x100000"),
+        pytest.param((3, 4, 2), 2**32 - 1, id="layer-count-2**32-1"),
+    ])
+    def test_oversized_header_is_truncated_not_allocated(self, tmp_path, dims, layers):
+        path = tmp_path / "huge.pfnn"
+        path.write_bytes(pfnn_header(dims, layers=layers) + bytes(64))
+        with pytest.raises(PfnnFormatError, match=re.escape(f"{path}: truncated payload")):
+            pf.load(path)
+
+    def test_reads_go_in_bounded_chunks(self, monkeypatch):
+        sizes = []
+
+        class Recording(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        with pytest.raises(PfnnFormatError, match="truncated payload while reading x"):
+            netcore.read_exact(Recording(bytes(10)), 2**70, "x", PfnnFormatError)
+        assert sizes == [netcore.READ_CHUNK, netcore.READ_CHUNK]
+        monkeypatch.setattr(netcore, "READ_CHUNK", 4)
+        assert netcore.read_exact(io.BytesIO(b"abcdefghijk"), 10, "x", PfnnFormatError) == b"abcdefghij"
+
     def test_trailing_data(self, tmp_path):
         net = rand_net((4, 6, 2), seed=7)
         path = tmp_path / "net.pfnn"
@@ -255,9 +278,6 @@ class TestAccuracy:
     def test_perfect_one_hot(self):
         eye = np.eye(3)
         net = pf.DenseNetwork(
-            input_dim=3,
-            hidden_dims=(3,),
-            output_dim=3,
             weights=(eye, eye),
             biases=(np.zeros(3), np.zeros(3)),
             activation=pf.ActivationKind.RELU,
@@ -267,9 +287,6 @@ class TestAccuracy:
 
     def test_constant_zero_net_predicts_class_zero(self, rng):
         net = pf.DenseNetwork(
-            input_dim=4,
-            hidden_dims=(5,),
-            output_dim=10,
             weights=(np.zeros((5, 4)), np.zeros((10, 5))),
             biases=(np.zeros(5), np.zeros(10)),
             activation=pf.ActivationKind.GELU,
@@ -280,9 +297,6 @@ class TestAccuracy:
 
     def test_single_wrong_sample(self):
         net = pf.DenseNetwork(
-            input_dim=2,
-            hidden_dims=(2,),
-            output_dim=2,
             weights=(np.eye(2), np.eye(2)),
             biases=(np.zeros(2), np.array([1.0, 0.0])),
             activation=pf.ActivationKind.IDENTITY,

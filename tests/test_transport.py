@@ -150,6 +150,15 @@ class TestPartialOt:
         with pytest.raises(ValueError):
             pf.solve_partial_ot(uniform(2), uniform(2), rng.random((2, 2)), 1.5)
 
+    @pytest.mark.parametrize("alpha", [1e-12, 5e-10])
+    @pytest.mark.parametrize("nu", [[0.2] * 5, [0.1, 0.3, 0.2, 0.25, 0.15]], ids=["unit", "weighted"])
+    def test_alpha_that_rounds_to_zero_is_the_full_solve(self, rng, alpha, nu):
+        # the nearest fraction with denominator <= 10**6 is 0: no virtual point
+        mu, nu = uniform(5), pf.DiscreteMeasure(np.array(nu))
+        cost = rng.random((5, 5))
+        part = pf.solve_partial_ot(mu, nu, cost, alpha)
+        np.testing.assert_array_equal(part.matrix, pf.solve_ot(mu, nu, cost).matrix)
+
 
 class TestKernels:
     def test_identity_coupling(self):
@@ -511,6 +520,12 @@ class TestMinCostFlowReference:
                 _reference_min_cost_flow(sup, dem, cost),
                 err_msg=f"instance {seed}",
             )
+
+    def test_rejects_supply_or_demand_that_do_not_match_the_cost(self):
+        ones = np.ones(3, dtype=np.int64)
+        for sup, dem in ((ones, np.ones(4, dtype=np.int64)), (np.ones(4, dtype=np.int64), ones)):
+            with pytest.raises(transport.ShapeError, match="do not match the cost"):
+                transport._min_cost_flow(sup, dem, np.zeros((4, 4)))
 
     def test_negative_reduced_cost_skips_the_batch(self):
         # a separable instance on which rounding leaves a source row other
