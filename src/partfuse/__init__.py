@@ -66,7 +66,6 @@ from .netcore import (
     forward,
     load,
     make_ensemble,
-    permute_hidden_layer,
     save,
 )
 from .train import TrainConfig, fine_tune, gradient_check, train_mlp

@@ -56,7 +56,7 @@ def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityReport:
     """Neuron distance statistics for one hidden layer of two networks.
 
@@ -73,8 +73,8 @@ class SimilarityReport:
     difference: Dict[str, float]
 
 
-def _conditional_mean(v: np.ndarray, keep_fraction: float = 0.8) -> float:
-    k = int(np.ceil(keep_fraction * v.size))
+def _conditional_mean(v: np.ndarray) -> float:
+    k = int(np.ceil(0.8 * v.size))
     return float(np.mean(np.sort(v)[:k]))
 
 

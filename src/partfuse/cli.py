@@ -274,13 +274,13 @@ def cmd_sweep(args) -> int:
         for i in range(cells):
             for records in per_pair:
                 lines.append(records[i].csv_row())
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_report(args.out, lines)
+
+
+def _stat_label(key: str) -> str:
+    """"network,statistic" of a SimilarityReport key <statistic>_<side>: sides a and ab are A."""
+    stat, side = key.rsplit("_", 1)
+    return f"{side[0].upper()},{stat}"
 
 
 def cmd_stats(args) -> int:
@@ -291,29 +291,23 @@ def cmd_stats(args) -> int:
         analysis.similarity_stats(net_a, net_b, sample, layer)
         for layer in range(1, net_a.num_hidden + 1)
     ]
-    key_map = {
-        ("A", "nn_within"): "nn_within_a",
-        ("B", "nn_within"): "nn_within_b",
-        ("A", "nn_cross"): "nn_cross_ab",
-        ("B", "nn_cross"): "nn_cross_ba",
-        ("A", "mean_within"): "mean_within_a",
-        ("B", "mean_within"): "mean_within_b",
-        ("A", "mean_cross"): "mean_cross_ab",
-        ("B", "mean_cross"): "mean_cross_ba",
-    }
     for rep in reports:
-        for (network, stat), key in key_map.items():
-            for neuron, value in enumerate(rep.values[key]):
-                lines.append(f"all,{rep.layer},{network},{stat},{neuron},{value:.9g}")
-    for block, field in (("conditional80", "conditional80"), ("difference", "difference")):
+        for key, values in rep.values.items():
+            for neuron, value in enumerate(values):
+                lines.append(f"all,{rep.layer},{_stat_label(key)},{neuron},{value:.9g}")
+    for block in ("conditional80", "difference"):
         for rep in reports:
-            for (network, stat), key in key_map.items():
-                value = getattr(rep, field)[key]
-                lines.append(f"{block},{rep.layer},{network},{stat},,{value:.9g}")
+            for key, value in getattr(rep, block).items():
+                lines.append(f"{block},{rep.layer},{_stat_label(key)},,{value:.9g}")
+    return _write_report(args.out, lines)
+
+
+def _write_report(out, lines) -> int:
+    """Write the lines to the file `out`, or to stdout when `out` is None."""
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
     else:
         sys.stdout.write(text)
     return 0

@@ -16,7 +16,7 @@ from .netcore import ShapeError
 from .transport import DiscreteMeasure, KernelPair, cost_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment:
     """Map from points to cluster centers with center coordinates and masses."""
 

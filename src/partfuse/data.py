@@ -17,6 +17,7 @@ from .netcore import LabeledDataset, read_exact
 DATA_DIR_ENV = "PARTFUSE_DATA_DIR"
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+MINORITY_SHARE = 0.10  # of every class but the specialist digit, drawn into split A
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -112,17 +113,14 @@ def find_mnist(directory: Optional[Path] = None) -> Optional[dict]:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Heterogeneous split: one specialist digit plus a minority share of the rest."""
+    """Heterogeneous split: one specialist digit plus MINORITY_SHARE of the rest."""
 
     special_digit: int
-    minority_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
         if self.special_digit < 0:
             raise ValueError("special_digit must be a valid class index")
-        if not 0.0 < self.minority_fraction < 1.0:
-            raise ValueError("minority_fraction must lie in (0, 1)")
 
 
 def _take(data: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
@@ -156,7 +154,7 @@ def heterogeneous_split(
     """
     if spec.special_digit not in data.labels:
         raise ValueError(f"class {spec.special_digit} not present in the data")
-    in_a = _per_class_draw(data, spec.minority_fraction, spec.seed, whole=spec.special_digit)
+    in_a = _per_class_draw(data, MINORITY_SHARE, spec.seed, whole=spec.special_digit)
     return _take(data, np.flatnonzero(in_a)), _take(data, np.flatnonzero(~in_a))
 
 

@@ -52,8 +52,8 @@ class FusionConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        if any(not 0.0 <= float(a) <= 1.0 for a in np.atleast_1d(self.alpha)):
-            raise ValueError("every alpha must lie in [0, 1]")
+        for a in np.atleast_1d(self.alpha):
+            transport.exact_alpha(float(a))
         if self.align is AlignMethod.FIXED_POINT and self.features is not FeatureKind.WEIGHTS:
             raise ValueError("the fixed-point aligner requires weight features")
 
@@ -67,7 +67,7 @@ class FusionConfig:
         return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchPlan:
     """Partition of one layer into isolated/fused sets plus restricted kernels.
 

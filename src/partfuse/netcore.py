@@ -2,9 +2,9 @@
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _as_f64(a, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseNetwork:
     """An MLP built from its layers: weights[l] maps layer l to layer l + 1.
 
@@ -88,7 +88,7 @@ class DenseNetwork:
     weights: tuple
     biases: tuple
     activation: ActivationKind
-    origins: Optional[tuple] = field(default=None, compare=False)
+    origins: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.weights) < 2 or len(self.biases) != len(self.weights):
@@ -137,15 +137,14 @@ class DenseNetwork:
         return len(self.weights) - 1
 
     def equals(self, other: "DenseNetwork") -> bool:
-        """Bitwise equality of architecture and parameters."""
+        """Bitwise equality of architecture and parameters (`==` compares identity)."""
         if self.dims != other.dims or self.activation is not other.activation:
             return False
-        return all(np.array_equal(a, b) for a, b in zip(self.weights, other.weights)) and all(
-            np.array_equal(a, b) for a, b in zip(self.biases, other.biases)
-        )
+        mine, theirs = self.weights + self.biases, other.weights + other.biases
+        return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
     inputs: np.ndarray
     labels: np.ndarray
@@ -243,20 +242,6 @@ def make_ensemble(net_a: DenseNetwork, net_b: DenseNetwork, lam: float) -> Dense
         for na, nb in zip(net_a.hidden_dims, net_b.hidden_dims)
     )
     return DenseNetwork(weights, biases, net_a.activation, origins)
-
-
-def permute_hidden_layer(net: DenseNetwork, layer: int, perm: Sequence[int]) -> DenseNetwork:
-    """Relabel the neurons of one hidden layer; the network function is unchanged.
-
-    perm[k] gives the old index of the neuron placed at new position k.
-    """
-    if not 1 <= layer <= net.num_hidden:
-        raise ShapeError(f"layer {layer} out of range")
-    perm = np.asarray(perm, dtype=np.int64)
-    n = net.hidden_dims[layer - 1]
-    if sorted(perm.tolist()) != list(range(n)):
-        raise ValueError("perm is not a permutation of the layer")
-    return remap_neurons(net, {layer: (perm, None)})
 
 
 def remap_neurons(net: DenseNetwork, maps) -> DenseNetwork:

@@ -21,6 +21,8 @@ import numpy as np
 from .netcore import ShapeError
 
 MARGINAL_TOL = 1e-9
+MAX_DENOMINATOR = 10**6  # of the fractions that masses and alphas are solved as
+ENUMERATION_NODES = 2_000_000  # brute_force_ot's search gives up after this many
 
 
 class DegenerateNeuronError(ValueError):
@@ -31,7 +33,7 @@ class EnumerationError(ValueError):
     """Brute-force instance too large to enumerate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Nonnegative masses on the neurons of one layer."""
 
@@ -61,7 +63,7 @@ class DiscreteMeasure:
         return self.masses.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coupling:
     """Transport plan moving (1 - alpha) of the mass between two marginals.
 
@@ -108,7 +110,7 @@ class Coupling:
         return self.matrix.sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelPair:
     """Column-stochastic layer translations K_ab: A -> B and K_ba: B -> A."""
 
@@ -147,10 +149,20 @@ def cost_matrix(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 # Integral reformulation
 
 
-def _rationalize(masses: np.ndarray, max_denominator: int = 10**6) -> Tuple[list, np.ndarray]:
+def exact_alpha(alpha: float) -> Fraction:
+    """alpha in [0, 1] as its nearest fraction of denominator <= MAX_DENOMINATOR, within MARGINAL_TOL."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    frac = Fraction(float(alpha)).limit_denominator(MAX_DENOMINATOR)
+    if abs(float(frac) - alpha) > MARGINAL_TOL:
+        raise ValueError("alpha does not admit an exact rational representation")
+    return frac
+
+
+def _rationalize(masses: np.ndarray) -> Tuple[list, np.ndarray]:
     """(fracs, inverse): each distinct mass as a Fraction, and masses[i] is fracs[inverse[i]]."""
     values, inverse = np.unique(masses, return_inverse=True)
-    fracs = [Fraction(float(m)).limit_denominator(max_denominator) for m in values]
+    fracs = [Fraction(float(m)).limit_denominator(MAX_DENOMINATOR) for m in values]
     err = max((abs(float(f) - float(m)) for f, m in zip(fracs, values)), default=0.0)
     if err > MARGINAL_TOL:
         raise ValueError("masses do not admit an exact small-denominator representation")
@@ -342,9 +354,9 @@ def _unique_optimum(
 
 
 def _unit_capacity(supply: np.ndarray, demand: np.ndarray) -> bool:
-    """Whether the instance has unit capacity (see `_dense_flow`)."""
+    """Whether the instance has unit capacity (see `_dense_flow`), with V <= m."""
     m, copies = supply.shape[0] - 1, int(supply[-1])
-    if demand.shape[0] != m + 1 or copies < 1 or int(demand[-1]) != copies:
+    if demand.shape[0] != m + 1 or not 1 <= copies <= m or int(demand[-1]) != copies:
         return False
     return not (np.any(supply[:m] != 1) or np.any(demand[:m] != 1))
 
@@ -355,7 +367,7 @@ def _dense_flow(
     """The flow of a unit-capacity instance when it is certified unique, else None.
 
     Unit capacity: a square instance whose supplies and demands are all 1,
-    except that the last node on each side may carry the same V > 1 (the
+    except that the last node on each side may carry the same V <= m (the
     virtual point of a partial problem).  With V = 1 it is an assignment.
     With V > 1 the real m x m block is solved for k = m - V matches after
     the change of potentials c'[i, j] = c[i, j] - c[i, m] - c[m, j], which
@@ -368,8 +380,6 @@ def _dense_flow(
     if copies == 1:
         col4row, pot_a, pot_b = _augment(cost, n)
         flow[np.arange(n), col4row] = 1
-    elif copies > m:  # the virtual-virtual arc must carry flow
-        return None
     else:
         to_virtual, from_virtual = cost[:m, m], cost[m, :m]
         col4row, u, v = _augment(cost[:m, :m] - to_virtual[:, None] - from_virtual, m - copies)
@@ -648,15 +658,10 @@ def solve_partial_ot(
     Balanced reduction: a virtual point of mass alpha * total joins each
     side, absorbing unmatched mass at zero cost; virtual-to-virtual routing
     costs max(cost) + 1 so no optimal plan ever uses it.  alpha is solved as
-    its nearest fraction with denominator at most 10**6, within MARGINAL_TOL,
-    so an alpha of at most MARGINAL_TOL is the alpha = 0 problem.
+    `exact_alpha(alpha)`, so an alpha of at most MARGINAL_TOL is the alpha = 0 problem.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    frac_alpha = exact_alpha(alpha)
     cost = _check_cost(mu, nu, cost)
-    frac_alpha = Fraction(float(alpha)).limit_denominator(10**6)
-    if abs(float(frac_alpha) - alpha) > MARGINAL_TOL:
-        raise ValueError("alpha does not admit an exact rational representation")
     if frac_alpha == 0:
         return solve_ot(mu, nu, cost)
     if alpha == 1.0:
@@ -725,10 +730,7 @@ def restrict_normalize_partial(
 
 
 def brute_force_ot(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    cost: np.ndarray,
-    node_limit: int = 2_000_000,
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray
 ) -> Tuple[float, np.ndarray]:
     """Provably optimal objective by enumerating integral transport plans."""
     cost = _check_cost(mu, nu, cost)
@@ -761,7 +763,7 @@ def brute_force_ot(
 
     def rec(idx: int, cur: float):
         nodes["count"] += 1
-        if nodes["count"] > node_limit:
+        if nodes["count"] > ENUMERATION_NODES:
             raise EnumerationError("instance too large to enumerate")
         if cur >= best["val"]:
             return

@@ -12,6 +12,7 @@ import pytest
 import partfuse as pf
 from partfuse.data import find_mnist, load_idx
 from partfuse.fusion import MatchPlan
+from partfuse.netcore import remap_neurons
 from partfuse.train import TrainConfig, gradient_check, train_mlp
 from partfuse.transport import KernelPair, transport_objective
 
@@ -221,7 +222,7 @@ def test_criterion_7_permutation_recovery():
         for layer in range(1, b.num_hidden + 1):
             p = rng.permutation(b.hidden_dims[layer - 1])
             perms.append(p)
-            a = pf.permute_hidden_layer(a, layer, p)
+            a = remap_neurons(a, {layer: (p, None)})
 
         fixed = pf.fixed_point_align(a, b, pf.FusionConfig())
         data = rng.normal(size=(200, 6))

@@ -66,6 +66,38 @@ def test_hooked_results_keep_their_shape():
     assert isinstance(plan.split_directives, tuple)
 
 
+def _coupling():
+    return pf.Coupling(np.eye(2) / 2, pf.DiscreteMeasure.uniform(2), pf.DiscreteMeasure.uniform(2))
+
+
+# Every class that holds arrays compares and hashes by identity: the
+# generated field-wise `==` would compare arrays and raise.  Each factory
+# builds a new instance with the same content on every call.
+ARRAY_HOLDERS = {
+    "DiscreteMeasure": lambda: pf.DiscreteMeasure(np.full(3, 1 / 3)),
+    "Coupling": _coupling,
+    "KernelPair": lambda: pf.KernelPair(np.eye(2), np.eye(2)),
+    "ClusterAssignment": lambda: pf.ClusterAssignment(np.array([0, 1, 1]), np.zeros((2, 2)), np.ones(2)),
+    "DenseNetwork": lambda: pf.DenseNetwork([np.eye(2)] * 2, [np.zeros(2)] * 2, pf.ActivationKind.RELU),
+    "LabeledDataset": lambda: pf.LabeledDataset(np.zeros((2, 3)), np.array([0, 1])),
+    "MatchPlan": lambda: pf.MatchPlan.boundary(3),
+    "SimilarityReport": lambda: pf.SimilarityReport(1, {"nn_within_a": np.zeros(2)}, {}, {}),
+    "AlignResult": lambda: pf.AlignResult((_coupling(),), (1.0,), 1),
+    "MatchedPair": lambda: pf.fusion.MatchedPair(
+        ARRAY_HOLDERS["DenseNetwork"](), ARRAY_HOLDERS["DenseNetwork"](), (pf.MatchPlan.boundary(2),)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 # Every option below has a caller outside the tests (the CLI or the library's
 # own pipeline), except two TrainConfig fields that only tests set:
 # learning_rate (the exit-3 test overflows the loss with it) and batch_size

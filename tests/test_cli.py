@@ -387,6 +387,9 @@ class TestSweep:
         ["--alphas", "1.5"],
         ["--alphas", "nan"],
         ["--alphas", "0;0.5,-0.1"],
+        ["--alphas", "0;1e-8"],  # no fraction of denominator <= 10**6 within 1e-9
+        ["--alphas", "0.3333333"],
+        ["--alphas", "0.4,1e-8"],
         ["--lambdas", "2"],
         ["--lambdas", "0.5,nan"],
         ["--methods", "prune,partial-ot", "--features", "activations", "--align", "fixed-point"],
@@ -401,6 +404,17 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error:")
         assert not out.exists()
+
+    def test_stdout_is_the_out_file(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--alphas", "0;0.5", "--lambdas", "0.5", "--methods", "partial-ot,prune",
+        ]
+        assert run([*argv, "--out", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_activations_with_fixed_point_allowed_without_partial_ot(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "prune.csv"
@@ -442,6 +456,29 @@ class TestStats:
         assert len(all_rows) == 8 * 12
         diff = [float(r[5]) for r in rows if r[0] == "difference"]
         assert all(v >= -1e-12 for v in diff)
+
+    def test_stdout_is_the_out_file_in_report_order(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "stats.csv"
+        argv = [
+            "stats", "--data-dir", data_dir, "--net-a", trained_dir / "pair0_A.pfnn",
+            "--net-b", trained_dir / "pair0_B.pfnn", "--sample-count", "50",
+        ]
+        assert run([*argv, "--out", out]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_text()
+        stats = [
+            f"{network},{stat}"
+            for stat in ("nn_within", "nn_cross", "mean_within", "mean_cross")
+            for network in ("A", "B")
+        ]
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        for block in ("all", "conditional80", "difference"):
+            for layer in ("1", "2"):
+                names = [f"{r[2]},{r[3]}" for r in rows if r[0] == block and r[1] == layer]
+                assert list(dict.fromkeys(names)) == stats
+                assert len(names) == (8 * 6 if block == "all" else 8)
 
     def test_distinct_checkpoints(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "stats.csv"
@@ -583,6 +620,9 @@ class TestCountFlags:
         ("fuse", "--method cluster --lambda 1.5"),
         ("fuse", "--method cluster --alpha nan"),
         ("fuse", "--method partial-ot --alpha 0.4,0.4,0.4"),
+        ("fuse", "--method partial-ot --alpha 1e-8"),  # not exact: see transport.exact_alpha
+        ("fuse", "--method partial-ot --alpha 0.4,1e-8"),
+        ("fuse", "--method prune --alpha 0.3333333"),
         ("fuse", "--method prune-post --alpha 0.4,0.4,0.4"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,

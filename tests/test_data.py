@@ -125,7 +125,7 @@ class TestHeterogeneousSplit:
 
     def test_minority_fraction_per_class(self, rng):
         data = self._data(rng, per_class=50)
-        a, _ = pf.heterogeneous_split(data, pf.SplitSpec(1, minority_fraction=0.1, seed=3))
+        a, _ = pf.heterogeneous_split(data, pf.SplitSpec(1, seed=3))
         for c in (0, 2, 3, 4):
             assert abs(np.sum(a.labels == c) - round(0.1 * 50)) <= 1
 

@@ -17,8 +17,21 @@ def permuted_pair(dims, seed):
     for layer in range(1, b.num_hidden + 1):
         p = rng.permutation(b.hidden_dims[layer - 1])
         perms.append(p)
-        a = pf.permute_hidden_layer(a, layer, p)
+        a = remap_neurons(a, {layer: (p, None)})
     return a, b, perms
+
+
+class TestFusionConfig:
+    @pytest.mark.parametrize("alpha", [1e-8, 0.3333333, [0.4, 1e-8]], ids=str)
+    def test_inexact_alpha_rejected(self, alpha):
+        # no fraction with denominator <= 10**6 lies within 1e-9 of it
+        with pytest.raises(ValueError, match="exact rational representation"):
+            pf.FusionConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 5e-10, 0.4, [0.4, 1e-12], 1 / 3], ids=str)
+    def test_exact_alpha_accepted(self, alpha):
+        # an alpha within 1e-9 of 0 is solved as 0
+        assert pf.FusionConfig(alpha=alpha).alpha == alpha
 
 
 class TestFeatures:
@@ -220,7 +233,7 @@ class TestPartialFuse:
             lam=0.5, features=pf.FeatureKind.ACTIVATIONS, align=pf.AlignMethod.GREEDY
         )
         base = pf.ot_fuse(a, b, cfg, data=data)
-        a_perm = pf.permute_hidden_layer(a, 2, rng.permutation(6))
+        a_perm = remap_neurons(a, {2: (rng.permutation(6), None)})
         moved = pf.ot_fuse(a_perm, b, cfg, data=data)
         x = rng.normal(size=(64, 4))
         assert np.abs(pf.forward(base, x) - pf.forward(moved, x)).max() <= 1e-8
@@ -233,7 +246,7 @@ class TestPartialFuse:
             lam=0.5, alpha=0.5, features=pf.FeatureKind.ACTIVATIONS, align=pf.AlignMethod.GREEDY
         )
         base = pf.partial_fuse(a, b, cfg, data=data)
-        a_perm = pf.permute_hidden_layer(a, 1, rng.permutation(6))
+        a_perm = remap_neurons(a, {1: (rng.permutation(6), None)})
         moved = pf.partial_fuse(a_perm, b, cfg, data=data)
         x = rng.normal(size=(64, 4))
         assert np.abs(pf.forward(base, x) - pf.forward(moved, x)).max() <= 1e-8

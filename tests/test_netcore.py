@@ -173,7 +173,7 @@ class TestPermutationInvariance:
         permuted = net
         for layer in (1, 2):
             perm = rng.permutation(net.hidden_dims[layer - 1])
-            permuted = pf.permute_hidden_layer(permuted, layer, perm)
+            permuted = remap_neurons(permuted, {layer: (perm, None)})
         assert np.abs(pf.forward(permuted, x) - base).max() <= 1e-12
 
 
@@ -202,6 +202,18 @@ class TestRemapNeurons:
         split = remap_neurons(net, {2: (src, scale)})
         x = rng.normal(size=(16, 5))
         assert np.abs(pf.forward(split, x) - pf.forward(net, x)).max() <= 1e-12
+
+
+class TestEquals:
+    def test_bitwise_architecture_and_parameters(self):
+        net = rand_net((5, 9, 3), seed=6)
+        assert net.equals(pf.DenseNetwork(net.weights, net.biases, net.activation))
+        wider = rand_net((5, 10, 3), seed=6)
+        assert not net.equals(wider) and not wider.equals(net)
+        assert not net.equals(pf.DenseNetwork(net.weights, net.biases, pf.ActivationKind.RELU))
+        biases = [b.copy() for b in net.biases]
+        biases[-1][0] = np.nextafter(biases[-1][0], np.inf)
+        assert not net.equals(pf.DenseNetwork(net.weights, biases, net.activation))
 
 
 class TestSerialization:

@@ -78,6 +78,16 @@ class TestGradientCheck:
             worst = max(worst, gradient_check(net, batch, labels, samples=20, seed=s))
         assert worst <= 1e-4
 
+    def test_relu_nets(self):
+        # piecewise linear: away from its kinks the central difference is exact up to rounding
+        worst = 0.0
+        for s in range(10):
+            net = rand_net((5, 7, 6, 4), pf.ActivationKind.RELU, seed=s)
+            batch = np.random.default_rng(s).normal(size=(12, 5))
+            labels = np.random.default_rng(s + 1).integers(0, 4, size=12)
+            worst = max(worst, gradient_check(net, batch, labels, samples=20, seed=s))
+        assert worst <= 1e-6
+
     def test_zero_input_batch_is_finite(self):
         net = rand_net((5, 7, 4), pf.ActivationKind.GELU, seed=3)
         err = gradient_check(net, np.zeros((6, 5)), samples=15, seed=0)

@@ -657,6 +657,21 @@ class TestDensePath:
         assert np.array_equal(plan, want)
 
 
+@pytest.mark.parametrize("seed", range(7))
+def test_more_virtual_units_than_real_nodes_match_reference(seed):
+    """A unit-shaped instance with V > m, which solve_partial_ot never builds:
+    the virtual-virtual arc must carry V - m units, so it is not unit capacity."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 8))
+    supply = np.append(np.ones(m, dtype=np.int64), m + int(rng.integers(1, 4)))
+    cost = _instance_cost(rng, seed, m + 1, m + 1, seed % 2)
+    assert not transport._unit_capacity(supply, supply)
+    np.testing.assert_array_equal(
+        transport._min_cost_flow(supply, supply.copy(), cost),
+        _reference_min_cost_flow(supply, supply.copy(), cost),
+    )
+
+
 def _sweep_instance(n_a, n_b, alpha, copied, seed):
     """A sweep-shaped flow network: B's first `copied` feature rows copy A's,
     as prune-post fuses an ensemble onto its pruned copy."""
