@@ -163,9 +163,7 @@ CSV_HEADER = "method,alpha,lambda,seed,accuracy,nonzero_params,total_params,widt
 
 def _format_alpha(alpha) -> str:
     # per-layer lists join on "|" so the value stays a single CSV cell
-    if np.isscalar(alpha):
-        return f"{float(alpha):g}"
-    return "|".join(f"{float(a):g}" for a in alpha)
+    return "|".join(f"{float(a):g}" for a in np.atleast_1d(alpha))
 
 
 def _target_widths(net_a: DenseNetwork, net_b: DenseNetwork, alphas: Sequence[float]):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import analysis, data as datamod, fusion as fus, genprune as gp, netcore, train as trainmod
 from .analysis import CSV_HEADER, RunRecord
-from .netcore import PfnnFormatError, ShapeError
+from .netcore import PfnnFormatError
 
 
 class UsageError(Exception):
@@ -26,23 +26,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_alpha(text: str):
-    parts = text.split(",")
-    values = [float(p) for p in parts]
-    return values[0] if len(values) == 1 else values
+    return [float(p) for p in text.split(",")]
 
 
-def _positive_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {value}")
-    return value
+def _count(least: int):
+    """An argparse type for integers of at least `least`."""
 
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected a count of at least {least}, got {value}")
+        return value
 
-def _nonnegative_count(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 0, got {value}")
-    return value
+    return count
 
 
 def _kept_fraction(text: str) -> float:
@@ -158,9 +154,10 @@ def cmd_fuse(args) -> int:
     idx, path_a, path_b = chosen[0]
     net_a, net_b = netcore.load(path_a), netcore.load(path_b)
     alpha = _parse_alpha(args.alpha)
-    # every method's --lambda and --alpha are checked before any data is read
-    plain = fus.FusionConfig(lam=args.lam, alpha=alpha)  # the aligner flags are partial-ot's
-    cfg = _fusion_config(args, args.lam, alpha) if args.method == "partial-ot" else plain
+    # every method's --lambda and --alpha are checked before any data is read;
+    # the aligner flags are partial-ot's
+    partial = args.method == "partial-ot"
+    cfg = _fusion_config(args, args.lam, alpha) if partial else fus.FusionConfig(args.lam, alpha)
     cfg.alphas(net_a.num_hidden)
     reads_features = _reads_features(args.method, args.features)
     feature_data = eval_data = None
@@ -176,7 +173,7 @@ def cmd_fuse(args) -> int:
         raise UsageError(f"method {args.method}/{args.features} needs data for features")
     start = time.perf_counter() if args.timing else None
     alignment = None  # aligned here so --export-couplings writes what was fused
-    if args.method == "partial-ot":
+    if partial:
         alignment = fus.align(net_a, net_b, cfg, data=feature_data)
     net = analysis.run_cell(
         net_a,
@@ -195,10 +192,8 @@ def cmd_fuse(args) -> int:
         lines = ["layer,row,col,mass"]
         for layer, coupling in enumerate(alignment.couplings, start=1):
             mat = coupling.matrix
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    if mat[i, j] != 0.0:
-                        lines.append(f"{layer},{i},{j},{mat[i, j]:.17g}")
+            for i, j in zip(*mat.nonzero()):
+                lines.append(f"{layer},{i},{j},{mat[i, j]:.17g}")
         Path(args.export_couplings).write_text("\n".join(lines) + "\n")
         print(f"wrote {args.export_couplings}")
     netcore.save(net, args.out)
@@ -322,17 +317,17 @@ def build_parser() -> _Parser:
         if timing:
             p.add_argument("--timing", action="store_true", help="measure wall time (breaks byte reproducibility)")
         if restarts:
-            p.add_argument("--cluster-restarts", type=_positive_count, default=1000)
+            p.add_argument("--cluster-restarts", type=_count(1), default=1000)
 
     p_train = sub.add_parser("train", help="train seeded pairs of MLPs")
     add_common(p_train)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--pairs", type=_positive_count, default=5)
-    p_train.add_argument("--split-digit", type=_nonnegative_count, default=None, help="heterogeneous split; omit to train on the full data")
-    p_train.add_argument("--width", type=_positive_count, default=100)
-    p_train.add_argument("--depth", type=_positive_count, default=3)
-    p_train.add_argument("--epochs", type=_nonnegative_count, default=50)
-    p_train.add_argument("--seed-base", type=_nonnegative_count, default=0)
+    p_train.add_argument("--pairs", type=_count(1), default=5)
+    p_train.add_argument("--split-digit", type=_count(0), default=None, help="heterogeneous split; omit to train on the full data")
+    p_train.add_argument("--width", type=_count(1), default=100)
+    p_train.add_argument("--depth", type=_count(1), default=3)
+    p_train.add_argument("--epochs", type=_count(0), default=50)
+    p_train.add_argument("--seed-base", type=_count(0), default=0)
 
     p_fuse = sub.add_parser("fuse", help="fuse or ensemble-prune one checkpoint pair")
     add_common(p_fuse, timing=True, restarts=True)
@@ -353,7 +348,7 @@ def build_parser() -> _Parser:
     p_prune.add_argument("--method", choices=["cluster", "prune", "prune-post"], default="prune")
     p_prune.add_argument("--factor", type=_kept_fraction, default=0.5, help="kept fraction of each hidden layer")
     p_prune.add_argument("--widths", default=None, help="explicit comma list of target widths")
-    p_prune.add_argument("--seed", type=_nonnegative_count, default=0)
+    p_prune.add_argument("--seed", type=_count(0), default=0)
     p_prune.add_argument("--out", required=True)
 
     p_sweep = sub.add_parser("sweep", help="full grid over methods, alphas, lambdas, pairs")
@@ -364,14 +359,14 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--methods", default="partial-ot")
     p_sweep.add_argument("--features", choices=["weights", "activations"], default="weights")
     p_sweep.add_argument("--align", choices=["greedy", "fixed-point"], default="fixed-point")
-    p_sweep.add_argument("--jobs", type=_positive_count, default=1)
+    p_sweep.add_argument("--jobs", type=_count(1), default=1)
     p_sweep.add_argument("--out", default=None)
 
     p_stats = sub.add_parser("stats", help="neuron similarity report for two checkpoints")
     add_common(p_stats)
     p_stats.add_argument("--net-a", required=True)
     p_stats.add_argument("--net-b", required=True)
-    p_stats.add_argument("--sample-count", type=_positive_count, default=1000)
+    p_stats.add_argument("--sample-count", type=_count(1), default=1000)
     p_stats.add_argument("--out", default=None)
 
     return parser
@@ -394,7 +389,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ShapeError) as exc:
+    except ValueError as exc:
         if isinstance(exc, (PfnnFormatError, datamod.DataFormatError)):
             print(f"data error: {exc}", file=sys.stderr)
             return 2
@@ -403,7 +398,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # unreadable or missing paths, directories given as files
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except (trainmod.NumericalFailure, FloatingPointError) as exc:
+    except (netcore.NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .netcore import ShapeError
-from .transport import DiscreteMeasure, KernelPair, cost_matrix
+from .transport import Coupling, DiscreteMeasure, KernelPair, cost_matrix, coupling_to_kernels
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +246,9 @@ def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterA
     return _labels_to_assignment(points, w, labels)
 
 
+# the temperature of stochastic_ward's merge draws (see _agglomerate)
+TEMPERATURE = 0.1
+
 # Below this much work per restart, n (n + d) for its pair deltas and its
 # centers, a second thread does not pay off, so restarts run serially
 # without a pool.  Two-thread speed-ups by shape are in the prune-cluster
@@ -273,11 +276,10 @@ def stochastic_ward(
     points: np.ndarray,
     masses: DiscreteMeasure,
     m: int,
-    temperature: float = 0.1,
     restarts: int = 1000,
     seed: int = 0,
 ) -> ClusterAssignment:
-    """Best of many randomized Ward runs.
+    """Best of many randomized Ward runs at the fixed TEMPERATURE.
 
     Restart r draws from an independent generator keyed by (seed, r), so
     enlarging the restart budget with the same seed only ever improves the
@@ -289,8 +291,6 @@ def stochastic_ward(
     n, d = points.shape
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must lie in 1..{n}")
-    if not 0 < temperature < np.inf:
-        raise ValueError("temperature must be positive and finite")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if seed < 0:
@@ -302,7 +302,7 @@ def stochastic_ward(
 
     def restart(r: int) -> Tuple[float, np.ndarray]:
         rng = np.random.default_rng((seed, r))
-        labels = _agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
+        labels = _agglomerate(points, w, m, rng=rng, temperature=TEMPERATURE, pairs=pairs)
         return _objective_for_labels(points, w, labels), labels
 
     workers = 1 if n * (n + d) < _PARALLEL_MIN_WORK else min(restarts, _available_cpus())
@@ -332,16 +332,9 @@ def assignment_to_kernels(
     assign = assignment.assign
     if len(mu) != assign.shape[0]:
         raise ShapeError("measure length does not match assignment")
-    m = assignment.num_clusters
-    mass = np.zeros(m)
-    np.add.at(mass, assign, mu.masses)
-    if np.any(mass <= 0):
-        raise ValueError("empty cluster")
-    if np.abs(mass - assignment.center_mass).max() > 1e-9:
-        raise ValueError("measure is inconsistent with the assignment's center masses")
-    pi = np.zeros((len(mu), m))
+    pi = np.zeros((len(mu), assignment.num_clusters))
     pi[np.arange(len(mu)), assign] = mu.masses
-    return KernelPair(k_ab=(pi / mu.masses[:, None]).T, k_ba=pi / mass[None, :])
+    return coupling_to_kernels(Coupling(pi, mu, DiscreteMeasure(assignment.center_mass)))
 
 
 def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) -> float:

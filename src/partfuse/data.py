@@ -73,21 +73,20 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(flat, labels.astype(np.int64))
 
 
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    array = np.asarray(array, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        fh.write(array.tobytes())
+
+
 def write_idx_images(path, images: np.ndarray) -> None:
     """Write uint8 images (N, rows, cols) as an IDX file; used for fixtures."""
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", IDX_IMAGES_MAGIC))
-        fh.write(struct.pack(">3I", *images.shape))
-        fh.write(images.tobytes())
+    _write_idx(path, IDX_IMAGES_MAGIC, images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">I", IDX_LABELS_MAGIC))
-        fh.write(struct.pack(">I", labels.shape[0]))
-        fh.write(labels.tobytes())
+    _write_idx(path, IDX_LABELS_MAGIC, labels)
 
 
 def data_dir() -> Optional[Path]:

@@ -13,8 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import netcore, transport
-from .netcore import DenseNetwork, ShapeError, check_compatible, remap_neurons
-from .train import NumericalFailure
+from .netcore import DenseNetwork, NumericalFailure, ShapeError, check_compatible, remap_neurons
 from .transport import (
     Coupling,
     DiscreteMeasure,
@@ -45,23 +44,22 @@ class AlignMethod(Enum):
 @dataclass(frozen=True)
 class FusionConfig:
     lam: float = 0.5
-    alpha: Union[float, Sequence[float]] = 0.0
+    alpha: Union[float, Sequence[float]] = 0.0  # stored as a tuple of floats
     features: FeatureKind = FeatureKind.WEIGHTS
     align: AlignMethod = AlignMethod.FIXED_POINT
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        for a in np.atleast_1d(self.alpha):
-            transport.exact_alpha(float(a))
+        object.__setattr__(self, "alpha", tuple(float(a) for a in np.atleast_1d(self.alpha)))
+        for a in self.alpha:
+            transport.exact_alpha(a)
         if self.align is AlignMethod.FIXED_POINT and self.features is not FeatureKind.WEIGHTS:
             raise ValueError("the fixed-point aligner requires weight features")
 
     def alphas(self, num_hidden: int) -> Tuple[float, ...]:
-        """One alpha per hidden layer; only a list's length depends on the network."""
-        if np.isscalar(self.alpha):
-            return (float(self.alpha),) * num_hidden
-        values = tuple(float(a) for a in self.alpha)
+        """One alpha per hidden layer; a one-entry alpha applies to every layer."""
+        values = self.alpha * num_hidden if len(self.alpha) == 1 else self.alpha
         if len(values) != num_hidden:
             raise ValueError(f"alpha list has {len(values)} entries, expected {num_hidden}")
         return values
@@ -488,25 +486,6 @@ def assemble_partial_layer(
     return out, bias
 
 
-def _assemble(net_a: DenseNetwork, net_b: DenseNetwork, plans: Sequence[MatchPlan], lam: float) -> DenseNetwork:
-    L = net_a.num_hidden
-    chain = [MatchPlan.boundary(net_a.input_dim), *plans, MatchPlan.boundary(net_a.output_dim)]
-    weights, biases = [], []
-    for l in range(L + 1):
-        w, b = assemble_partial_layer(
-            net_a.weights[l],
-            net_b.weights[l],
-            net_a.biases[l],
-            net_b.biases[l],
-            chain[l],
-            chain[l + 1],
-            lam,
-        )
-        weights.append(w)
-        biases.append(b)
-    return DenseNetwork(weights, biases, net_a.activation)
-
-
 @dataclass(frozen=True)
 class MatchedPair:
     """Both networks split to an alignment's match plans.
@@ -521,7 +500,15 @@ class MatchedPair:
     def fuse(self, lam: float) -> DenseNetwork:
         if not 0.0 <= lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
-        return _assemble(self.net_a, self.net_b, self.plans, lam)
+        a, b = self.net_a, self.net_b
+        chain = [MatchPlan.boundary(a.input_dim), *self.plans, MatchPlan.boundary(a.output_dim)]
+        layers = [
+            assemble_partial_layer(
+                a.weights[l], b.weights[l], a.biases[l], b.biases[l], chain[l], chain[l + 1], lam
+            )
+            for l in range(a.num_hidden + 1)
+        ]
+        return DenseNetwork(*zip(*layers), a.activation)
 
 
 def match_pair(net_a: DenseNetwork, net_b: DenseNetwork, alignment: AlignResult) -> MatchedPair:

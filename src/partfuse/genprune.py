@@ -13,8 +13,7 @@ import numpy as np
 
 from . import clustering as clst
 from . import fusion as fus
-from . import train as trainmod
-from .netcore import DenseNetwork, ShapeError, remap_neurons
+from .netcore import DenseNetwork, NumericalFailure, ShapeError, remap_neurons
 from .transport import DiscreteMeasure
 
 _MASS_FLOOR = 1e-9  # keeps lam-weighted masses positive at the lam = 0, 1 endpoints
@@ -106,16 +105,14 @@ def cluster_prune(
     kernel_list = []
     for layer in range(1, net.num_hidden + 1):
         feats, mu = fus.features_activation(net, data, layer)
-        if not np.isfinite(feats).all():
-            raise trainmod.NumericalFailure(f"layer {layer} activations are not finite")
-        if spec.lam is not None and spec.lam != 0.5:
+        if spec.lam is not None:
             factors = _provenance_factors(net, spec.lam, layer)
             mu = DiscreteMeasure(factors / factors.sum())
         m = spec.target_widths[layer - 1]
         try:
             assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
         except clst.MergeCostOverflow as exc:
-            raise trainmod.NumericalFailure(f"layer {layer}: {exc}") from exc
+            raise NumericalFailure(f"layer {layer}: {exc}") from exc
         kp = clst.assignment_to_kernels(assignment, mu)
         kernel_list.append((kp.k_ab, kp.k_ba))
     return apply_generalized_pruning(net, kernel_list)
@@ -132,7 +129,7 @@ def unstructured_prune(net: DenseNetwork, spec: PruneSpec) -> DenseNetwork:
     keeps = []
     for layer in range(1, net.num_hidden + 1):
         scores = np.linalg.norm(net.weights[layer - 1], axis=1)
-        if spec.lam is not None and spec.lam != 0.5:
+        if spec.lam is not None:
             scores = scores * _provenance_factors(net, spec.lam, layer)
         order = np.argsort(-scores, kind="stable")
         keeps.append(np.sort(order[: spec.target_widths[layer - 1]]))
@@ -212,6 +209,5 @@ def partial_fusion_as_pruning_kernels(
     order = np.concatenate(
         [plan.isolated_a, plan.fused_a, n_a + plan.fused_b, n_a + plan.isolated_b]
     )
-    perm = np.zeros((n_e, n_e))
-    perm[np.arange(n_e), order] = 1.0
-    return block_es @ perm, perm.T @ block_se
+    inverse = np.argsort(order)  # ensemble neuron j sits in block slot inverse[j]
+    return block_es[:, inverse], block_se[inverse]

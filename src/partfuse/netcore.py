@@ -23,6 +23,10 @@ class PfnnFormatError(ValueError):
     """Raised when a PFNN file cannot be parsed; names the bad field."""
 
 
+class NumericalFailure(RuntimeError):
+    """A training loss or a network's activations or logits became non-finite."""
+
+
 class ActivationKind(Enum):
     GELU = 0
     RELU = 1
@@ -183,6 +187,12 @@ def _propagate(net: DenseNetwork, h: np.ndarray, layers: int) -> np.ndarray:
     return h
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NumericalFailure(f"{what} are not finite")
+    return values
+
+
 def forward(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
     """Evaluate the network, returning an N x output_dim matrix of logits."""
     return _propagate(net, _check_batch(net, batch), len(net.weights))
@@ -191,11 +201,12 @@ def forward(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
 def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
     """Post-activation hidden state at hidden layer `layer` (1-based, 1..L).
 
-    Column i is the feature vector of neuron i over the batch.
+    Column i is the feature vector of neuron i over the batch.  Raises
+    NumericalFailure when an activation is not finite.
     """
     if not 1 <= layer <= net.num_hidden:
         raise ShapeError(f"layer {layer} out of range 1..{net.num_hidden}")
-    return _propagate(net, _check_batch(net, batch), layer)
+    return _finite(_propagate(net, _check_batch(net, batch), layer), f"layer {layer} activations")
 
 
 def check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
@@ -267,12 +278,13 @@ def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
     """Fraction of samples whose argmax logit equals the label.
 
     Ties break toward the lowest class index (np.argmax convention).
+    Raises NumericalFailure when a logit is not finite.
     """
     if dataset.inputs.shape[1] != net.input_dim:
         raise ShapeError("dataset feature dimension does not match the network")
     if dataset.labels.max() >= net.output_dim:
         raise ValueError("label outside the network's output range")
-    logits = _propagate(net, dataset.inputs, len(net.weights))
+    logits = _finite(_propagate(net, dataset.inputs, len(net.weights)), "logits")
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
 

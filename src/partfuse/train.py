@@ -5,15 +5,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .netcore import ActivationKind, DenseNetwork, LabeledDataset, ShapeError
+from .netcore import ActivationKind, DenseNetwork, LabeledDataset, NumericalFailure, ShapeError
 
 
 # Adam's moment decay rates and denominator guard
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-
-
-class NumericalFailure(RuntimeError):
-    """A training loss or a network's activations became non-finite."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 
 import partfuse as pf
 from partfuse import analysis, fusion, transport
+from partfuse.netcore import ShapeError
 
 from conftest import rand_net
 
@@ -115,6 +116,11 @@ class TestSimilarityStats:
             assert np.all(rep.values[f"nn_{which}"] <= rep.values[f"mean_{which}"] + 1e-12)
         for key, diff in rep.difference.items():
             assert diff >= -1e-12
+
+    def test_one_neuron_layer_rejected(self, rng):
+        a, b = rand_net((5, 1, 3), seed=11), rand_net((5, 4, 3), seed=12)
+        with pytest.raises(ShapeError, match="at least two neurons"):
+            pf.similarity_stats(a, b, rng.normal(size=(10, 5)), 1)
 
     def test_cross_stats_are_transposes(self, rng):
         a, b = rand_net((5, 7, 3), seed=9), rand_net((5, 6, 3), seed=10)

@@ -44,6 +44,17 @@ def trained_dir(data_dir, tmp_path_factory):
     return out
 
 
+def overflowing_manifest(trained_dir):
+    """A manifest pairing pair 0's B with an A whose first two weight matrices
+    are scaled by 1e200: that A's layer-2 activations and logits overflow."""
+    net = pf.load(trained_dir / "pair0_A.pfnn")
+    weights = [w * 1e200 if k < 2 else w for k, w in enumerate(net.weights)]
+    pf.save(pf.DenseNetwork(weights, net.biases, net.activation), trained_dir / "big_A.pfnn")
+    manifest = trained_dir / "big_manifest.txt"
+    manifest.write_text("big_A.pfnn A0\npair0_B.pfnn B0\n")
+    return manifest
+
+
 class TestTrain:
     def test_writes_checkpoints_and_manifest(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -146,6 +157,17 @@ class TestFuse:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "alignment costs are not finite" in err
+        assert not out.exists()
+
+    def test_non_finite_logits_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        out = tmp_path / "x.pfnn"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "fuse", "--data-dir", data_dir, "--manifest", overflowing_manifest(trained_dir),
+                "--method", "prune", "--alpha", "0.5", "--out", out,
+            ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: logits are not finite")
         assert not out.exists()
 
     def test_unknown_pair_exit_1(self, data_dir, trained_dir, tmp_path):
@@ -437,6 +459,16 @@ class TestSweep:
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 4 and all(r.split(",")[4] == "error:ValueError" for r in rows)
 
+    def test_non_finite_logits_are_an_error_row(self, data_dir, trained_dir, tmp_path):
+        out = tmp_path / "overflow.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "sweep", "--data-dir", data_dir, "--manifest", overflowing_manifest(trained_dir),
+                "--alphas", "0.5", "--lambdas", "0.5", "--methods", "prune", "--out", out,
+            ])
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == ["prune,0.5,0.5,0,error:NumericalFailure,,,,0"]
+
 
 class TestStats:
     def test_same_checkpoint_twice_zero_cross(self, data_dir, trained_dir, tmp_path):
@@ -487,6 +519,19 @@ class TestStats:
             "--net-b", trained_dir / "pair0_B.pfnn", "--out", out,
         ])
         assert code == 0
+
+    def test_non_finite_activations_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        overflowing_manifest(trained_dir)
+        out = tmp_path / "stats.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "stats", "--data-dir", data_dir, "--net-a", trained_dir / "big_A.pfnn",
+                "--net-b", trained_dir / "pair0_B.pfnn", "--out", out,
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: layer 2 activations are not finite")
+        assert not out.exists()
 
 
 class TestExitCodes:

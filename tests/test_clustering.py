@@ -73,9 +73,10 @@ class TestStochasticWard:
     def test_degenerate_temperature_equals_greedy(self, rng):
         pts = rng.normal(size=(9, 3))
         mu = uniform(9)
-        sw = pf.stochastic_ward(pts, mu, 3, temperature=1e-12, restarts=1, seed=0)
+        pairs = clustering._ward_pairs(pts, mu.masses)
+        sw = clustering._agglomerate(pts, mu.masses, 3, np.random.default_rng((0, 0)), 1e-12, pairs)
         gw = pf.greedy_ward(pts, mu, 3)
-        np.testing.assert_array_equal(sw.assign, gw.assign)
+        np.testing.assert_array_equal(_labels_to_assignment(pts, mu.masses, sw).assign, gw.assign)
 
     def test_best_of_restarts_non_increasing(self, rng):
         pts = rng.normal(size=(10, 2))
@@ -120,8 +121,6 @@ class TestStochasticWard:
     def test_invalid_parameters(self, rng):
         pts = rng.normal(size=(4, 2))
         with pytest.raises(ValueError):
-            pf.stochastic_ward(pts, uniform(4), 2, temperature=0.0)
-        with pytest.raises(ValueError):
             pf.stochastic_ward(pts, uniform(4), 2, restarts=0)
 
     def test_negative_seed_rejected_before_any_work(self, rng, monkeypatch):
@@ -132,12 +131,6 @@ class TestStochasticWard:
         for m in (3, 8):  # m == n returns before the pair state too
             with pytest.raises(ValueError, match="seed"):
                 pf.stochastic_ward(rng.normal(size=(8, 2)), uniform(8), m, restarts=2, seed=-1)
-
-    def test_non_finite_temperature_rejected(self, rng):
-        pts = rng.normal(size=(8, 2))
-        for temperature in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="temperature"):
-                pf.stochastic_ward(pts, uniform(8), 3, temperature=temperature, restarts=2)
 
     def test_pair_state_built_once_per_call(self, rng, monkeypatch):
         calls = []
@@ -352,7 +345,7 @@ class TestParallelRestarts:
     def test_matches_serial_loop(self, monkeypatch, case, workers):
         points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
         monkeypatch.setattr(clustering, "_available_cpus", lambda: workers)
-        got = pf.stochastic_ward(points, masses, m, temperature=temperature, restarts=restarts, seed=seed)
+        got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         want = _serial_stochastic_ward(points, masses, m, temperature, restarts, seed)
         assert got.assign.tobytes() == want.assign.tobytes()
         assert got.centers.tobytes() == want.centers.tobytes()
@@ -387,7 +380,7 @@ class TestParallelRestarts:
     @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
     def test_pool_only_above_threshold(self, pools, case, threads):
         points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
-        pf.stochastic_ward(points, masses, m, temperature=temperature, restarts=restarts, seed=seed)
+        pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         # the calling thread runs a share of the restarts itself
         assert pools == ([threads] if threads else [])
 
@@ -481,6 +474,13 @@ class TestAssignmentKernels:
         kp = pf.assignment_to_kernels(a, masses)
         np.testing.assert_allclose(kp.k_ab.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(kp.k_ba.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_measure_inconsistent_with_center_masses_rejected(self, rng):
+        pts = rng.normal(size=(4, 2))
+        a = _labels_to_assignment(pts, uniform(4).masses, np.array([0, 0, 1, 1]))
+        skewed = pf.DiscreteMeasure(np.array([0.1, 0.1, 0.4, 0.4]))
+        with pytest.raises(ValueError, match="column sums"):
+            pf.assignment_to_kernels(a, skewed)
 
 
 class TestBruteForceClustering:

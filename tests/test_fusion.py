@@ -31,7 +31,8 @@ class TestFusionConfig:
     @pytest.mark.parametrize("alpha", [1e-12, 5e-10, 0.4, [0.4, 1e-12], 1 / 3], ids=str)
     def test_exact_alpha_accepted(self, alpha):
         # an alpha within 1e-9 of 0 is solved as 0
-        assert pf.FusionConfig(alpha=alpha).alpha == alpha
+        want = tuple(alpha) if isinstance(alpha, list) else (alpha,)
+        assert pf.FusionConfig(alpha=alpha).alpha == want
 
 
 class TestFeatures:

@@ -5,6 +5,7 @@ import partfuse as pf
 from partfuse import transport
 from partfuse.fusion import MatchPlan
 from partfuse.genprune import PruneMethod, PruneSpec
+from partfuse.netcore import NumericalFailure
 from partfuse.transport import KernelPair
 
 from conftest import rand_net, random_plan
@@ -98,6 +99,14 @@ class TestClusterPrune:
         eval_data = pf.LabeledDataset(rng.normal(size=(50, 6)), rng.integers(0, 3, size=50))
         acc = pf.evaluate_accuracy(out, eval_data)
         assert 0.0 <= acc <= 1.0
+
+    def test_non_finite_activations_are_numerical_failures(self, rng):
+        net = rand_net((4, 6, 3), seed=8)
+        big = pf.DenseNetwork((1e308 * net.weights[0], net.weights[1]), net.biases, net.activation)
+        data = rng.normal(size=(20, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="layer 1 activations are not finite"):
+                pf.cluster_prune(big, PruneSpec((4,), PruneMethod.CLUSTER), data, restarts=2)
 
     def test_lambda_weighting_requires_origins(self, rng):
         net = rand_net((4, 6, 3), seed=8)

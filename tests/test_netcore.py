@@ -78,6 +78,16 @@ class TestActivations:
         with pytest.raises(ShapeError):
             pf.activations(net, rng.normal(size=(2, 5)), 2)
 
+    def test_non_finite_activations_are_numerical_failures(self):
+        net = pf.DenseNetwork(
+            (1e308 * np.eye(2), np.eye(2)), (np.zeros(2), np.zeros(2)), pf.ActivationKind.RELU
+        )
+        x = np.full((3, 2), 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(netcore.NumericalFailure, match="layer 1 activations are not finite"):
+                pf.activations(net, x, 1)
+            assert np.isnan(pf.forward(net, x)).all()  # forward stays unchecked
+
 
 def _gelu_reference(x):
     """GELU as one expression, one temporary per operation."""
@@ -315,3 +325,21 @@ class TestAccuracy:
         )
         data = pf.LabeledDataset(np.zeros((1, 2)), np.array([1]))
         assert pf.evaluate_accuracy(net, data) == 0.0
+
+    def test_non_finite_logits_are_numerical_failures(self):
+        net = pf.DenseNetwork(
+            (np.eye(2), 1e308 * np.eye(2)), (np.zeros(2), np.zeros(2)), pf.ActivationKind.RELU
+        )
+        data = pf.LabeledDataset(np.full((3, 2), 10.0), np.array([0, 1, 0]))
+        with np.errstate(over="ignore"), pytest.raises(netcore.NumericalFailure, match="logits"):
+            pf.evaluate_accuracy(net, data)
+
+    def test_label_outside_output_range_rejected(self):
+        net = identity_net(3)
+        with pytest.raises(ValueError, match="label outside"):
+            pf.evaluate_accuracy(net, pf.LabeledDataset(np.eye(3), np.array([0, 1, 3])))
+
+    def test_wrong_feature_width_rejected(self):
+        net = identity_net(3)
+        with pytest.raises(ShapeError, match="feature dimension"):
+            pf.evaluate_accuracy(net, pf.LabeledDataset(np.eye(4), np.array([0, 1, 2, 0])))

@@ -225,6 +225,11 @@ class TestRestrictNormalize:
         with pytest.raises(ValueError, match="isolated"):
             pf.restrict_normalize_partial(part, [0], [])
 
+    def test_every_row_isolated_is_degenerate(self):
+        part = pf.Coupling(np.zeros((2, 2)), uniform(2), uniform(2), alpha=1.0)
+        with pytest.raises(transport.DegenerateNeuronError, match="empty"):
+            pf.restrict_normalize_partial(part, [0, 1], [])
+
 
 class TestBruteForce:
     def test_single_point(self):
