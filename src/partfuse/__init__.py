@@ -13,13 +13,11 @@ from .analysis import (
     SimilarityReport,
     count_params,
     similarity_stats,
-    theoretical_counts,
     tradeoff_sweep,
 )
 from .clustering import (
     ClusterAssignment,
     assignment_to_kernels,
-    brute_force_clustering,
     clustering_objective,
     greedy_ward,
     stochastic_ward,
@@ -68,12 +66,11 @@ from .netcore import (
     make_ensemble,
     save,
 )
-from .train import TrainConfig, fine_tune, gradient_check, train_mlp
+from .train import TrainConfig, fine_tune, train_mlp
 from .transport import (
     Coupling,
     DiscreteMeasure,
     KernelPair,
-    brute_force_ot,
     cost_matrix,
     coupling_to_kernels,
     restrict_normalize_partial,

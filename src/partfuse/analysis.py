@@ -1,7 +1,9 @@
 """Parameter accounting, neuron-similarity statistics, and tradeoff sweeps."""
 
+import hashlib
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,28 +36,6 @@ def count_params(net: DenseNetwork) -> ParamReport:
     return ParamReport(tuple(per_layer), total_nz, total)
 
 
-def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float, float]:
-    """Closed-form (best, worst) nonzero counts of one pruned-ensemble layer.
-
-    n and m are the parent layer widths below and above the weight matrix;
-    the compressed layer keeps (1 + alpha) times the parent neurons.
-    Partial fusion has a single deterministic count.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if n < 1 or m < 1:
-        raise ValueError("layer widths must be positive")
-    nm = n * m
-    if method == "pruning":
-        return 2.0 * ((1.0 + alpha) / 2.0) ** 2 * nm, (1.0 + alpha**2) * nm
-    if method == "clustering":
-        return 2.0 * ((1.0 + alpha) / 2.0) ** 2 * nm, (1.0 - alpha**2 + 2.0 * alpha) * nm
-    if method == "partial-fusion":
-        value = (1.0 - alpha**2 + 2.0 * alpha) * nm
-        return value, value
-    raise ValueError(f"unknown method {method!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class SimilarityReport:
     """Neuron distance statistics for one hidden layer of two networks.
@@ -65,6 +45,8 @@ class SimilarityReport:
     (mean_*), measured within each network and across the two.
     conditional80 averages only the smallest ceil(0.8 n) values of each
     statistic; difference = full mean - conditional mean, nonnegative.
+    A distance that overflows reads inf in every mean it enters (the CLI's
+    `stats` exits 3 on it).
     """
 
     layer: int
@@ -90,6 +72,15 @@ def _pairwise_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _within(d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per neuron, the nearest and the mean distance to the other neurons of its network."""
+    n = d.shape[0]
+    np.fill_diagonal(d, 0.0)  # a self-distance by differencing is 0.0 already
+    mean = d.sum(axis=1) / (n - 1)
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1), mean
+
+
 def similarity_stats(
     net_a: DenseNetwork, net_b: DenseNetwork, data: np.ndarray, layer: int
 ) -> SimilarityReport:
@@ -98,19 +89,16 @@ def similarity_stats(
     fb, _ = fus.features_activation(net_b, data, layer)
     if fa.shape[0] < 2 or fb.shape[0] < 2:
         raise ShapeError("within-network statistics need at least two neurons")
-    d_aa = _pairwise_distances(fa, fa)
-    d_bb = _pairwise_distances(fb, fb)
+    nn_a, mean_a = _within(_pairwise_distances(fa, fa))
+    nn_b, mean_b = _within(_pairwise_distances(fb, fb))
     d_ab = _pairwise_distances(fa, fb)
-    np.fill_diagonal(d_aa, np.inf)
-    np.fill_diagonal(d_bb, np.inf)
-    n_a, n_b = fa.shape[0], fb.shape[0]
     values = {
-        "nn_within_a": d_aa.min(axis=1),
-        "nn_within_b": d_bb.min(axis=1),
+        "nn_within_a": nn_a,
+        "nn_within_b": nn_b,
         "nn_cross_ab": d_ab.min(axis=1),
         "nn_cross_ba": d_ab.min(axis=0),
-        "mean_within_a": np.where(np.isinf(d_aa), 0.0, d_aa).sum(axis=1) / (n_a - 1),
-        "mean_within_b": np.where(np.isinf(d_bb), 0.0, d_bb).sum(axis=1) / (n_b - 1),
+        "mean_within_a": mean_a,
+        "mean_within_b": mean_b,
         "mean_cross_ab": d_ab.mean(axis=1),
         "mean_cross_ba": d_ab.mean(axis=0),
     }
@@ -232,6 +220,24 @@ def cell_record(
     )
 
 
+def _digest(net: DenseNetwork) -> bytes:
+    """SHA-256 of all that evaluation reads: activation, dims, weights and biases."""
+    h = hashlib.sha256(f"{net.activation.name}{net.dims}".encode())
+    for array in net.weights + net.biases:
+        h.update(array)  # C-contiguous, as DenseNetwork stores them
+    return h.digest()
+
+
+def _evaluate(net: DenseNetwork, eval_data: LabeledDataset):
+    """(accuracy, error type name, seconds) of one evaluation; an exception gives its name."""
+    t0 = time.perf_counter()
+    try:
+        acc, error = netcore.evaluate_accuracy(net, eval_data), None
+    except Exception as exc:  # noqa: BLE001 - error rows by contract
+        acc, error = None, type(exc).__name__
+    return acc, error, time.perf_counter() - t0
+
+
 def tradeoff_sweep(
     net_a: DenseNetwork,
     net_b: DenseNetwork,
@@ -249,35 +255,62 @@ def tradeoff_sweep(
 
     A partial-ot alpha is aligned and matched once, in its first lambda's
     cell, and every lambda fuses that matched pair (a failed alignment is
-    retried, so its error fills each of the alpha's rows).  A cell that
-    raises becomes an error row: the exception's type name in the accuracy
-    column.
+    retried, so its error fills each of the alpha's rows).  The cells of
+    one (method, alpha) row are built first.  Then the row's networks that
+    this call has not evaluated yet (told apart by a SHA-256 digest of their
+    parameters) are evaluated together, one per available CPU; a repeated
+    network, such as the alpha = 1 ensemble every method rebuilds, reuses
+    its accuracy.  A cell that raises becomes an error row: the exception's
+    type name in the accuracy column.
     """
     base = cfg_base or fus.FusionConfig()
+    evaluate = partial(_evaluate, eval_data=eval_data)
+    accuracies = {}  # digest -> (accuracy, error); holds no network
     records = []
-    for method in methods:
-        for alpha in alpha_grid:
-            alignment = None
-            for lam in lambda_grid:
-                start = time.perf_counter() if measure_time else None
-                try:
-                    if method == "partial-ot" and alignment is None:
-                        cfg = replace(base, alpha=alpha)
-                        aligned = fus.align(net_a, net_b, cfg, data=feature_data)
-                        alignment = fus.match_pair(net_a, net_b, aligned)
-                    net = run_cell(
-                        net_a,
-                        net_b,
-                        method,
-                        alpha,
-                        lam,
-                        feature_data=feature_data,
-                        seed=seed,
-                        cluster_restarts=cluster_restarts,
-                        alignment=alignment,
-                    )
-                    records.append(cell_record(net, method, alpha, lam, seed, eval_data, start))
-                except Exception as exc:  # noqa: BLE001 - error rows by contract
-                    cell = (method, _format_alpha(alpha), float(lam), seed)
-                    records.append(RunRecord(*cell, error=type(exc).__name__))
+    with netcore.CallerPool(len(lambda_grid)) as pool:
+        for method in methods:
+            for alpha in alpha_grid:
+                alignment = None
+                row = []  # (record, digest): digest None for an error row
+                fresh = {}  # digest -> the row's first network of it not yet evaluated
+                for lam in lambda_grid:
+                    start = time.perf_counter() if measure_time else None
+                    try:
+                        if method == "partial-ot" and alignment is None:
+                            cfg = replace(base, alpha=alpha)
+                            aligned = fus.align(net_a, net_b, cfg, data=feature_data)
+                            alignment = fus.match_pair(net_a, net_b, aligned)
+                        net = run_cell(
+                            net_a,
+                            net_b,
+                            method,
+                            alpha,
+                            lam,
+                            feature_data=feature_data,
+                            seed=seed,
+                            cluster_restarts=cluster_restarts,
+                            alignment=alignment,
+                        )
+                        key = _digest(net)
+                        row.append((cell_record(net, method, alpha, lam, seed, start=start), key))
+                        if key not in accuracies:
+                            fresh.setdefault(key, net)
+                    except Exception as exc:  # noqa: BLE001 - error rows by contract
+                        cell = (method, _format_alpha(alpha), float(lam), seed)
+                        row.append((RunRecord(*cell, error=type(exc).__name__), None))
+                eval_ms = {}
+                for key, (acc, error, seconds) in zip(fresh, pool.map(evaluate, fresh.values())):
+                    accuracies[key] = acc, error
+                    eval_ms[key] = 1000.0 * seconds
+                for record, key in row:
+                    if key is not None:
+                        acc, error = accuracies[key]
+                        if error is None:
+                            # a reused accuracy adds no evaluation time
+                            wall = record.wall_ms + eval_ms.pop(key, 0.0) if measure_time else 0.0
+                            record = replace(record, accuracy=acc, wall_ms=wall)
+                        else:
+                            cell = (record.method, record.alpha, record.lam, record.seed)
+                            record = RunRecord(*cell, error=error)
+                    records.append(record)
     return records

@@ -286,6 +286,11 @@ def cmd_stats(args) -> int:
         analysis.similarity_stats(net_a, net_b, sample, layer)
         for layer in range(1, net_a.num_hidden + 1)
     ]
+    # checked once every layer's activations are: an overflowing activation
+    # is named as such, not by the distances it makes overflow
+    for rep in reports:
+        for values in rep.values.values():
+            netcore.finite(values, f"layer {rep.layer} neuron distances")
     for rep in reports:
         for key, values in rep.values.items():
             for neuron, value in enumerate(values):

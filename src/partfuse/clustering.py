@@ -4,15 +4,13 @@ The target regime has m as a large fraction of n; the solvers are Ward-style
 agglomeration, greedy or stochastic best-of-restarts.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .netcore import ShapeError
+from .netcore import CallerPool, ShapeError
 from .transport import Coupling, DiscreteMeasure, KernelPair, cost_matrix, coupling_to_kernels
 
 
@@ -256,13 +254,6 @@ TEMPERATURE = 0.1
 _PARALLEL_MIN_WORK = 50_000
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _best_restart(results: Iterable[Tuple[float, np.ndarray]]) -> np.ndarray:
     """Labels of the lowest objective; the strict < keeps the earliest on ties."""
     best_obj, best_labels = np.inf, None
@@ -305,19 +296,9 @@ def stochastic_ward(
         labels = _agglomerate(points, w, m, rng=rng, temperature=TEMPERATURE, pairs=pairs)
         return _objective_for_labels(points, w, labels), labels
 
-    workers = 1 if n * (n + d) < _PARALLEL_MIN_WORK else min(restarts, _available_cpus())
-    if workers == 1:
-        return _labels_to_assignment(points, w, _best_restart(map(restart, range(restarts))))
-    # numpy releases the GIL inside each restart's array work.  The calling
-    # thread runs every workers-th restart itself, so only workers - 1 threads
-    # keep restart state on heaps of their own after the call; pool threads
-    # take the caller's floating-point error policy.
-    pool = ThreadPoolExecutor(workers - 1, initializer=partial(np.seterr, **np.geterr()))
-    try:
-        pooled = pool.map(restart, [r for r in range(restarts) if r % workers])
-        labels = _best_restart(next(pooled) if r % workers else restart(r) for r in range(restarts))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    # numpy releases the GIL inside each restart's array work
+    with CallerPool(1 if n * (n + d) < _PARALLEL_MIN_WORK else restarts) as pool:
+        labels = _best_restart(pool.map(restart, range(restarts)))
     return _labels_to_assignment(points, w, labels)
 
 
@@ -335,29 +316,3 @@ def assignment_to_kernels(
     pi = np.zeros((len(mu), assignment.num_clusters))
     pi[np.arange(len(mu)), assign] = mu.masses
     return coupling_to_kernels(Coupling(pi, mu, DiscreteMeasure(assignment.center_mass)))
-
-
-def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) -> float:
-    """Exact optimum over all partitions into at most m nonempty parts."""
-    points = _check_points(points, masses)
-    n = points.shape[0]
-    if n > 10:
-        raise ValueError("brute force limited to n <= 10")
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} must lie in 1..{n}")
-    w = masses.masses
-    best = np.inf
-    labels = np.zeros(n, dtype=np.int64)
-
-    def rec(i: int, used: int):
-        nonlocal best
-        if i == n:
-            obj = _objective_for_labels(points, w, labels)
-            best = min(best, obj)
-            return
-        for lab in range(min(used + 1, m)):
-            labels[i] = lab
-            rec(i + 1, max(used, lab + 1))
-
-    rec(0, 0)
-    return float(best)

@@ -1,7 +1,13 @@
-"""Dense feedforward networks: evaluation, ensembling, serialization."""
+"""Dense feedforward networks: evaluation, ensembling, serialization.
+
+Also the threads that evaluation and Ward restarts share: numpy releases
+the GIL inside their array work.
+"""
 
 import functools
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Optional
@@ -187,7 +193,8 @@ def _propagate(net: DenseNetwork, h: np.ndarray, layers: int) -> np.ndarray:
     return h
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
+def finite(values: np.ndarray, what: str) -> np.ndarray:
+    """The values, or NumericalFailure naming `what` when one is not finite."""
     if not np.isfinite(values).all():
         raise NumericalFailure(f"{what} are not finite")
     return values
@@ -206,7 +213,7 @@ def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
     """
     if not 1 <= layer <= net.num_hidden:
         raise ShapeError(f"layer {layer} out of range 1..{net.num_hidden}")
-    return _finite(_propagate(net, _check_batch(net, batch), layer), f"layer {layer} activations")
+    return finite(_propagate(net, _check_batch(net, batch), layer), f"layer {layer} activations")
 
 
 def check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
@@ -284,9 +291,47 @@ def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
         raise ShapeError("dataset feature dimension does not match the network")
     if dataset.labels.max() >= net.output_dim:
         raise ValueError("label outside the network's output range")
-    logits = _finite(_propagate(net, dataset.inputs, len(net.weights)), "logits")
+    logits = finite(_propagate(net, dataset.inputs, len(net.weights)), "logits")
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class CallerPool:
+    """Up to `tasks` threads, one per available CPU, the calling thread included.
+
+    Only workers - 1 pool threads keep state on heaps of their own after a
+    call, and they take the creating thread's floating-point error policy.
+    Use it as a context manager: leaving it shuts the pool down.
+    """
+
+    def __init__(self, tasks: int):
+        self.workers = max(1, min(tasks, available_cpus()))
+        self._pool = None
+        if self.workers > 1:
+            policy = functools.partial(np.seterr, **np.geterr())
+            self._pool = ThreadPoolExecutor(self.workers - 1, initializer=policy)
+
+    def map(self, fn, items):
+        """fn over items, yielded in order; the calling thread runs every workers-th item."""
+        if self._pool is None:
+            return map(fn, items)
+        items = list(items)
+        pooled = self._pool.map(fn, [x for i, x in enumerate(items) if i % self.workers])
+        return (next(pooled) if i % self.workers else fn(x) for i, x in enumerate(items))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Minimal MLP training: softmax cross-entropy and Adam."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -135,48 +135,3 @@ def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig) -> D
     biases = [b.copy() for b in net.biases]
     weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg)
     return DenseNetwork(weights, biases, net.activation)
-
-
-def gradient_check(
-    net: DenseNetwork,
-    batch: np.ndarray,
-    labels: Optional[np.ndarray] = None,
-    samples: int = 20,
-    step: float = 1e-6,
-    seed: int = 0,
-) -> float:
-    """Relative error of analytic vs central-difference gradients.
-
-    Coordinates are sampled across all weight matrices and biases; labels
-    default to class 0 for every row.  The error is the largest
-    coordinatewise deviation relative to the largest sampled gradient
-    magnitude, so coordinates whose true gradient sits below the
-    finite-difference noise floor do not dominate the report.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    if labels is None:
-        labels = np.zeros(batch.shape[0], dtype=np.int64)
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
-    _, gw, gb = loss_and_gradients(weights, biases, net.activation, batch, labels)
-    rng = np.random.default_rng(seed)
-    arrays = [(weights[l], gw[l]) for l in range(len(weights))]
-    arrays += [(biases[l], gb[l]) for l in range(len(biases))]
-    worst_abs = 0.0
-    scale = 0.0
-    for _ in range(samples):
-        which = int(rng.integers(len(arrays)))
-        arr, grad = arrays[which]
-        flat = int(rng.integers(arr.size))
-        idx = np.unravel_index(flat, arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + step
-        up, _, _ = loss_and_gradients(weights, biases, net.activation, batch, labels)
-        arr[idx] = orig - step
-        down, _, _ = loss_and_gradients(weights, biases, net.activation, batch, labels)
-        arr[idx] = orig
-        numeric = (up - down) / (2.0 * step)
-        analytic = float(grad[idx])
-        worst_abs = max(worst_abs, abs(analytic - numeric))
-        scale = max(scale, abs(analytic), abs(numeric))
-    return worst_abs / max(scale, 1e-8)

@@ -22,15 +22,10 @@ from .netcore import ShapeError
 
 MARGINAL_TOL = 1e-9
 MAX_DENOMINATOR = 10**6  # of the fractions that masses and alphas are solved as
-ENUMERATION_NODES = 2_000_000  # brute_force_ot's search gives up after this many
 
 
 class DegenerateNeuronError(ValueError):
     """A marginal entry is zero; the caller must split or drop it first."""
-
-
-class EnumerationError(ValueError):
-    """Brute-force instance too large to enumerate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,10 +641,6 @@ def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> Coup
     return Coupling(flow / den, mu, nu)
 
 
-def transport_objective(coupling_matrix: np.ndarray, cost: np.ndarray) -> float:
-    return float(np.sum(np.asarray(coupling_matrix) * np.asarray(cost)))
-
-
 def solve_partial_ot(
     mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray, alpha: float
 ) -> Coupling:
@@ -723,71 +714,3 @@ def restrict_normalize_partial(
         DiscreteMeasure(sub.sum(axis=1)),
         DiscreteMeasure(sub.sum(axis=0)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle
-
-
-def brute_force_ot(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Provably optimal objective by enumerating integral transport plans."""
-    cost = _check_cost(mu, nu, cost)
-    sup, dem, den = _integerize_pair(mu.masses, nu.masses)
-    n_a, n_b = cost.shape
-
-    # uniform equal-size case: the vertices are exactly the permutations
-    if n_a == n_b and len(set(sup.tolist()) | set(dem.tolist())) == 1:
-        if n_a > 9:
-            raise EnumerationError("too many permutations to enumerate")
-        unit = sup[0] / den
-        best_perm, best_val = None, np.inf
-        for perm in itertools.permutations(range(n_a)):
-            val = sum(cost[i, perm[i]] for i in range(n_a))
-            if val < best_val:
-                best_val, best_perm = val, perm
-        plan = np.zeros((n_a, n_b))
-        for i, j in enumerate(best_perm):
-            plan[i, j] = unit
-        return float(best_val * unit), plan
-
-    cells = [(i, j) for i in range(n_a) for j in range(n_b)]
-    # nonnegative shift keeps the partial sum an admissible pruning bound
-    shifted = cost - min(0.0, float(cost.min()))
-    best = {"val": np.inf, "plan": None}
-    nodes = {"count": 0}
-    flow = np.zeros((n_a, n_b), dtype=np.int64)
-    rem_r = sup.copy()
-    rem_c = dem.copy()
-
-    def rec(idx: int, cur: float):
-        nodes["count"] += 1
-        if nodes["count"] > ENUMERATION_NODES:
-            raise EnumerationError("instance too large to enumerate")
-        if cur >= best["val"]:
-            return
-        if idx == len(cells):
-            if rem_r.sum() == 0:
-                best["val"] = cur
-                best["plan"] = flow.copy()
-            return
-        i, j = cells[idx]
-        # remaining columns in this row must be able to absorb what is left
-        tail = int(rem_c[j + 1 :].sum()) if j + 1 < n_b else 0
-        lo = max(0, int(rem_r[i]) - tail)
-        hi = int(min(rem_r[i], rem_c[j]))
-        for f in range(lo, hi + 1):
-            flow[i, j] = f
-            rem_r[i] -= f
-            rem_c[j] -= f
-            rec(idx + 1, cur + f * shifted[i, j])
-            flow[i, j] = 0
-            rem_r[i] += f
-            rem_c[j] += f
-
-    rec(0, 0.0)
-    if best["plan"] is None:
-        raise RuntimeError("no feasible plan found")
-    plan = best["plan"] / den
-    return transport_objective(plan, cost), plan

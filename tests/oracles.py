@@ -1,0 +1,184 @@
+"""Exact oracles that only the tests use: exhaustive transport and clustering,
+finite-difference gradients and the closed-form pruned-parameter counts.
+
+They check their inputs and score their plans with the library's own
+private helpers, so an oracle and the solver it checks read an instance
+alike.
+"""
+
+import itertools
+from typing import Optional, Tuple
+
+import numpy as np
+
+from partfuse.clustering import _check_points, _objective_for_labels
+from partfuse.netcore import DenseNetwork
+from partfuse.train import loss_and_gradients
+from partfuse.transport import DiscreteMeasure, _check_cost, _integerize_pair
+
+ENUMERATION_NODES = 2_000_000  # brute_force_ot's search gives up after this many
+
+
+class EnumerationError(ValueError):
+    """Brute-force instance too large to enumerate."""
+
+
+def transport_objective(coupling_matrix: np.ndarray, cost: np.ndarray) -> float:
+    return float(np.sum(np.asarray(coupling_matrix) * np.asarray(cost)))
+
+
+def brute_force_ot(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray
+) -> Tuple[float, np.ndarray]:
+    """Provably optimal objective by enumerating integral transport plans."""
+    cost = _check_cost(mu, nu, cost)
+    sup, dem, den = _integerize_pair(mu.masses, nu.masses)
+    n_a, n_b = cost.shape
+
+    # uniform equal-size case: the vertices are exactly the permutations
+    if n_a == n_b and len(set(sup.tolist()) | set(dem.tolist())) == 1:
+        if n_a > 9:
+            raise EnumerationError("too many permutations to enumerate")
+        unit = sup[0] / den
+        best_perm, best_val = None, np.inf
+        for perm in itertools.permutations(range(n_a)):
+            val = sum(cost[i, perm[i]] for i in range(n_a))
+            if val < best_val:
+                best_val, best_perm = val, perm
+        plan = np.zeros((n_a, n_b))
+        for i, j in enumerate(best_perm):
+            plan[i, j] = unit
+        return float(best_val * unit), plan
+
+    cells = [(i, j) for i in range(n_a) for j in range(n_b)]
+    # nonnegative shift keeps the partial sum an admissible pruning bound
+    shifted = cost - min(0.0, float(cost.min()))
+    best = {"val": np.inf, "plan": None}
+    nodes = {"count": 0}
+    flow = np.zeros((n_a, n_b), dtype=np.int64)
+    rem_r = sup.copy()
+    rem_c = dem.copy()
+
+    def rec(idx: int, cur: float):
+        nodes["count"] += 1
+        if nodes["count"] > ENUMERATION_NODES:
+            raise EnumerationError("instance too large to enumerate")
+        if cur >= best["val"]:
+            return
+        if idx == len(cells):
+            if rem_r.sum() == 0:
+                best["val"] = cur
+                best["plan"] = flow.copy()
+            return
+        i, j = cells[idx]
+        # remaining columns in this row must be able to absorb what is left
+        tail = int(rem_c[j + 1 :].sum()) if j + 1 < n_b else 0
+        lo = max(0, int(rem_r[i]) - tail)
+        hi = int(min(rem_r[i], rem_c[j]))
+        for f in range(lo, hi + 1):
+            flow[i, j] = f
+            rem_r[i] -= f
+            rem_c[j] -= f
+            rec(idx + 1, cur + f * shifted[i, j])
+            flow[i, j] = 0
+            rem_r[i] += f
+            rem_c[j] += f
+
+    rec(0, 0.0)
+    if best["plan"] is None:
+        raise RuntimeError("no feasible plan found")
+    plan = best["plan"] / den
+    return transport_objective(plan, cost), plan
+
+
+def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) -> float:
+    """Exact optimum over all partitions into at most m nonempty parts."""
+    points = _check_points(points, masses)
+    n = points.shape[0]
+    if n > 10:
+        raise ValueError("brute force limited to n <= 10")
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} must lie in 1..{n}")
+    w = masses.masses
+    best = np.inf
+    labels = np.zeros(n, dtype=np.int64)
+
+    def rec(i: int, used: int):
+        nonlocal best
+        if i == n:
+            obj = _objective_for_labels(points, w, labels)
+            best = min(best, obj)
+            return
+        for lab in range(min(used + 1, m)):
+            labels[i] = lab
+            rec(i + 1, max(used, lab + 1))
+
+    rec(0, 0)
+    return float(best)
+
+
+def gradient_check(
+    net: DenseNetwork,
+    batch: np.ndarray,
+    labels: Optional[np.ndarray] = None,
+    samples: int = 20,
+    step: float = 1e-6,
+    seed: int = 0,
+) -> float:
+    """Relative error of analytic vs central-difference gradients.
+
+    Coordinates are sampled across all weight matrices and biases; labels
+    default to class 0 for every row.  The error is the largest
+    coordinatewise deviation relative to the largest sampled gradient
+    magnitude, so coordinates whose true gradient sits below the
+    finite-difference noise floor do not dominate the report.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    if labels is None:
+        labels = np.zeros(batch.shape[0], dtype=np.int64)
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    _, gw, gb = loss_and_gradients(weights, biases, net.activation, batch, labels)
+    rng = np.random.default_rng(seed)
+    arrays = [(weights[l], gw[l]) for l in range(len(weights))]
+    arrays += [(biases[l], gb[l]) for l in range(len(biases))]
+    worst_abs = 0.0
+    scale = 0.0
+    for _ in range(samples):
+        which = int(rng.integers(len(arrays)))
+        arr, grad = arrays[which]
+        flat = int(rng.integers(arr.size))
+        idx = np.unravel_index(flat, arr.shape)
+        orig = arr[idx]
+        arr[idx] = orig + step
+        up, _, _ = loss_and_gradients(weights, biases, net.activation, batch, labels)
+        arr[idx] = orig - step
+        down, _, _ = loss_and_gradients(weights, biases, net.activation, batch, labels)
+        arr[idx] = orig
+        numeric = (up - down) / (2.0 * step)
+        analytic = float(grad[idx])
+        worst_abs = max(worst_abs, abs(analytic - numeric))
+        scale = max(scale, abs(analytic), abs(numeric))
+    return worst_abs / max(scale, 1e-8)
+
+
+def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float, float]:
+    """Closed-form (best, worst) nonzero counts of one pruned-ensemble layer.
+
+    n and m are the parent layer widths below and above the weight matrix;
+    the compressed layer keeps (1 + alpha) times the parent neurons.
+    Partial fusion has a single deterministic count.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if n < 1 or m < 1:
+        raise ValueError("layer widths must be positive")
+    nm = n * m
+    if method == "pruning":
+        return 2.0 * ((1.0 + alpha) / 2.0) ** 2 * nm, (1.0 + alpha**2) * nm
+    if method == "clustering":
+        return 2.0 * ((1.0 + alpha) / 2.0) ** 2 * nm, (1.0 - alpha**2 + 2.0 * alpha) * nm
+    if method == "partial-fusion":
+        value = (1.0 - alpha**2 + 2.0 * alpha) * nm
+        return value, value
+    raise ValueError(f"unknown method {method!r}")

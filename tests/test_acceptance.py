@@ -13,10 +13,17 @@ import partfuse as pf
 from partfuse.data import find_mnist, load_idx
 from partfuse.fusion import MatchPlan
 from partfuse.netcore import remap_neurons
-from partfuse.train import TrainConfig, gradient_check, train_mlp
-from partfuse.transport import KernelPair, transport_objective
+from partfuse.train import TrainConfig, train_mlp
+from partfuse.transport import KernelPair
 
 from conftest import rand_net
+from oracles import (
+    brute_force_clustering,
+    brute_force_ot,
+    gradient_check,
+    theoretical_counts,
+    transport_objective,
+)
 
 
 def report(n, text):
@@ -122,7 +129,7 @@ def test_criterion_4_ot_oracle():
         mu = pf.DiscreteMeasure.uniform(n)
         cost = rng.normal(size=(n, n))
         coupling = pf.solve_ot(mu, mu, cost)
-        bf_obj, _ = pf.brute_force_ot(mu, mu, cost)
+        bf_obj, _ = brute_force_ot(mu, mu, cost)
         worst = max(worst, abs(transport_objective(coupling.matrix, cost) - bf_obj))
     assert worst <= 1e-9
 
@@ -150,7 +157,7 @@ def test_criterion_5_parameter_counts():
     for alpha in (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0):
         fused = pf.partial_fuse(a, b, pf.FusionConfig(lam=0.5, alpha=alpha, **cfg_base))
         rep = pf.count_params(fused)
-        want = pf.theoretical_counts(alpha, 100, 100, "partial-fusion")[0]
+        want = theoretical_counts(alpha, 100, 100, "partial-fusion")[0]
         for l in (1, 2):
             assert rep.per_layer[l][1] == int(round(want)), f"alpha={alpha} layer {l}"
         if alpha == 0.5:
@@ -180,7 +187,7 @@ def test_criterion_5_parameter_counts():
             restarts=20, seed=seed,
         )
         for net, method in ((pruned, "pruning"), (clustered, "clustering")):
-            best, worst = pf.theoretical_counts(0.5, 100, 100, method)
+            best, worst = theoretical_counts(0.5, 100, 100, method)
             for l in (1, 2):
                 count = pf.count_params(net).per_layer[l][1]
                 if not best - 1e-9 <= count <= worst + 1e-9:
@@ -199,7 +206,7 @@ def test_criterion_6_clustering_oracle():
         m = int(rng.integers(2, 4))
         pts = rng.normal(size=(n, 2))
         mu = pf.DiscreteMeasure.uniform(n)
-        opt = pf.brute_force_clustering(pts, mu, m)
+        opt = brute_force_clustering(pts, mu, m)
         sw = pf.stochastic_ward(pts, mu, m, restarts=1000, seed=seed)
         obj = pf.clustering_objective(pts, mu, sw)
         greedy = pf.clustering_objective(pts, mu, pf.greedy_ward(pts, mu, m))

@@ -1,11 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import analysis, fusion, transport
+from partfuse import analysis, fusion, netcore, transport
 from partfuse.netcore import ShapeError
 
 from conftest import rand_net
+from oracles import theoretical_counts
 
 
 class TestCountParams:
@@ -30,35 +33,35 @@ class TestCountParams:
         a, b = rand_net((6, 8, 8, 4), seed=3), rand_net((6, 8, 8, 4), seed=4)
         fused = pf.partial_fuse(a, b, pf.FusionConfig(lam=0.5, alpha=0.5))
         report = pf.count_params(fused)
-        want = pf.theoretical_counts(0.5, 8, 8, "partial-fusion")[0]
+        want = theoretical_counts(0.5, 8, 8, "partial-fusion")[0]
         assert report.per_layer[1][1] == int(want)
 
 
 class TestTheoreticalCounts:
     def test_alpha_half_reference_values(self):
         nm = 100 * 100
-        assert pf.theoretical_counts(0.5, 100, 100, "pruning") == (1.125 * nm, 1.25 * nm)
-        assert pf.theoretical_counts(0.5, 100, 100, "clustering") == (1.125 * nm, 1.75 * nm)
-        assert pf.theoretical_counts(0.5, 100, 100, "partial-fusion") == (1.75 * nm, 1.75 * nm)
+        assert theoretical_counts(0.5, 100, 100, "pruning") == (1.125 * nm, 1.25 * nm)
+        assert theoretical_counts(0.5, 100, 100, "clustering") == (1.125 * nm, 1.75 * nm)
+        assert theoretical_counts(0.5, 100, 100, "partial-fusion") == (1.75 * nm, 1.75 * nm)
 
     def test_alpha_zero(self):
         nm = 50 * 40
-        best, worst = pf.theoretical_counts(0.0, 50, 40, "pruning")
+        best, worst = theoretical_counts(0.0, 50, 40, "pruning")
         assert best == pytest.approx(0.5 * nm)  # half the single model
         assert worst == pytest.approx(1.0 * nm)
-        pfu = pf.theoretical_counts(0.0, 50, 40, "partial-fusion")
+        pfu = theoretical_counts(0.0, 50, 40, "partial-fusion")
         assert pfu == (nm, nm)
 
     def test_alpha_one_everything_doubles(self):
         nm = 30 * 20
         for method in ("pruning", "clustering", "partial-fusion"):
-            best, worst = pf.theoretical_counts(1.0, 30, 20, method)
+            best, worst = theoretical_counts(1.0, 30, 20, method)
             assert best == pytest.approx(2 * nm)
             assert worst == pytest.approx(2 * nm)
 
     def test_invalid_method(self):
         with pytest.raises(ValueError):
-            pf.theoretical_counts(0.5, 10, 10, "magic")
+            theoretical_counts(0.5, 10, 10, "magic")
 
 
 class TestBracketing:
@@ -82,10 +85,10 @@ class TestBracketing:
             clustered = pf.cluster_prune(
                 ens, pf.PruneSpec(widths, pf.PruneMethod.CLUSTER, lam=0.5), data, restarts=20
             )
-            _, worst = pf.theoretical_counts(alpha, n, n, "pruning")
+            _, worst = theoretical_counts(alpha, n, n, "pruning")
             count = pf.count_params(pruned).per_layer[1][1]
             assert true_min_prune - 1e-9 <= count <= worst + 1e-9
-            _, worst_c = pf.theoretical_counts(alpha, n, n, "clustering")
+            _, worst_c = theoretical_counts(alpha, n, n, "clustering")
             count_c = pf.count_params(clustered).per_layer[1][1]
             assert count_c <= worst_c + 1e-9
 
@@ -257,3 +260,56 @@ class TestTradeoffSweep:
         records = pf.tradeoff_sweep(a, b, [[1.0, 0.0]], [0.5], ["partial-ot"], data)
         assert records[0].widths == (12, 6)
         assert records[0].alpha == "1|0"
+
+    def test_alpha_one_evaluates_once_per_lambda(self, rng, monkeypatch):
+        # partial-ot, prune and prune-post all rebuild the ensemble at alpha = 1
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        methods, lams = ["partial-ot", "prune", "prune-post"], [0.0, 0.4, 1.0]
+        alignment = fusion.match_pair(a, b, fusion.align(a, b, pf.FusionConfig(alpha=1.0)))
+        want = []
+        for method in methods:
+            for lam in lams:
+                net = analysis.run_cell(a, b, method, 1.0, lam, alignment=alignment)
+                want.append(analysis.cell_record(net, method, 1.0, lam, 0, data).csv_row())
+        evaluated = []
+        evaluate = netcore.evaluate_accuracy
+
+        def counting(net, dataset):
+            evaluated.append(net)
+            return evaluate(net, dataset)
+
+        monkeypatch.setattr(netcore, "evaluate_accuracy", counting)
+        records = pf.tradeoff_sweep(a, b, [1.0], lams, methods, data)
+        assert len(evaluated) == len(lams)
+        assert [r.csv_row() for r in records] == want
+
+    @pytest.mark.parametrize("policy, error", [
+        ("ignore", "NumericalFailure"),
+        ("raise", "FloatingPointError"),  # pool threads take the caller's policy
+    ])
+    def test_pooled_evaluation_error_keeps_its_cell(self, rng, monkeypatch, policy, error):
+        # A's logits overflow wherever lambda gives them weight: its last
+        # hidden layer sits near 10 and its output weights are 1e308
+        a, b = self._pair()
+        biases = a.biases[:-2] + (np.full(6, 10.0), a.biases[-1])
+        a = pf.DenseNetwork(a.weights[:-1] + (np.full((3, 6), 1e308),), biases, a.activation)
+        data = self._eval_data(rng)
+        failed_on = []
+        evaluate = netcore.evaluate_accuracy
+
+        def recording(net, dataset):
+            try:
+                return evaluate(net, dataset)
+            except (netcore.NumericalFailure, FloatingPointError):
+                failed_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(netcore, "evaluate_accuracy", recording)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        with np.errstate(all=policy):
+            records = pf.tradeoff_sweep(a, b, [1.0], [0.0, 0.5], ["prune"], data)
+        # the calling thread evaluates lambda 0, where A weighs nothing
+        assert records[0].error is None and records[0].accuracy is not None
+        assert records[1].csv_row() == f"prune,1,0.5,0,error:{error},,,,0"
+        assert failed_on and failed_on[0] is not threading.main_thread()

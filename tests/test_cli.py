@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import analysis, cli, fusion, transport
+from partfuse import analysis, cli, fusion, netcore, transport
 from partfuse import data as datamod
 from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
 
@@ -382,6 +382,23 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_output_independent_of_cpu_count(self, data_dir, trained_dir, tmp_path, monkeypatch):
+        # None keeps the real affinity lookup; three lambdas fill three CPUs
+        outputs = []
+        real = netcore.available_cpus
+        for cpus in (None, 1, 2, 3):
+            monkeypatch.setattr(netcore, "available_cpus", real if cpus is None else lambda: cpus)
+            out = tmp_path / f"sweep{cpus}.csv"
+            code = run([
+                "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                "--alphas", "0;0.4;1", "--lambdas", "0.25,0.5,1",
+                "--methods", "partial-ot,prune,prune-post", "--align", "greedy", "--out", out,
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
+        assert b"error" not in outputs[0]
+
     def test_default_alpha_grid_parses(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "default.csv"
         code = run([
@@ -531,6 +548,23 @@ class TestStats:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: layer 2 activations are not finite")
+        assert not out.exists()
+
+
+    def test_overflowing_distances_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
+        # layer-1 activations near 1e200 are finite, but their squared
+        # differences overflow
+        net = pf.load(trained_dir / "pair0_A.pfnn")
+        weights = (net.weights[0] * 1e200, *net.weights[1:])
+        pf.save(pf.DenseNetwork(weights, net.biases, net.activation), tmp_path / "wide_A.pfnn")
+        out = tmp_path / "stats.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run([
+                "stats", "--data-dir", data_dir, "--net-a", tmp_path / "wide_A.pfnn",
+                "--net-b", trained_dir / "pair0_B.pfnn", "--out", out,
+            ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: layer 1 neuron distances are not finite")
         assert not out.exists()
 
 

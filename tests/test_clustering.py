@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import clustering
+from partfuse import clustering, netcore
 from partfuse.clustering import _labels_to_assignment
+
+from oracles import brute_force_clustering
 
 
 def uniform(n):
@@ -52,7 +54,7 @@ class TestGreedyWard:
         mu = uniform(6)
         a = pf.greedy_ward(pts, mu, 3)
         assert pf.clustering_objective(pts, mu, a) == pytest.approx(
-            pf.brute_force_clustering(pts, mu, 3), abs=1e-12
+            brute_force_clustering(pts, mu, 3), abs=1e-12
         )
         assert a.assign[0] == a.assign[1]
         assert a.assign[2] == a.assign[3]
@@ -66,7 +68,7 @@ class TestGreedyWard:
             pts = rng.normal(size=(n, 2))
             mu = uniform(n)
             greedy = pf.clustering_objective(pts, mu, pf.greedy_ward(pts, mu, m))
-            assert greedy >= pf.brute_force_clustering(pts, mu, m) - 1e-12
+            assert greedy >= brute_force_clustering(pts, mu, m) - 1e-12
 
 
 class TestStochasticWard:
@@ -95,7 +97,7 @@ class TestStochasticWard:
             rng = np.random.default_rng(seed)
             pts = rng.normal(size=(8, 2))
             mu = uniform(8)
-            opt = pf.brute_force_clustering(pts, mu, 3)
+            opt = brute_force_clustering(pts, mu, 3)
             obj = pf.clustering_objective(
                 pts, mu, pf.stochastic_ward(pts, mu, 3, restarts=300, seed=seed)
             )
@@ -344,7 +346,7 @@ class TestParallelRestarts:
     @pytest.mark.parametrize("case", sorted(_parallel_instances()))
     def test_matches_serial_loop(self, monkeypatch, case, workers):
         points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
-        monkeypatch.setattr(clustering, "_available_cpus", lambda: workers)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: workers)
         got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         want = _serial_stochastic_ward(points, masses, m, temperature, restarts, seed)
         assert got.assign.tobytes() == want.assign.tobytes()
@@ -368,13 +370,13 @@ class TestParallelRestarts:
         """Thread counts of the pools stochastic_ward makes at 3 CPUs."""
         pools = []
 
-        class RecordingPool(clustering.ThreadPoolExecutor):
+        class RecordingPool(netcore.ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(clustering, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(clustering, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(netcore, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
         return pools
 
     @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
@@ -400,7 +402,7 @@ class TestParallelRestarts:
         mu = uniform(80)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _serial_stochastic_ward(pts, mu, 5, 0.1, 4, 0)
-        monkeypatch.setattr(clustering, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pf.stochastic_ward(pts, mu, 5, restarts=4)
@@ -419,7 +421,7 @@ class TestNonFinitePoints:
         with pytest.raises(ValueError, match="points must be finite"):
             pf.stochastic_ward(pts, mu, 3, restarts=2)
         with pytest.raises(ValueError, match="points must be finite"):
-            pf.brute_force_clustering(pts, mu, 3)
+            brute_force_clustering(pts, mu, 3)
         a = _labels_to_assignment(pts, mu.masses, np.arange(8) % 3)
         with pytest.raises(ValueError, match="points must be finite"):
             pf.clustering_objective(pts, mu, a)
@@ -486,25 +488,25 @@ class TestAssignmentKernels:
 class TestBruteForceClustering:
     def test_all_singletons(self, rng):
         pts = rng.normal(size=(3, 2))
-        assert pf.brute_force_clustering(pts, uniform(3), 3) == 0.0
+        assert brute_force_clustering(pts, uniform(3), 3) == 0.0
 
     def test_two_points_one_cluster(self):
         pts = np.array([[0.0], [2.0]])
         masses = pf.DiscreteMeasure(np.array([0.3, 0.7]))
         want = (0.3 * 0.7 / 1.0) * 4.0
-        assert pf.brute_force_clustering(pts, masses, 1) == pytest.approx(want)
+        assert brute_force_clustering(pts, masses, 1) == pytest.approx(want)
 
     def test_pairs_case(self, rng):
         anchors = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
         pts = np.vstack([a + 0.01 * rng.normal(size=(2, 2)) for a in anchors])
         mu = uniform(6)
-        opt = pf.brute_force_clustering(pts, mu, 3)
+        opt = brute_force_clustering(pts, mu, 3)
         a = _labels_to_assignment(pts, mu.masses, np.array([0, 0, 1, 1, 2, 2]))
         assert opt == pytest.approx(pf.clustering_objective(pts, mu, a), abs=1e-12)
 
     def test_too_large_rejected(self, rng):
         with pytest.raises(ValueError):
-            pf.brute_force_clustering(rng.normal(size=(11, 2)), uniform(11), 3)
+            brute_force_clustering(rng.normal(size=(11, 2)), uniform(11), 3)
 
 
 class TestInvariants:

@@ -6,12 +6,12 @@ from partfuse.train import (
     NumericalFailure,
     TrainConfig,
     fine_tune,
-    gradient_check,
     init_network,
     train_mlp,
 )
 
 from conftest import rand_net
+from oracles import gradient_check
 
 
 class TestTrainMlp:
