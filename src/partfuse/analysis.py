@@ -220,8 +220,24 @@ def cell_record(
     )
 
 
-def _digest(net: DenseNetwork) -> bytes:
-    """SHA-256 of all that evaluation reads: activation, dims, weights and biases."""
+# Sweep evaluation threads at most, the calling thread included.  Each pool
+# thread adds about 2 MB of peak RSS (per-thread malloc heaps), and only
+# this count's speed-up has been measured, on 2 CPUs
+# (BENCH_20261019_sweep-grid_eval-threads.json).
+_EVAL_THREADS = 2
+
+
+def _reuse_key(net: DenseNetwork, ensemble_widths: Tuple[int, ...]):
+    """The key under which a sweep shares `net`'s accuracy.
+
+    The networks a sweep rebuilds are as wide as the pair's ensemble (at
+    alpha = 1, partial-ot, prune and prune-post all rebuild the ensemble),
+    so only such a network pays for a SHA-256 digest of all that evaluation
+    reads: activation, dims, weights and biases.  Any other network gets a
+    key equal to no other.
+    """
+    if net.hidden_dims != ensemble_widths:
+        return object()
     h = hashlib.sha256(f"{net.activation.name}{net.dims}".encode())
     for array in net.weights + net.biases:
         h.update(array)  # C-contiguous, as DenseNetwork stores them
@@ -236,6 +252,14 @@ def _evaluate(net: DenseNetwork, eval_data: LabeledDataset):
     except Exception as exc:  # noqa: BLE001 - error rows by contract
         acc, error = None, type(exc).__name__
     return acc, error, time.perf_counter() - t0
+
+
+def _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms) -> None:
+    """Evaluate `fresh`'s networks on the pool into accuracies and eval_ms, then empty it."""
+    for key, (acc, error, seconds) in zip(fresh, pool.map(evaluate, fresh.values())):
+        accuracies[key] = acc, error
+        eval_ms[key] = 1000.0 * seconds
+    fresh.clear()
 
 
 def tradeoff_sweep(
@@ -255,24 +279,26 @@ def tradeoff_sweep(
 
     A partial-ot alpha is aligned and matched once, in its first lambda's
     cell, and every lambda fuses that matched pair (a failed alignment is
-    retried, so its error fills each of the alpha's rows).  The cells of
-    one (method, alpha) row are built first.  Then the row's networks that
-    this call has not evaluated yet (told apart by a SHA-256 digest of their
-    parameters) are evaluated together, one per available CPU; a repeated
-    network, such as the alpha = 1 ensemble every method rebuilds, reuses
-    its accuracy.  A cell that raises becomes an error row: the exception's
-    type name in the accuracy column.
+    retried, so its error fills each of the alpha's rows).  Cells are built
+    in grid order; a network this call has not evaluated yet waits until
+    the row holds as many of them as there are evaluation threads, and
+    those are evaluated together.  An ensemble-wide network whose SHA-256
+    digest matches an earlier one, such as the alpha = 1 ensemble every
+    method rebuilds, reuses its accuracy.  A cell that raises becomes an
+    error row: the exception's type name in the accuracy column.
     """
     base = cfg_base or fus.FusionConfig()
     evaluate = partial(_evaluate, eval_data=eval_data)
-    accuracies = {}  # digest -> (accuracy, error); holds no network
+    accuracies = {}  # reuse key -> (accuracy, error); holds no network
     records = []
-    with netcore.CallerPool(len(lambda_grid)) as pool:
+    ensemble_widths = tuple(wa + wb for wa, wb in zip(net_a.hidden_dims, net_b.hidden_dims))
+    with netcore.CallerPool(min(len(lambda_grid), _EVAL_THREADS)) as pool:
         for method in methods:
             for alpha in alpha_grid:
                 alignment = None
-                row = []  # (record, digest): digest None for an error row
-                fresh = {}  # digest -> the row's first network of it not yet evaluated
+                row = []  # (record, reuse key): key None for an error row
+                fresh = {}  # reuse key -> the first network of it not yet evaluated
+                eval_ms = {}
                 for lam in lambda_grid:
                     start = time.perf_counter() if measure_time else None
                     try:
@@ -291,17 +317,16 @@ def tradeoff_sweep(
                             cluster_restarts=cluster_restarts,
                             alignment=alignment,
                         )
-                        key = _digest(net)
+                        key = _reuse_key(net, ensemble_widths)
                         row.append((cell_record(net, method, alpha, lam, seed, start=start), key))
                         if key not in accuracies:
                             fresh.setdefault(key, net)
                     except Exception as exc:  # noqa: BLE001 - error rows by contract
                         cell = (method, _format_alpha(alpha), float(lam), seed)
                         row.append((RunRecord(*cell, error=type(exc).__name__), None))
-                eval_ms = {}
-                for key, (acc, error, seconds) in zip(fresh, pool.map(evaluate, fresh.values())):
-                    accuracies[key] = acc, error
-                    eval_ms[key] = 1000.0 * seconds
+                    if len(fresh) == pool.workers:
+                        _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms)
+                _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms)
                 for record, key in row:
                     if key is not None:
                         acc, error = accuracies[key]

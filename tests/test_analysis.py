@@ -1,3 +1,4 @@
+import hashlib
 import threading
 
 import numpy as np
@@ -283,6 +284,50 @@ class TestTradeoffSweep:
         records = pf.tradeoff_sweep(a, b, [1.0], lams, methods, data)
         assert len(evaluated) == len(lams)
         assert [r.csv_row() for r in records] == want
+
+    def test_only_ensemble_wide_networks_are_digested(self, rng, monkeypatch):
+        # alpha = 0 networks are narrower than the ensemble and never repeat
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        digested, evaluated = [], []
+        sha256, evaluate = hashlib.sha256, netcore.evaluate_accuracy
+
+        def counting_sha256(*args):
+            digested.append(args)
+            return sha256(*args)
+
+        def counting(net, dataset):
+            evaluated.append(net)
+            return evaluate(net, dataset)
+
+        monkeypatch.setattr(analysis.hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(netcore, "evaluate_accuracy", counting)
+        records = pf.tradeoff_sweep(a, b, [0.0, 1.0], [0.5, 1.0], ["prune", "prune-post"], data)
+        assert all(r.error is None for r in records)
+        assert len(digested) == 4  # the alpha = 1 cells
+        assert len(evaluated) == 4 + 2  # every alpha = 0 cell, the ensemble once per lambda
+
+    def test_evaluation_threads_capped(self, rng, monkeypatch):
+        # four lambdas on eight CPUs: the caller and one pool thread, and
+        # never more than two networks waiting for evaluation
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        threads, waiting = set(), []
+        evaluate = analysis._evaluate_fresh
+
+        def recording(pool, fn, fresh, *rest):
+            def on_thread(net):
+                threads.add(threading.current_thread())
+                return fn(net)
+
+            waiting.append(len(fresh))
+            return evaluate(pool, on_thread, fresh, *rest)
+
+        monkeypatch.setattr(analysis, "_evaluate_fresh", recording)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 8)
+        records = pf.tradeoff_sweep(a, b, [0.0], [0.0, 0.25, 0.5, 1.0], ["prune"], data)
+        assert all(r.error is None for r in records)
+        assert len(threads) == 2 and max(waiting) == 2
 
     @pytest.mark.parametrize("policy, error", [
         ("ignore", "NumericalFailure"),

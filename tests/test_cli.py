@@ -383,7 +383,7 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
     def test_output_independent_of_cpu_count(self, data_dir, trained_dir, tmp_path, monkeypatch):
-        # None keeps the real affinity lookup; three lambdas fill three CPUs
+        # None keeps the real affinity lookup; 1 CPU evaluates serially, 2 and 3 with a pool thread
         outputs = []
         real = netcore.available_cpus
         for cpus in (None, 1, 2, 3):
