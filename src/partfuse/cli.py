@@ -48,8 +48,11 @@ def _kept_fraction(text: str) -> float:
     return value
 
 
-def _load_split(args, split: str):
-    """The "train" or "test" split of the MNIST directory; only that split's files are opened."""
+def _load_split(args, split: str, rows=None):
+    """The first `rows` samples (all when None) of the "train" or "test" split of the MNIST directory.
+
+    Only that split's files are opened; they are checked to the end whatever `rows` is.
+    """
     paths = datamod.find_mnist(Path(args.data_dir) if args.data_dir else None)
     if paths is None:
         raise FileNotFoundError(
@@ -57,7 +60,12 @@ def _load_split(args, split: str):
             f"{datamod.DATA_DIR_ENV} environment variable at a directory "
             "holding train-images-idx3-ubyte etc."
         )
-    return datamod.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"])
+    return datamod.load_idx(paths[f"{split}_images"], paths[f"{split}_labels"], rows)
+
+
+def _feature_inputs(args):
+    """The training inputs that activation features and cluster pruning read: the first ACTIVATION_SAMPLES."""
+    return _load_split(args, "train", fus.ACTIVATION_SAMPLES).inputs
 
 
 def _reads_features(method: str, features: str) -> bool:
@@ -165,7 +173,7 @@ def cmd_fuse(args) -> int:
         try:
             eval_data = _load_split(args, "test")
             if reads_features:
-                feature_data = _load_split(args, "train").inputs
+                feature_data = _feature_inputs(args)
         except FileNotFoundError:
             if args.data_dir:
                 raise  # only a directory from the environment may lack MNIST
@@ -213,7 +221,7 @@ def cmd_prune(args) -> int:
     spec = gp.PruneSpec(widths, gp.PruneMethod(args.method))
     feature_data = None
     if spec.method is gp.PruneMethod.CLUSTER:
-        feature_data = _load_split(args, "train").inputs
+        feature_data = _feature_inputs(args)
     pruned = gp.prune(net, spec, feature_data, restarts=args.cluster_restarts, seed=args.seed)
     netcore.save(pruned, args.out)
     print(f"wrote {args.out} widths={pruned.hidden_dims}")
@@ -237,7 +245,7 @@ def cmd_sweep(args) -> int:
     pairs = _manifest_path_pairs(Path(args.manifest))
     test = _load_split(args, "test")
     reads_features = any(_reads_features(m, args.features) for m in methods)
-    feature_data = _load_split(args, "train").inputs if reads_features else None
+    feature_data = _feature_inputs(args) if reads_features else None
 
     def run_pair(item):
         idx, path_a, path_b = item
@@ -280,7 +288,7 @@ def _stat_label(key: str) -> str:
 
 def cmd_stats(args) -> int:
     net_a, net_b = netcore.load(args.net_a), netcore.load(args.net_b)
-    sample = _load_split(args, "train").inputs[: args.sample_count]
+    sample = _load_split(args, "train", args.sample_count).inputs
     lines = ["block,layer,network,statistic,neuron,value"]
     reports = [
         analysis.similarity_stats(net_a, net_b, sample, layer)
@@ -371,7 +379,7 @@ def build_parser() -> _Parser:
     add_common(p_stats)
     p_stats.add_argument("--net-a", required=True)
     p_stats.add_argument("--net-b", required=True)
-    p_stats.add_argument("--sample-count", type=_count(1), default=1000)
+    p_stats.add_argument("--sample-count", type=_count(1), default=1000, help="read the first N training rows")
     p_stats.add_argument("--out", default=None)
 
     return parser

@@ -12,12 +12,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .netcore import LabeledDataset, read_exact
+from .netcore import LabeledDataset, read_chunks, read_exact
 
 DATA_DIR_ENV = "PARTFUSE_DATA_DIR"
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MINORITY_SHARE = 0.10  # of every class but the specialist digit, drawn into split A
+# IDX records past the kept ones are read in pieces of at most this many bytes
+# and dropped, so a short read of a large file allocates little beyond what it keeps.
+SKIP_CHUNK = 1 << 20
 
 MNIST_FILES = {
     "train_images": "train-images-idx3-ubyte",
@@ -39,8 +42,12 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
-    """The array in one IDX file; every malformed file raises DataFormatError naming it."""
+def _read_idx(path, expected_magic: int, what: str, rows: Optional[int] = None):
+    """(declared record count, first `rows` records) of one IDX file; all when rows is None.
+
+    The records past the kept ones are still read, in SKIP_CHUNK pieces that
+    are dropped, so every malformed file raises DataFormatError naming it.
+    """
     try:
         with _open_maybe_gzip(path) as fh:
             read = functools.partial(read_exact, fh, error=DataFormatError)
@@ -53,24 +60,31 @@ def _read_idx(path, expected_magic: int, what: str) -> np.ndarray:
             dims = struct.unpack(f">{ndim}I", read(4 * ndim, f"{what} dims"))
             if not all(dims):
                 raise DataFormatError(f"{what} dims {dims} hold no data")
-            payload = read(math.prod(dims), f"{what} payload")  # Python ints: np.prod wraps
+            count, record = dims[0], math.prod(dims[1:])  # Python ints: np.prod wraps
+            kept = count if rows is None else min(rows, count)
+            payload = read(kept * record, f"{what} payload")
+            rest = (count - kept) * record
+            for _ in read_chunks(fh, rest, f"{what} payload", DataFormatError, SKIP_CHUNK):
+                pass
             if fh.read(1):  # reading to the end also checks a gzip stream's CRC
                 raise DataFormatError(f"{what} file runs past its payload")
     except (DataFormatError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    return count, np.frombuffer(payload, dtype=np.uint8).reshape(kept, record)
 
 
-def load_idx(images_path, labels_path) -> LabeledDataset:
-    """Parse an IDX image/label pair; pixels scale to [0, 1]."""
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images")
-    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels")
-    if images.shape[0] != labels.shape[0]:
-        raise DataFormatError(
-            f"image count {images.shape[0]} != label count {labels.shape[0]}"
-        )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return LabeledDataset(flat, labels.astype(np.int64))
+def load_idx(images_path, labels_path, rows: Optional[int] = None) -> LabeledDataset:
+    """Parse an IDX image/label pair, keeping the first `rows` samples (all when None).
+
+    Pixels scale to [0, 1], and only the kept rows are converted; both files
+    are read and checked to the end whatever `rows` is.
+    """
+    count, images = _read_idx(images_path, IDX_IMAGES_MAGIC, "images", rows)
+    label_count, labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "labels", rows)
+    if count != label_count:
+        raise DataFormatError(f"image count {count} != label count {label_count}")
+    flat = images.astype(np.float64) / 255.0
+    return LabeledDataset(flat, labels.reshape(-1).astype(np.int64))
 
 
 def _write_idx(path, magic: int, array: np.ndarray) -> None:

@@ -10,7 +10,7 @@ import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterator, Optional
 
 import numpy as np
 
@@ -357,16 +357,22 @@ def save(net: DenseNetwork, path) -> None:
 READ_CHUNK = 1 << 26
 
 
-def read_exact(fh: BinaryIO, count: int, what: str, error: type) -> bytes:
-    """Exactly `count` bytes of fh; `error` (a format error) when the file ends first."""
-    chunks = []
+def read_chunks(fh: BinaryIO, count: int, what: str, error: type, size: int) -> Iterator[bytes]:
+    """The next `count` bytes of fh in chunks of at most `size` bytes.
+
+    Raises `error` (a format error) when the file ends first.
+    """
     while count > 0:
-        chunk = fh.read(min(count, READ_CHUNK))
+        chunk = fh.read(min(count, size))
         if not chunk:
             raise error(f"truncated payload while reading {what}")
-        chunks.append(chunk)
+        yield chunk
         count -= len(chunk)
-    return b"".join(chunks)
+
+
+def read_exact(fh: BinaryIO, count: int, what: str, error: type) -> bytes:
+    """Exactly `count` bytes of fh; `error` (a format error) when the file ends first."""
+    return b"".join(read_chunks(fh, count, what, error, READ_CHUNK))
 
 
 def _read_pfnn(fh: BinaryIO) -> DenseNetwork:

@@ -109,6 +109,7 @@ CONFIG_FIELDS = {
     pf.TrainConfig: ("epochs", "learning_rate", "batch_size", "seed"),
 }
 PARAMETERS = {
+    pf.load_idx: ("images_path", "labels_path", "rows"),
     pf.cluster_prune: ("net", "spec", "data", "restarts", "seed"),
     pf.prune_with_postprocess: ("net", "spec"),
     pf.analysis.run_cell: (

@@ -716,22 +716,25 @@ class TestCountFlags:
 
 
 def _splits_read(monkeypatch, argv):
-    """The MNIST splits whose IDX files one CLI call opens."""
-    read = set()
+    """{split: rows asked for} of the MNIST splits one CLI call opens; None asks for every row."""
+    read = {}
     load_idx = datamod.load_idx
 
-    def recording(images_path, labels_path):
-        for path in (images_path, labels_path):
-            read.add("train" if Path(path).name.startswith("train") else "test")
-        return load_idx(images_path, labels_path)
+    def recording(images_path, labels_path, rows=None):
+        (split,) = {"train" if Path(p).name.startswith("train") else "test" for p in (images_path, labels_path)}
+        assert read.setdefault(split, rows) == rows
+        return load_idx(images_path, labels_path, rows)
 
     monkeypatch.setattr(datamod, "load_idx", recording)
     assert run(argv) == 0
     return read
 
 
+FEATURES = fusion.ACTIVATION_SAMPLES
+
+
 class TestSplitsRead:
-    """Each command opens only the MNIST split it reads."""
+    """Each command opens only the MNIST split it reads, and converts only the rows it uses."""
 
     SWEEP = ["sweep", "--manifest", "{manifest}", "--alphas", "0.5", "--lambdas", "0.5",
              "--cluster-restarts", "2", "--out", "{tmp}/s.csv"]
@@ -739,23 +742,39 @@ class TestSplitsRead:
 
     @pytest.mark.parametrize("argv, splits", [
         pytest.param(["train", "--out", "{tmp}/run", "--pairs", "1", "--width", "3", "--depth", "1",
-                      "--epochs", "0"], {"train"}, id="train"),
+                      "--epochs", "0"], {"train": None}, id="train"),
         pytest.param(["prune", "--net", "{ckpt}", "--method", "cluster", "--cluster-restarts", "2",
-                      "--out", "{tmp}/p.pfnn"], {"train"}, id="prune-cluster"),
+                      "--out", "{tmp}/p.pfnn"], {"train": FEATURES}, id="prune-cluster"),
         pytest.param(["stats", "--net-a", "{ckpt}", "--net-b", "{ckpt}", "--out", "{tmp}/s.csv"],
-                     {"train"}, id="stats"),
-        pytest.param(["prune", "--net", "{ckpt}", "--out", "{tmp}/p.pfnn"], set(), id="prune-prune"),
-        pytest.param([*FUSE, "--method", "partial-ot"], {"test"}, id="fuse-partial-ot-weights"),
-        pytest.param([*FUSE, "--method", "prune"], {"test"}, id="fuse-prune"),
-        pytest.param([*FUSE, "--method", "prune-post"], {"test"}, id="fuse-prune-post"),
-        pytest.param([*SWEEP, "--methods", "partial-ot,prune,prune-post"], {"test"}, id="sweep-weights"),
-        pytest.param([*FUSE, "--method", "cluster"], {"train", "test"}, id="fuse-cluster"),
-        pytest.param([*FUSE, "--features", "activations", "--align", "greedy"], {"train", "test"},
-                     id="fuse-partial-ot-activations"),
-        pytest.param([*SWEEP, "--methods", "partial-ot,cluster"], {"train", "test"}, id="sweep-cluster"),
+                     {"train": 1000}, id="stats"),
+        pytest.param(["stats", "--net-a", "{ckpt}", "--net-b", "{ckpt}", "--sample-count", "50",
+                      "--out", "{tmp}/s.csv"], {"train": 50}, id="stats-sample-count"),
+        pytest.param(["prune", "--net", "{ckpt}", "--out", "{tmp}/p.pfnn"], {}, id="prune-prune"),
+        pytest.param([*FUSE, "--method", "partial-ot"], {"test": None}, id="fuse-partial-ot-weights"),
+        pytest.param([*FUSE, "--method", "prune"], {"test": None}, id="fuse-prune"),
+        pytest.param([*FUSE, "--method", "prune-post"], {"test": None}, id="fuse-prune-post"),
+        pytest.param([*SWEEP, "--methods", "partial-ot,prune,prune-post"], {"test": None}, id="sweep-weights"),
+        pytest.param([*FUSE, "--method", "cluster"], {"train": FEATURES, "test": None}, id="fuse-cluster"),
+        pytest.param([*FUSE, "--features", "activations", "--align", "greedy"],
+                     {"train": FEATURES, "test": None}, id="fuse-partial-ot-activations"),
+        pytest.param([*SWEEP, "--methods", "partial-ot,cluster"], {"train": FEATURES, "test": None},
+                     id="sweep-cluster"),
+        pytest.param([*SWEEP, "--features", "activations", "--align", "greedy"],
+                     {"train": FEATURES, "test": None}, id="sweep-partial-ot-activations"),
     ])
     def test_command_reads_only_its_splits(self, data_dir, trained_dir, tmp_path, monkeypatch, argv, splits):
         assert _splits_read(monkeypatch, fill(argv, tmp_path, trained_dir, data_dir)) == splits
+
+    def test_feature_read_keeps_the_rows_the_library_slices_to(self, data_dir, trained_dir, tmp_path, monkeypatch):
+        # fewer samples than the 160 training rows, so the read stops short of the file's end
+        monkeypatch.setattr(fusion, "ACTIVATION_SAMPLES", 50)
+        net = pf.load(trained_dir / "pair0_A.pfnn")
+        train = datamod.load_idx(data_dir / "train-images-idx3-ubyte", data_dir / "train-labels-idx1-ubyte")
+        spec = pf.PruneSpec((3, 3), pf.PruneMethod.CLUSTER)
+        pf.save(pf.cluster_prune(net, spec, train.inputs, restarts=2), tmp_path / "lib.pfnn")
+        assert run(["prune", "--data-dir", data_dir, "--net", trained_dir / "pair0_A.pfnn", "--method",
+                    "cluster", "--widths", "3,3", "--cluster-restarts", "2", "--out", tmp_path / "cli.pfnn"]) == 0
+        assert (tmp_path / "cli.pfnn").read_bytes() == (tmp_path / "lib.pfnn").read_bytes()
 
     def test_corrupt_training_file_fails_only_commands_that_read_it(self, data_dir, trained_dir, tmp_path, capsys):
         (data_dir / "train-images-idx3-ubyte").write_bytes(b"\x00\x00")

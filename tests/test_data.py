@@ -1,6 +1,8 @@
 import gzip
 import re
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from partfuse.train import TrainConfig, train_mlp
 from conftest import HUGE_IDX_DIMS
 
 
-def make_fixture(tmp_path, n=12, rows=4, cols=3, n_classes=3, seed=0):
+N = 12  # samples in make_fixture's files
+
+
+def make_fixture(tmp_path, n=N, rows=4, cols=3, n_classes=3, seed=0):
     rng = np.random.default_rng(seed)
     images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
     labels = (np.arange(n) % n_classes).astype(np.uint8)
@@ -51,41 +56,81 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="magic"):
             load_idx(lab_path, img_path)
 
+    @pytest.mark.parametrize("rows", [1, N - 1, N, N + 5])
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
+    def test_rows_keeps_bitwise_the_first_samples(self, tmp_path, rows, gzipped):
+        img_path, lab_path, _, _ = make_fixture(tmp_path)
+        if gzipped:
+            img_path.write_bytes(gzip.compress(img_path.read_bytes()))
+        full = load_idx(img_path, lab_path)
+        part = load_idx(img_path, lab_path, rows=rows)
+        for kept, whole in ((part.inputs, full.inputs), (part.labels, full.labels)):
+            assert kept.dtype == whole.dtype and kept.shape == whole[:rows].shape
+            assert kept.tobytes() == whole[:rows].tobytes()
+
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
+    def test_kept_rows_bound_the_memory_of_a_read(self, tmp_path, gzipped):
+        img_path, lab_path, _, _ = make_fixture(tmp_path, n=20_000, rows=28, cols=28, n_classes=10)
+        if gzipped:
+            img_path.write_bytes(gzip.compress(img_path.read_bytes(), compresslevel=1))
+        tracemalloc.start()
+        try:
+            data = load_idx(img_path, lab_path, rows=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == 1000
+        # 1000 rows are 6.3 MB of float64; converting all 20,000 would take 125 MB
+        assert peak < 16 * 2**20
+        # and the 14.9 MB of dropped records pass through in pieces of 1 MB
+        assert peak < data.inputs.nbytes + 2 * 2**20
+
+    # the rows=1 case of each corruption test: the corruption lies past the
+    # kept row, and the read must still reach it
     def test_truncated_payload(self, tmp_path):
         img_path, lab_path, _, _ = make_fixture(tmp_path)
         blob = img_path.read_bytes()
-        img_path.write_bytes(blob[:-5])
-        with pytest.raises(DataFormatError, match="truncated"):
-            load_idx(img_path, lab_path)
+        img_path.write_bytes(blob[:-5])  # the last sample's pixels
+        for rows in (None, 1):
+            with pytest.raises(DataFormatError, match=re.escape(f"{img_path}: truncated")):
+                load_idx(img_path, lab_path, rows)
 
     def test_count_mismatch(self, tmp_path):
         img_path, lab_path, _, _ = make_fixture(tmp_path)
         write_idx_labels(lab_path, np.zeros(5, dtype=np.uint8))
-        with pytest.raises(DataFormatError, match="count"):
-            load_idx(img_path, lab_path)
+        for rows in (None, 1):
+            with pytest.raises(DataFormatError, match=f"image count {N} != label count 5"):
+                load_idx(img_path, lab_path, rows)
 
     @pytest.mark.parametrize(
         "corrupt", ["truncated gzip", "corrupt deflate", "bad gzip CRC", "overlong", "no images"]
     )
     def test_corrupt_file_is_a_format_error_naming_it(self, tmp_path, corrupt):
         img_path, lab_path, _, _ = make_fixture(tmp_path)
-        blob = gzip.compress(img_path.read_bytes())
-        bad = tmp_path / "images.gz"
-        if corrupt == "truncated gzip":
-            bad.write_bytes(blob[: len(blob) // 2])
-        elif corrupt == "corrupt deflate":
-            bad.write_bytes(blob[:12] + bytes(b ^ 0xFF for b in blob[12:30]) + blob[30:])
-        elif corrupt == "bad gzip CRC":  # the trailer's CRC-32, not the data
-            bad.write_bytes(blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:])
-        elif corrupt == "overlong":
-            bad = img_path
-            bad.write_bytes(bad.read_bytes() + b"\x00")
-        else:
-            bad = img_path
-            write_idx_images(bad, np.zeros((0, 4, 3), dtype=np.uint8))
-            write_idx_labels(lab_path, np.zeros(0, dtype=np.uint8))
-        with pytest.raises(DataFormatError, match=re.escape(f"{bad}: ")):
-            load_idx(bad, lab_path)
+        plain = img_path.read_bytes()
+        blob = gzip.compress(plain)
+        for rows in (None, 1):
+            # where the deflate stream is cut or corrupted; with one row kept, past that row
+            at = len(blob) // 2 if rows == 1 or corrupt == "truncated gzip" else 12
+            bad = tmp_path / "images.gz"
+            if corrupt == "truncated gzip":
+                bad.write_bytes(blob[:at])
+            elif corrupt == "corrupt deflate":
+                bad.write_bytes(blob[:at] + bytes(b ^ 0xFF for b in blob[at : at + 18]) + blob[at + 18 :])
+            elif corrupt == "bad gzip CRC":  # the trailer's CRC-32, not the data
+                bad.write_bytes(blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:])
+            elif corrupt == "overlong":
+                bad = img_path
+                bad.write_bytes(plain + b"\x00")
+            else:
+                bad = img_path
+                write_idx_images(bad, np.zeros((0, 4, 3), dtype=np.uint8))
+                write_idx_labels(lab_path, np.zeros(0, dtype=np.uint8))
+            if rows == 1 and corrupt in ("truncated gzip", "corrupt deflate"):
+                kept_end = 16 + 4 * 3  # header, then one 4x3 image
+                assert zlib.decompressobj(wbits=31).decompress(blob[:at])[:kept_end] == plain[:kept_end]
+            with pytest.raises(DataFormatError, match=re.escape(f"{bad}: ")):
+                load_idx(bad, lab_path, rows)
 
     @pytest.mark.parametrize("dims", [
         pytest.param(HUGE_IDX_DIMS, id="above-2**63-bytes"),
@@ -94,11 +139,13 @@ class TestIdx:
     @pytest.mark.parametrize("gzipped", [False, True], ids=["raw", "gzip"])
     def test_oversized_header_is_truncated_not_allocated(self, tmp_path, dims, gzipped):
         _, lab_path, _, _ = make_fixture(tmp_path)
-        blob = struct.pack(">4I", IDX_IMAGES_MAGIC, *dims) + bytes(100)
+        # holds one whole 28x28 image; a HUGE_IDX_DIMS image is larger than any file
+        blob = struct.pack(">4I", IDX_IMAGES_MAGIC, *dims) + bytes(1000)
         bad = tmp_path / "huge-images"
         bad.write_bytes(gzip.compress(blob) if gzipped else blob)
-        with pytest.raises(DataFormatError, match=re.escape(f"{bad}: truncated payload")):
-            load_idx(bad, lab_path)
+        for rows in (None, 1):
+            with pytest.raises(DataFormatError, match=re.escape(f"{bad}: truncated payload")):
+                load_idx(bad, lab_path, rows)
 
     def test_find_mnist_absent(self, tmp_path):
         assert find_mnist(tmp_path) is None
