@@ -75,18 +75,18 @@ def _pairwise_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 def _within(d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per neuron, the nearest and the mean distance to the other neurons of its network."""
     n = d.shape[0]
-    np.fill_diagonal(d, 0.0)  # a self-distance by differencing is 0.0 already
     mean = d.sum(axis=1) / (n - 1)
     np.fill_diagonal(d, np.inf)
     return d.min(axis=1), mean
 
 
-def similarity_stats(
-    net_a: DenseNetwork, net_b: DenseNetwork, data: np.ndarray, layer: int
-) -> SimilarityReport:
-    """Nearest-neighbor and mean activation distances, within and across nets."""
-    fa, _ = fus.features_activation(net_a, data, layer)
-    fb, _ = fus.features_activation(net_b, data, layer)
+def similarity_stats(net_a: DenseNetwork, net_b: DenseNetwork, data: np.ndarray) -> tuple:
+    """Per hidden layer, nearest-neighbor and mean activation distances, within and across nets."""
+    feats = zip(fus.features_activation(net_a, data), fus.features_activation(net_b, data), strict=True)
+    return tuple(_layer_stats(l, fa, fb) for l, ((fa, _), (fb, _)) in enumerate(feats, start=1))
+
+
+def _layer_stats(layer: int, fa: np.ndarray, fb: np.ndarray) -> SimilarityReport:
     if fa.shape[0] < 2 or fb.shape[0] < 2:
         raise ShapeError("within-network statistics need at least two neurons")
     nn_a, mean_a = _within(_pairwise_distances(fa, fa))

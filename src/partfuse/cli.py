@@ -219,6 +219,7 @@ def cmd_prune(args) -> int:
     else:
         widths = tuple(max(1, round(args.factor * n)) for n in net.hidden_dims)
     spec = gp.PruneSpec(widths, gp.PruneMethod(args.method))
+    spec.check_against(net)  # before the read
     feature_data = None
     if spec.method is gp.PruneMethod.CLUSTER:
         feature_data = _feature_inputs(args)
@@ -288,19 +289,15 @@ def _stat_label(key: str) -> str:
 
 def cmd_stats(args) -> int:
     net_a, net_b = netcore.load(args.net_a), netcore.load(args.net_b)
+    a, b = ((net.input_dim, net.num_hidden) for net in (net_a, net_b))
+    if a != b:  # checked before the read: the statistics compare layer by layer
+        raise UsageError(f"networks of (input width, depth) {a} and {b} cannot be compared")
     sample = _load_split(args, "train", args.sample_count).inputs
     lines = ["block,layer,network,statistic,neuron,value"]
-    reports = [
-        analysis.similarity_stats(net_a, net_b, sample, layer)
-        for layer in range(1, net_a.num_hidden + 1)
-    ]
-    # checked once every layer's activations are: an overflowing activation
-    # is named as such, not by the distances it makes overflow
-    for rep in reports:
-        for values in rep.values.values():
-            netcore.finite(values, f"layer {rep.layer} neuron distances")
+    reports = analysis.similarity_stats(net_a, net_b, sample)
     for rep in reports:
         for key, values in rep.values.items():
+            netcore.finite(values, f"layer {rep.layer} neuron distances")
             for neuron, value in enumerate(values):
                 lines.append(f"all,{rep.layer},{_stat_label(key)},{neuron},{value:.9g}")
     for block in ("conditional80", "difference"):

@@ -136,16 +136,19 @@ class AlignResult:
 # Features
 
 
-def features_activation(
-    net: DenseNetwork, data: np.ndarray, layer: int
-) -> Tuple[np.ndarray, DiscreteMeasure]:
-    """Neuron features from hidden activations: row i is neuron i's trace."""
+def features_activation(net: DenseNetwork, data: np.ndarray) -> tuple:
+    """Neuron features from hidden activations, one forward pass for every layer.
+
+    Entry l - 1 is hidden layer l's (features, uniform measure), where row i
+    of the features is neuron i's trace.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("activation features need a nonempty sample")
-    acts = netcore.activations(net, data, layer)
-    n = acts.shape[1]
-    return acts.T.copy(), DiscreteMeasure.uniform(n)
+    return tuple(
+        (acts.T.copy(), DiscreteMeasure.uniform(acts.shape[1]))
+        for acts in netcore.activations(net, data)
+    )
 
 
 def features_weight(
@@ -343,18 +346,15 @@ def greedy_align(
         if data is None:
             raise ValueError("activation features need a data sample")
         sample = np.asarray(data, dtype=np.float64)[:ACTIVATION_SAMPLES]
-        for layer in range(1, L + 1):
-            fa, mu = features_activation(net_a, sample, layer)
-            fb, nu = features_activation(net_b, sample, layer)
-            cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], layer)
+        layers = zip(features_activation(net_a, sample), features_activation(net_b, sample))
+        for layer, ((fa, mu), (fb, nu)) in enumerate(layers, start=1):
+            couplings[layer - 1] = _solve_layer(mu, nu, cost_matrix(fa, fb), alphas[layer - 1], layer)
     else:
         for layer in range(L, 0, -1):
             fa, fb = features_weight(net_a, net_b, couplings, layer)
             mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
             nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
-            cost = cost_matrix(fa, fb)
-            couplings[layer - 1] = _solve_layer(mu, nu, cost, alphas[layer - 1], layer)
+            couplings[layer - 1] = _solve_layer(mu, nu, cost_matrix(fa, fb), alphas[layer - 1], layer)
 
     return AlignResult(tuple(couplings))
 

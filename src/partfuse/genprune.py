@@ -103,8 +103,7 @@ def cluster_prune(
     spec.check_against(net)
     data = np.asarray(data, dtype=np.float64)[: fus.ACTIVATION_SAMPLES]
     kernel_list = []
-    for layer in range(1, net.num_hidden + 1):
-        feats, mu = fus.features_activation(net, data, layer)
+    for layer, (feats, mu) in enumerate(fus.features_activation(net, data), start=1):
         if spec.lam is not None:
             factors = _provenance_factors(net, spec.lam, layer)
             mu = DiscreteMeasure(factors / factors.sum())

@@ -183,14 +183,16 @@ def _check_batch(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _propagate(net: DenseNetwork, h: np.ndarray, layers: int) -> np.ndarray:
-    """The first `layers` weight layers, each but the output layer activated, on a checked batch."""
-    for l in range(layers):
-        h = h @ net.weights[l].T
-        h += net.biases[l]  # in place: the product is a new array
-        if l < net.num_hidden:
-            h = net.activation.apply(h)
-    return h
+def _step(net: DenseNetwork, h: np.ndarray, l: int) -> np.ndarray:
+    """Weight layer l on the state below it, activated unless it is the output layer."""
+    h = h @ net.weights[l].T
+    h += net.biases[l]  # in place: the product is a new array
+    return net.activation.apply(h) if l < net.num_hidden else h
+
+
+def _propagate(net: DenseNetwork, h: np.ndarray) -> np.ndarray:
+    """Every weight layer on a checked batch: the logits."""
+    return functools.reduce(functools.partial(_step, net), range(len(net.weights)), h)
 
 
 def finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -202,18 +204,19 @@ def finite(values: np.ndarray, what: str) -> np.ndarray:
 
 def forward(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
     """Evaluate the network, returning an N x output_dim matrix of logits."""
-    return _propagate(net, _check_batch(net, batch), len(net.weights))
+    return _propagate(net, _check_batch(net, batch))
 
 
-def activations(net: DenseNetwork, batch: np.ndarray, layer: int) -> np.ndarray:
-    """Post-activation hidden state at hidden layer `layer` (1-based, 1..L).
+def activations(net: DenseNetwork, batch: np.ndarray) -> tuple:
+    """Post-activation hidden states from one forward pass: entry l - 1 is hidden layer l's.
 
-    Column i is the feature vector of neuron i over the batch.  Raises
-    NumericalFailure when an activation is not finite.
+    Column i of an entry is neuron i's feature vector over the batch.  Raises
+    NumericalFailure at the first layer whose activations are not finite.
     """
-    if not 1 <= layer <= net.num_hidden:
-        raise ShapeError(f"layer {layer} out of range 1..{net.num_hidden}")
-    return finite(_propagate(net, _check_batch(net, batch), layer), f"layer {layer} activations")
+    states = [_check_batch(net, batch)]
+    for l in range(net.num_hidden):
+        states.append(finite(_step(net, states[-1], l), f"layer {l + 1} activations"))
+    return tuple(states[1:])
 
 
 def check_compatible(net_a: DenseNetwork, net_b: DenseNetwork):
@@ -291,7 +294,7 @@ def evaluate_accuracy(net: DenseNetwork, dataset: LabeledDataset) -> float:
         raise ShapeError("dataset feature dimension does not match the network")
     if dataset.labels.max() >= net.output_dim:
         raise ValueError("label outside the network's output range")
-    logits = finite(_propagate(net, dataset.inputs, len(net.weights)), "logits")
+    logits = finite(_propagate(net, dataset.inputs), "logits")
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == dataset.labels))
 

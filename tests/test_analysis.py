@@ -98,7 +98,7 @@ class TestSimilarityStats:
     def test_identical_nets_cross_nn_zero(self, rng):
         net = rand_net((4, 6, 3), seed=6)
         data = rng.normal(size=(50, 4))
-        rep = pf.similarity_stats(net, net, data, 1)
+        rep = pf.similarity_stats(net, net, data)[0]
         np.testing.assert_allclose(rep.values["nn_cross_ab"], 0.0, atol=1e-12)
         np.testing.assert_allclose(rep.values["nn_cross_ba"], 0.0, atol=1e-12)
 
@@ -109,13 +109,13 @@ class TestSimilarityStats:
         net = pf.DenseNetwork(
             (w0, np.ones((2, 3))), (b0, np.zeros(2)), pf.ActivationKind.IDENTITY
         )
-        rep = pf.similarity_stats(net, net, np.zeros((1, 1)), 1)
+        rep = pf.similarity_stats(net, net, np.zeros((1, 1)))[0]
         np.testing.assert_allclose(rep.values["nn_within_a"], [3.0, 3.0, 7.0])
         np.testing.assert_allclose(rep.values["mean_within_a"], [6.5, 5.0, 8.5])
 
     def test_nn_below_mean_and_difference_nonnegative(self, rng):
         a, b = rand_net((5, 7, 3), seed=7), rand_net((5, 7, 3), seed=8)
-        rep = pf.similarity_stats(a, b, rng.normal(size=(60, 5)), 1)
+        rep = pf.similarity_stats(a, b, rng.normal(size=(60, 5)))[0]
         for which in ("within_a", "within_b", "cross_ab", "cross_ba"):
             assert np.all(rep.values[f"nn_{which}"] <= rep.values[f"mean_{which}"] + 1e-12)
         for key, diff in rep.difference.items():
@@ -124,14 +124,14 @@ class TestSimilarityStats:
     def test_one_neuron_layer_rejected(self, rng):
         a, b = rand_net((5, 1, 3), seed=11), rand_net((5, 4, 3), seed=12)
         with pytest.raises(ShapeError, match="at least two neurons"):
-            pf.similarity_stats(a, b, rng.normal(size=(10, 5)), 1)
+            pf.similarity_stats(a, b, rng.normal(size=(10, 5)))
 
     def test_cross_stats_are_transposes(self, rng):
         a, b = rand_net((5, 7, 3), seed=9), rand_net((5, 6, 3), seed=10)
         data = rng.normal(size=(50, 5))
-        rep = pf.similarity_stats(a, b, data, 1)
-        fa, _ = pf.features_activation(a, data, 1)
-        fb, _ = pf.features_activation(b, data, 1)
+        rep = pf.similarity_stats(a, b, data)[0]
+        fa, _ = pf.features_activation(a, data)[0]
+        fb, _ = pf.features_activation(b, data)[0]
         d = np.sqrt(pf.cost_matrix(fa, fb))
         np.testing.assert_allclose(rep.values["nn_cross_ab"], d.min(axis=1), atol=1e-12)
         np.testing.assert_allclose(rep.values["nn_cross_ba"], d.T.min(axis=1), atol=1e-12)

@@ -109,6 +109,9 @@ CONFIG_FIELDS = {
     pf.TrainConfig: ("epochs", "learning_rate", "batch_size", "seed"),
 }
 PARAMETERS = {
+    pf.activations: ("net", "batch"),
+    pf.features_activation: ("net", "data"),
+    pf.similarity_stats: ("net_a", "net_b", "data"),
     pf.load_idx: ("images_path", "labels_path", "rows"),
     pf.cluster_prune: ("net", "spec", "data", "restarts", "seed"),
     pf.prune_with_postprocess: ("net", "spec"),

@@ -10,7 +10,7 @@ from partfuse import analysis, cli, fusion, netcore, transport
 from partfuse import data as datamod
 from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
 
-from conftest import HUGE_IDX_DIMS, HUGE_PFNN_DIMS, pfnn_header
+from conftest import HUGE_IDX_DIMS, HUGE_PFNN_DIMS, pfnn_header, rand_net
 
 
 @pytest.fixture
@@ -537,6 +537,19 @@ class TestStats:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("dims, shape", [
+        ((36, 6, 6, 6, 4), "(36, 3)"),  # one hidden layer more
+        ((20, 6, 6, 4), "(20, 2)"),  # another input width
+    ], ids=["depth", "input-width"])
+    def test_mismatched_networks_exit_1_before_any_read(self, data_dir, trained_dir, tmp_path, capsys,
+                                                        monkeypatch, dims, shape):
+        pf.save(rand_net(dims), tmp_path / "other.pfnn")
+        argv = ["stats", "--net-a", tmp_path / "other.pfnn", "--net-b", "{ckpt}", "--out", "{tmp}/s.csv"]
+        assert _splits_read(monkeypatch, fill(map(str, argv), tmp_path, trained_dir, data_dir), code=1) == {}
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"{shape} and (36, 2)" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_non_finite_activations_exit_3(self, data_dir, trained_dir, tmp_path, capsys):
         overflowing_manifest(trained_dir)
         out = tmp_path / "stats.csv"
@@ -703,6 +716,9 @@ class TestCountFlags:
         ("fuse", "--method partial-ot --alpha 0.4,1e-8"),
         ("fuse", "--method prune --alpha 0.3333333"),
         ("fuse", "--method prune-post --alpha 0.4,0.4,0.4"),
+        ("prune", "--widths 5,5000"),  # wider than the 6-neuron layer
+        ("prune", "--widths 5"),  # one width for two hidden layers
+        ("prune", "--widths 5,5,5"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                           command, flags):
@@ -715,8 +731,8 @@ class TestCountFlags:
         assert not (tmp_path / "o").exists()
 
 
-def _splits_read(monkeypatch, argv):
-    """{split: rows asked for} of the MNIST splits one CLI call opens; None asks for every row."""
+def _splits_read(monkeypatch, argv, code=0):
+    """{split: rows asked for} of the MNIST splits one CLI call, exiting `code`, opens; None asks for every row."""
     read = {}
     load_idx = datamod.load_idx
 
@@ -726,7 +742,7 @@ def _splits_read(monkeypatch, argv):
         return load_idx(images_path, labels_path, rows)
 
     monkeypatch.setattr(datamod, "load_idx", recording)
-    assert run(argv) == 0
+    assert run(argv) == code
     return read
 
 

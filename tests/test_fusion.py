@@ -39,14 +39,14 @@ class TestFeatures:
     def test_activation_features_zero_cross_diagonal(self, rng):
         net = rand_net((4, 6, 3), seed=1)
         data = rng.normal(size=(30, 4))
-        fa, mu = pf.features_activation(net, data, 1)
+        fa, mu = pf.features_activation(net, data)[0]
         cost = pf.cost_matrix(fa, fa)
         np.testing.assert_allclose(np.diag(cost), 0.0, atol=1e-12)
         assert mu.masses[0] == pytest.approx(1 / 6)
 
     def test_single_sample_features_are_scalars(self, rng):
         net = rand_net((4, 6, 3), seed=1)
-        fa, _ = pf.features_activation(net, rng.normal(size=(1, 4)), 1)
+        fa, _ = pf.features_activation(net, rng.normal(size=(1, 4)))[0]
         assert fa.shape == (6, 1)
 
     def test_duplicate_neuron_duplicate_feature_rows(self, rng):
@@ -55,7 +55,7 @@ class TestFeatures:
         b0 = np.array(base.biases[0])
         w0[3], b0[3] = w0[2], b0[2]
         net = pf.DenseNetwork((w0, base.weights[1]), (b0, base.biases[1]), base.activation)
-        fa, _ = pf.features_activation(net, rng.normal(size=(20, 4)), 1)
+        fa, _ = pf.features_activation(net, rng.normal(size=(20, 4)))[0]
         np.testing.assert_array_equal(fa[2], fa[3])
 
     def test_weight_features_identity_kernel_self(self):

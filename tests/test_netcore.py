@@ -54,11 +54,11 @@ class TestActivations:
     def test_identity_net_layer1_is_batch(self, rng):
         net = identity_net(4)
         x = rng.normal(size=(6, 4))
-        np.testing.assert_array_equal(pf.activations(net, x, 1), x)
+        np.testing.assert_array_equal(pf.activations(net, x)[0], x)
 
     def test_zero_batch_zero_biases_gives_zeros(self):
         net = rand_net((3, 5, 2), seed=1, bias_scale=0.0)
-        out = pf.activations(net, np.zeros((4, 3)), 1)
+        out = pf.activations(net, np.zeros((4, 3)))[0]
         np.testing.assert_array_equal(out, np.zeros((4, 5)))
 
     def test_forward_recomputed_from_activations(self, rng):
@@ -66,17 +66,12 @@ class TestActivations:
         x = rng.normal(size=(10, 5))
         direct = pf.forward(net, x)
         for layer in (1, 2):
-            h = pf.activations(net, x, layer)
+            h = pf.activations(net, x)[layer - 1]
             for l in range(layer, net.num_hidden + 1):
                 h = h @ net.weights[l].T + net.biases[l]
                 if l < net.num_hidden:
                     h = net.activation.apply(h)
             np.testing.assert_allclose(h, direct, atol=1e-12)
-
-    def test_layer_out_of_range(self, rng):
-        net = rand_net((5, 8, 3), seed=2)
-        with pytest.raises(ShapeError):
-            pf.activations(net, rng.normal(size=(2, 5)), 2)
 
     def test_non_finite_activations_are_numerical_failures(self):
         net = pf.DenseNetwork(
@@ -85,8 +80,38 @@ class TestActivations:
         x = np.full((3, 2), 10.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(netcore.NumericalFailure, match="layer 1 activations are not finite"):
-                pf.activations(net, x, 1)
+                pf.activations(net, x)
             assert np.isnan(pf.forward(net, x)).all()  # forward stays unchecked
+
+
+# the library's activation-feature readers, each on a pair (a, b) and a sample x
+ACTIVATION_READERS = {
+    "greedy_align": lambda a, b, x: pf.greedy_align(
+        a, b, pf.FusionConfig(alpha=0.4, features=pf.FeatureKind.ACTIVATIONS, align=pf.AlignMethod.GREEDY), x
+    ),
+    "cluster_prune": lambda a, b, x: pf.cluster_prune(
+        a, pf.PruneSpec((3,) * a.num_hidden, pf.PruneMethod.CLUSTER), x, restarts=2
+    ),
+    "similarity_stats": lambda a, b, x: pf.similarity_stats(a, b, x),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("reader, sides", [
+    ("greedy_align", "ab"), ("cluster_prune", "a"), ("similarity_stats", "ab"),
+])
+def test_one_forward_pass_per_network(monkeypatch, rng, reader, sides, depth):
+    pair = {"a": rand_net((4, *[5] * depth, 3), seed=1), "b": rand_net((4, *[5] * depth, 3), seed=2)}
+    calls = []
+    activations = netcore.activations
+
+    def counting(net, batch):
+        calls.append(net)
+        return activations(net, batch)
+
+    monkeypatch.setattr(netcore, "activations", counting)
+    ACTIVATION_READERS[reader](pair["a"], pair["b"], rng.normal(size=(20, 4)))
+    assert calls == [pair[side] for side in sides]  # networks compare by identity
 
 
 def _gelu_reference(x):
@@ -126,7 +151,7 @@ class TestEvaluationPath:
             h = h @ net.weights[l].T + net.biases[l]
             if l < net.num_hidden:
                 h = ACTIVATION_REFERENCES[kind](h)
-                assert pf.activations(net, x, l + 1).tobytes() == h.tobytes()
+                assert pf.activations(net, x)[l].tobytes() == h.tobytes()
         assert pf.forward(net, x).tobytes() == h.tobytes()
         assert x.tobytes() == before.tobytes()
 
