@@ -25,7 +25,6 @@ from .clustering import (
 from .data import (
     SplitSpec,
     heterogeneous_split,
-    holdout,
     load_idx,
     synthetic_blobs,
 )

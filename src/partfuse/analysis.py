@@ -1,9 +1,10 @@
 """Parameter accounting, neuron-similarity statistics, and tradeoff sweeps."""
 
 import hashlib
+import threading
 import time
+from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,11 +221,12 @@ def cell_record(
     )
 
 
-# Sweep evaluation threads at most, the calling thread included.  Each pool
-# thread adds about 2 MB of peak RSS (per-thread malloc heaps), and only
-# this count's speed-up has been measured, on 2 CPUs
-# (BENCH_20261019_sweep-grid_eval-threads.json).
-_EVAL_THREADS = 2
+# Weight bytes of the built networks that may wait for the evaluation
+# thread (784-32-32-10 sweep networks hold 0.2-0.44 MB, 784-100x3-10 ones
+# 0.7-2.3 MB).  Past it the calling thread evaluates the oldest itself, so
+# cells that build faster than they evaluate hold at most this much plus
+# the network just built.
+_BACKLOG_BYTES = 1 << 20
 
 
 def _reuse_key(net: DenseNetwork, ensemble_widths: Tuple[int, ...]):
@@ -254,12 +256,59 @@ def _evaluate(net: DenseNetwork, eval_data: LabeledDataset):
     return acc, error, time.perf_counter() - t0
 
 
-def _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms) -> None:
-    """Evaluate `fresh`'s networks on the pool into accuracies and eval_ms, then empty it."""
-    for key, (acc, error, seconds) in zip(fresh, pool.map(evaluate, fresh.values())):
-        accuracies[key] = acc, error
-        eval_ms[key] = 1000.0 * seconds
-    fresh.clear()
+class _Evaluations:
+    """A sweep's evaluations, run on one pool thread while the caller builds.
+
+    Networks wait in the order they were added, and each evaluation takes
+    the oldest.  The pool thread gets one turn per network; the calling
+    thread takes the oldest itself while the waiting networks' weights
+    exceed _BACKLOG_BYTES (never the one it just added, which would gain
+    nothing), and takes every network still waiting in `finish`.  Only the
+    queue refers to a waiting network, so a network is dropped once its
+    evaluation has started.  Without a pool thread each network is
+    evaluated as it is added.  A key added before adds nothing.
+    """
+
+    def __init__(self, pool: netcore.CallerPool, eval_data: LabeledDataset):
+        self._pool = pool if pool.workers > 1 else None
+        self._eval_data = eval_data
+        self._lock = threading.Lock()
+        self._waiting = deque()  # (key, network, weight bytes), oldest first
+        self._bytes = 0  # weight bytes waiting
+        self._turns = []  # the pool thread's futures
+        self._results = {}  # reuse key -> (accuracy, error, seconds)
+
+    def add(self, key, net: DenseNetwork) -> None:
+        if key in self._results:
+            return
+        self._results[key] = None  # until its evaluation ends
+        size = sum(w.nbytes for w in net.weights)
+        with self._lock:
+            self._waiting.append((key, net, size))
+            self._bytes += size
+        if self._pool is None:
+            self._evaluate_oldest()
+            return
+        self._turns.append(self._pool.submit(self._evaluate_oldest))
+        while self._bytes > _BACKLOG_BYTES and len(self._waiting) > 1:
+            self._evaluate_oldest()
+
+    def _evaluate_oldest(self) -> None:
+        """Evaluate the oldest waiting network, if one still waits."""
+        with self._lock:
+            if not self._waiting:
+                return  # the calling thread took it
+            key, net, size = self._waiting.popleft()
+            self._bytes -= size
+        self._results[key] = _evaluate(net, self._eval_data)
+
+    def finish(self) -> dict:
+        """Every added network's result, by reuse key, once all have run."""
+        while self._waiting:
+            self._evaluate_oldest()
+        for turn in self._turns:
+            turn.result()
+        return self._results
 
 
 def tradeoff_sweep(
@@ -280,25 +329,22 @@ def tradeoff_sweep(
     A partial-ot alpha is aligned and matched once, in its first lambda's
     cell, and every lambda fuses that matched pair (a failed alignment is
     retried, so its error fills each of the alpha's rows).  Cells are built
-    in grid order; a network this call has not evaluated yet waits until
-    the row holds as many of them as there are evaluation threads, and
-    those are evaluated together.  An ensemble-wide network whose SHA-256
+    in grid order on the calling thread, and each network goes to a pool
+    thread for evaluation as soon as it is built, while the next cell
+    builds (`_Evaluations`).  An ensemble-wide network whose SHA-256
     digest matches an earlier one, such as the alpha = 1 ensemble every
-    method rebuilds, reuses its accuracy.  A cell that raises becomes an
-    error row: the exception's type name in the accuracy column.
+    method rebuilds, reuses its accuracy.  Results are read in cell order.
+    A cell that raises becomes an error row: the exception's type name in
+    the accuracy column.
     """
     base = cfg_base or fus.FusionConfig()
-    evaluate = partial(_evaluate, eval_data=eval_data)
-    accuracies = {}  # reuse key -> (accuracy, error); holds no network
-    records = []
+    cells = []  # (record, reuse key) in grid order: key None for an error row
     ensemble_widths = tuple(wa + wb for wa, wb in zip(net_a.hidden_dims, net_b.hidden_dims))
-    with netcore.CallerPool(min(len(lambda_grid), _EVAL_THREADS)) as pool:
+    with netcore.CallerPool(2) as pool:
+        evaluations = _Evaluations(pool, eval_data)
         for method in methods:
             for alpha in alpha_grid:
                 alignment = None
-                row = []  # (record, reuse key): key None for an error row
-                fresh = {}  # reuse key -> the first network of it not yet evaluated
-                eval_ms = {}
                 for lam in lambda_grid:
                     start = time.perf_counter() if measure_time else None
                     try:
@@ -318,24 +364,24 @@ def tradeoff_sweep(
                             alignment=alignment,
                         )
                         key = _reuse_key(net, ensemble_widths)
-                        row.append((cell_record(net, method, alpha, lam, seed, start=start), key))
-                        if key not in accuracies:
-                            fresh.setdefault(key, net)
+                        cells.append((cell_record(net, method, alpha, lam, seed, start=start), key))
+                        evaluations.add(key, net)
+                        del net  # the evaluation holds it until it starts
                     except Exception as exc:  # noqa: BLE001 - error rows by contract
                         cell = (method, _format_alpha(alpha), float(lam), seed)
-                        row.append((RunRecord(*cell, error=type(exc).__name__), None))
-                    if len(fresh) == pool.workers:
-                        _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms)
-                _evaluate_fresh(pool, evaluate, fresh, accuracies, eval_ms)
-                for record, key in row:
-                    if key is not None:
-                        acc, error = accuracies[key]
-                        if error is None:
-                            # a reused accuracy adds no evaluation time
-                            wall = record.wall_ms + eval_ms.pop(key, 0.0) if measure_time else 0.0
-                            record = replace(record, accuracy=acc, wall_ms=wall)
-                        else:
-                            cell = (record.method, record.alpha, record.lam, record.seed)
-                            record = RunRecord(*cell, error=error)
-                    records.append(record)
+                        cells.append((RunRecord(*cell, error=type(exc).__name__), None))
+        results = evaluations.finish()
+    eval_ms = {key: 1000.0 * seconds for key, (_, _, seconds) in results.items()}
+    records = []
+    for record, key in cells:
+        if key is not None:
+            acc, error, _ = results[key]
+            if error is None:
+                # a reused accuracy adds no evaluation time
+                wall = record.wall_ms + eval_ms.pop(key, 0.0) if measure_time else 0.0
+                record = replace(record, accuracy=acc, wall_ms=wall)
+            else:
+                cell = (record.method, record.alpha, record.lam, record.seed)
+                record = RunRecord(*cell, error=error)
+        records.append(record)
     return records

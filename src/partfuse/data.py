@@ -171,16 +171,6 @@ def heterogeneous_split(
     return _take(data, np.flatnonzero(in_a)), _take(data, np.flatnonzero(~in_a))
 
 
-def holdout(
-    data: LabeledDataset, fraction: float, seed: int = 0
-) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Seeded split into (rest, held), stratified per class."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie in (0, 1)")
-    held = _per_class_draw(data, fraction, seed)
-    return _take(data, np.flatnonzero(~held)), _take(data, np.flatnonzero(held))
-
-
 def synthetic_blobs(
     n_classes: int, per_class: int, dim: int, spread: float, seed: int = 0
 ) -> LabeledDataset:

@@ -183,16 +183,23 @@ def _check_batch(net: DenseNetwork, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def _step(net: DenseNetwork, h: np.ndarray, l: int) -> np.ndarray:
-    """Weight layer l on the state below it, activated unless it is the output layer."""
-    h = h @ net.weights[l].T
-    h += net.biases[l]  # in place: the product is a new array
-    return net.activation.apply(h) if l < net.num_hidden else h
+def _step(net: DenseNetwork, z: np.ndarray, l: int) -> np.ndarray:
+    """Weight layer l's bias on its product z, in place (z is a new array),
+    then the activation unless it is the output layer."""
+    z += net.biases[l]
+    return net.activation.apply(z) if l < net.num_hidden else z
 
 
 def _propagate(net: DenseNetwork, h: np.ndarray) -> np.ndarray:
-    """Every weight layer on a checked batch: the logits."""
-    return functools.reduce(functools.partial(_step, net), range(len(net.weights)), h)
+    """Every weight layer on a checked batch: the logits.
+
+    Each product replaces the state below it before the bias and the
+    activation build their temporaries, so that state is freed first.
+    """
+    for l, w in enumerate(net.weights):
+        h = h @ w.T
+        h = _step(net, h, l)
+    return h
 
 
 def finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -215,7 +222,8 @@ def activations(net: DenseNetwork, batch: np.ndarray) -> tuple:
     """
     states = [_check_batch(net, batch)]
     for l in range(net.num_hidden):
-        states.append(finite(_step(net, states[-1], l), f"layer {l + 1} activations"))
+        h = _step(net, states[-1] @ net.weights[l].T, l)
+        states.append(finite(h, f"layer {l + 1} activations"))
     return tuple(states[1:])
 
 
@@ -328,6 +336,10 @@ class CallerPool:
         items = list(items)
         pooled = self._pool.map(fn, [x for i, x in enumerate(items) if i % self.workers])
         return (next(pooled) if i % self.workers else fn(x) for i, x in enumerate(items))
+
+    def submit(self, fn, *args):
+        """fn(*args) on a pool thread, as a Future; there is one when workers > 1."""
+        return self._pool.submit(fn, *args)
 
     def __enter__(self):
         return self

@@ -403,24 +403,28 @@ def _simplex_flow(
     when the row must stay open, so a degenerate step adds a zero-flow arc
     and the tree stays spanning.  Each pivot prices every arc at once
     against the tree's potentials, brings in the most negative reduced cost
-    and moves flow around its cycle in the tree; only the subtree the
-    leaving arc cuts off is rehung and gets new potentials.  The plan is
-    returned when `_unique_optimum` accepts the tree's potentials, and the
-    search runs instead after _PIVOTS_PER_NODE * (n_a + n_b) pivots.
+    and moves flow around its cycle in the tree.
+
+    The tree hangs from node 0 as parent, depth and thread (preorder
+    successor, with its inverse) index lists, and each arc's flow sits at
+    its lower end (Glover, Klingman & Stutz, INFOR 12, 1974).  The subtree
+    the leaving arc cuts off is read off the thread, rehung below the
+    entering arc, and its potentials shift by that arc's reduced cost.  The
+    plan is returned when `_unique_optimum` accepts the tree's potentials,
+    and the search runs instead after _PIVOTS_PER_NODE * (n_a + n_b) pivots.
     """
     n_a, n_b = cost.shape
+    n = n_a + n_b
     _, eps = _margins(cost)
-    c = cost.tolist()
-    flow = {}  # basic arc (i, j) -> units
-    adj = [[] for _ in range(n_a + n_b)]  # tree neighbours
     rem_s, rem_d = supply.tolist(), demand.tolist()
     rows_open = n_a
     open_cost = cost.copy()
-    for _ in range(n_a + n_b - 1):
+    start = [[] for _ in range(n)]  # the start's arcs at both ends, as (node, units)
+    for _ in range(n - 1):
         i, j = divmod(int(open_cost.argmin()), n_b)
-        flow[i, j] = units = min(rem_s[i], rem_d[j])
-        adj[i].append(n_a + j)
-        adj[n_a + j].append(i)
+        units = min(rem_s[i], rem_d[j])
+        start[i].append((n_a + j, units))
+        start[n_a + j].append((i, units))
         rem_s[i] -= units
         rem_d[j] -= units
         if rem_s[i] == 0 and rows_open > 1:
@@ -429,46 +433,45 @@ def _simplex_flow(
         else:
             open_cost[:, j] = np.inf
 
-    pot = [0.0] * (n_a + n_b)
-    parent = [-1] * (n_a + n_b)
-    depth = [0] * (n_a + n_b)
+    # w holds u_i at row i and -v_j at column j, so that the reduced costs
+    # are cost - w_a + w_b and shifting a subtree is one add
+    c = cost.tolist()
+    parent, depth, up = [-1] * n, [0] * n, [0] * n  # up[x]: units on x's parent arc
+    w = [0.0] * n
+    order, stack = [], [0]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y, units in start[x]:
+            if y != parent[x]:
+                parent[y], depth[y], up[y] = x, depth[x] + 1, units
+                w[y] = w[x] - c[x][y - n_a] if x < n_a else w[x] + c[y][x - n_a]
+                stack.append(y)
+    thread, prev = [0] * n, [0] * n
+    for x, y in zip(order, order[1:] + order[:1]):
+        thread[x], prev[y] = y, x
+    w = np.array(w)
+    w_a, w_b = w[:n_a, None], w[n_a:]
+    red = np.empty_like(cost)
 
-    def arc(x):  # the tree arc from x up to its parent, as (row, column)
-        return (x, parent[x] - n_a) if x < n_a else (parent[x], x - n_a)
-
-    def hang(top, above):  # top's subtree, away from `above`, hung below it
-        parent[top] = above
-        if above >= 0:
-            i, j = arc(top)
-            pot[top] = c[i][j] - pot[above]
-            depth[top] = depth[above] + 1
-        stack = [top]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y != parent[x]:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    pot[y] = (c[x][y - n_a] if x < n_a else c[y][x - n_a]) - pot[x]
-                    stack.append(y)
-
-    hang(0, -1)
-    for _ in range(_PIVOTS_PER_NODE * (n_a + n_b)):
-        both = np.array(pot)
-        pot_a, pot_b = both[:n_a], both[n_a:]
-        red = cost - pot_a[:, None] - pot_b
+    for _ in range(_PIVOTS_PER_NODE * n):
+        np.subtract(cost, w_a, out=red)
+        red += w_b
         k = int(red.argmin())
-        if red.flat[k] >= -eps:
+        r = float(red.flat[k])
+        if r >= -eps:
+            nodes = np.arange(1, n)
+            tops = np.array(parent[1:])
+            col = nodes >= n_a
             plan = np.zeros((n_a, n_b), dtype=np.int64)
-            for (i, j), units in flow.items():
-                plan[i, j] = units
-            return plan if _unique_optimum(cost, plan, pot_a, pot_b) else None
+            plan[np.where(col, tops, nodes), np.where(col, nodes, tops) - n_a] = up[1:]
+            return plan if _unique_optimum(cost, plan, w[:n_a], -w[n_a:]) else None
         i, j = divmod(k, n_b)
         # the cycle: arc (i, j), then the tree path from column j up to the
         # common ancestor and down to row i; an arc loses flow where the
         # cycle crosses it from its column to its row
         a, b = i, n_a + j
-        up_a, up_b = [], []
+        up_a, up_b = [], []  # from row i and from column j, each alternating sides
         while depth[a] > depth[b]:
             up_a.append(a)
             a = parent[a]
@@ -480,25 +483,55 @@ def _simplex_flow(
             a = parent[a]
             up_b.append(b)
             b = parent[b]
-        minus = [x for x in up_b if x >= n_a] + [x for x in up_a if x < n_a]
-        plus = [x for x in up_b if x < n_a] + [x for x in up_a if x >= n_a]
-        leave = min(minus, key=lambda x: flow[arc(x)])
-        theta = flow[arc(leave)]
-        for x in plus:
-            flow[arc(x)] += theta
-        for x in minus:
-            flow[arc(x)] -= theta
-        del flow[arc(leave)]
-        flow[i, j] = theta
-        adj[leave].remove(parent[leave])
-        adj[parent[leave]].remove(leave)
-        adj[i].append(n_a + j)
-        adj[n_a + j].append(i)
-        # the leaving arc's subtree holds the end of (i, j) on its side
-        if leave in up_b:
-            hang(n_a + j, i)
+        minus = up_b[::2] + up_a[::2]
+        leave = min(minus, key=up.__getitem__)
+        theta = up[leave]
+        if theta:
+            for x in minus:
+                up[x] -= theta
+            for x in up_b[1::2] + up_a[1::2]:
+                up[x] += theta
+        # the leaving arc cuts off the subtree of `leave`, which holds the
+        # end q of (i, j) on its side; the stem runs from q up to `leave`
+        if leave >= n_a:
+            q, p, stem, shift = n_a + j, i, up_b, -r
         else:
-            hang(i, n_a + j)
+            q, p, stem, shift = i, n_a + j, up_a, r
+        stem = stem[: stem.index(leave) + 1]
+        before = prev[leave]
+        moves = [depth[p] + 1 + t - depth[s] for t, s in enumerate(stem)]
+        for t in range(len(stem) - 1, 0, -1):
+            parent[stem[t]], up[stem[t]] = stem[t - 1], up[stem[t - 1]]
+        parent[q], up[q] = p, theta
+        # the subtree's new preorder, threaded in after p: each stem node,
+        # then its old subtree without the stem node below it
+        moved = []
+        last, after_p = p, thread[p]
+        skip = resume = -1
+        for s, move in zip(stem, moves):
+            ds = depth[s]
+            thread[last], prev[s] = s, last
+            depth[s] = ds + move
+            moved.append(s)
+            last, y = s, thread[s]
+            while True:
+                if y == skip:
+                    y = resume
+                    if depth[y] <= ds:
+                        break
+                    thread[last], prev[y] = y, last
+                elif depth[y] <= ds:
+                    break
+                depth[y] += move
+                moved.append(y)
+                last, y = y, thread[y]
+            skip, resume = s, y
+        if before == p:
+            after_p = resume
+        else:
+            thread[before], prev[resume] = resume, before
+        thread[last], prev[after_p] = after_p, last
+        w[np.array(moved)] += shift
     return None
 
 

@@ -1,5 +1,6 @@
 """Exact oracles that only the tests use: exhaustive transport and clustering,
-finite-difference gradients and the closed-form pruned-parameter counts.
+finite-difference gradients and the closed-form pruned-parameter counts;
+also the stratified holdout split that only tests draw.
 
 They check their inputs and score their plans with the library's own
 private helpers, so an oracle and the solver it checks read an instance
@@ -12,7 +13,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from partfuse.clustering import _check_points, _objective_for_labels
-from partfuse.netcore import DenseNetwork
+from partfuse.data import _per_class_draw, _take
+from partfuse.netcore import DenseNetwork, LabeledDataset
 from partfuse.train import loss_and_gradients
 from partfuse.transport import DiscreteMeasure, _check_cost, _integerize_pair
 
@@ -160,6 +162,16 @@ def gradient_check(
         worst_abs = max(worst_abs, abs(analytic - numeric))
         scale = max(scale, abs(analytic), abs(numeric))
     return worst_abs / max(scale, 1e-8)
+
+
+def holdout(
+    data: LabeledDataset, fraction: float, seed: int = 0
+) -> Tuple[LabeledDataset, LabeledDataset]:
+    """Seeded split into (rest, held), stratified per class."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must lie in (0, 1)")
+    held = _per_class_draw(data, fraction, seed)
+    return _take(data, np.flatnonzero(~held)), _take(data, np.flatnonzero(held))
 
 
 def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float, float]:

@@ -21,6 +21,7 @@ from oracles import (
     brute_force_clustering,
     brute_force_ot,
     gradient_check,
+    holdout,
     theoretical_counts,
     transport_objective,
 )
@@ -326,7 +327,7 @@ def test_criterion_12_pruning_ordering():
     cluster_wins = 0
     for seed in range(10):
         data = pf.synthetic_blobs(4, 120, 10, spread=1.2, seed=seed)
-        rest, held = pf.holdout(data, 0.25, seed=seed)
+        rest, held = holdout(data, 0.25, seed=seed)
         net = train_mlp([10, 24, 24, 4], rest, TrainConfig(epochs=40, seed=seed, batch_size=32))
         widths = (12, 12)
         plain = pf.unstructured_prune(net, pf.PruneSpec(widths, pf.PruneMethod.UNSTRUCTURED))

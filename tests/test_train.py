@@ -11,7 +11,7 @@ from partfuse.train import (
 )
 
 from conftest import rand_net
-from oracles import gradient_check
+from oracles import gradient_check, holdout
 
 
 class TestTrainMlp:
@@ -47,7 +47,7 @@ class TestTrainMlp:
 class TestFineTune:
     def test_improves_over_start_on_heldout(self):
         data = pf.synthetic_blobs(3, 80, 6, spread=0.8, seed=6)
-        rest, held = pf.holdout(data, 0.25, seed=0)
+        rest, held = holdout(data, 0.25, seed=0)
         start = init_network([6, 12, 3], pf.ActivationKind.GELU, seed=3)
         tuned = fine_tune(start, rest, TrainConfig(epochs=30, seed=0, batch_size=16))
         assert pf.evaluate_accuracy(tuned, held) > pf.evaluate_accuracy(start, held)

@@ -686,6 +686,9 @@ def _sweep_instance(n_a, n_b, alpha, copied, seed):
     return _network(mu, nu, pf.cost_matrix(xa, xb), Fraction(alpha).limit_denominator())
 
 
+SWEEP_CERTIFIED_FLOOR = 30  # of the 30 instances below
+
+
 class TestSimplexPath:
     @pytest.fixture
     def taken(self, monkeypatch):
@@ -730,6 +733,22 @@ class TestSimplexPath:
             transport._min_cost_flow(sup, dem, cost), _reference_min_cost_flow(sup, dem, cost)
         )
         assert taken == [True]
+
+    def test_sweep_instances_keep_their_certified_count(self, taken):
+        # prune-post's uniform 64 x 32 and 64 x 45 (the pruned network's
+        # features copy the ensemble's) and partial-ot's 33 x 33 at alpha 0.4,
+        # from seeded costs; the floor is the count that the simplex holding
+        # its tree in adjacency lists certified
+        shapes = ((64, 32, 0, 32), (64, 45, 0, 45), (32, 32, 0.4, 0))
+        for seed in range(10):
+            for n_a, n_b, alpha, copied in shapes:
+                sup, dem, cost = _sweep_instance(n_a, n_b, alpha, copied, seed)
+                np.testing.assert_array_equal(
+                    transport._min_cost_flow(sup, dem, cost),
+                    _reference_min_cost_flow(sup, dem, cost),
+                    err_msg=f"{n_a} x {n_b}, seed {seed}",
+                )
+        assert len(taken) == 30 and sum(taken) >= SWEEP_CERTIFIED_FLOOR
 
     def test_pivot_bound_zero_gives_the_search(self, taken, monkeypatch):
         monkeypatch.setattr(transport, "_PIVOTS_PER_NODE", 0)
