@@ -19,7 +19,6 @@ from .clustering import (
     ClusterAssignment,
     assignment_to_kernels,
     clustering_objective,
-    greedy_ward,
     stochastic_ward,
 )
 from .data import (

@@ -1,12 +1,12 @@
 """Weighted clustering solvers for compressing layers to m centers.
 
-The target regime has m as a large fraction of n; the solvers are Ward-style
-agglomeration, greedy or stochastic best-of-restarts.
+The target regime has m as a large fraction of n; the solver is Ward-style
+agglomeration, best of stochastic restarts.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -172,17 +172,16 @@ def _agglomerate(
     points: np.ndarray,
     weights: np.ndarray,
     m: int,
-    rng: Optional[np.random.Generator],
+    rng: np.random.Generator,
     temperature: float,
     pairs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Merge singletons down to m clusters; rng=None means greedy choices.
+    """Merge singletons down to m clusters by random draws.
 
-    Stochastic choices draw a pair with probability proportional to
-    exp(-delta / (temperature * median(delta))); the greedy pair stays the
-    likeliest.  Ties in the greedy path resolve to the lowest (i, j) pair.
-    A merge rewrites only the O(n) pairs of its two clusters; dead pairs
-    stay in place at inf.
+    Each merge draws a pair with probability proportional to
+    exp(-delta / (temperature * median(delta))); the least-cost pair stays
+    the likeliest.  A merge rewrites only the O(n) pairs of its two
+    clusters; dead pairs stay in place at inf.
     """
     n, d = points.shape
     centers = points.copy()
@@ -199,22 +198,19 @@ def _agglomerate(
     diff = np.empty((min(n, _ROW_BLOCK), d))
     blocks = [(centers[b], diff[: b.stop - b.start], d2[b]) for b in _row_blocks(n)]
     for live in range(n, m, -1):
-        if rng is None:
-            pick = int(np.argmin(delta))
-        else:
-            # exp((min - delta) / scale): dead pairs are inf and weight to 0;
-            # they sort after the live * (live - 1) / 2 finite deltas that the
-            # median is taken over
-            lo = delta.min()
-            odds[...] = delta
-            med = _fast_median(odds, live * (live - 1) // 2)
-            scale = max(med, 1e-300) * temperature
-            np.subtract(lo, delta, out=odds)
-            np.divide(odds, scale, out=odds)
-            np.exp(odds, out=odds)
-            odds.cumsum(out=cum)
-            u = rng.random() * cum[-1]
-            pick = min(int(cum.searchsorted(u, side="right")), delta.size - 1)
+        # exp((min - delta) / scale): dead pairs are inf and weight to 0;
+        # they sort after the live * (live - 1) / 2 finite deltas that the
+        # median is taken over
+        lo = delta.min()
+        odds[...] = delta
+        med = _fast_median(odds, live * (live - 1) // 2)
+        scale = max(med, 1e-300) * temperature
+        np.subtract(lo, delta, out=odds)
+        np.divide(odds, scale, out=odds)
+        np.exp(odds, out=odds)
+        odds.cumsum(out=cum)
+        u = rng.random() * cum[-1]
+        pick = min(int(cum.searchsorted(u, side="right")), delta.size - 1)
         i, j = int(iu[pick]), int(ju[pick])
         # merged cluster keeps the smaller slot
         wi, wj = w[i], w[j]
@@ -232,16 +228,6 @@ def _agglomerate(
         row[dead] = np.inf
         padded[slot[i]] = row  # row[i] lands in the unread extra entry
     return labels
-
-
-def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterAssignment:
-    """Deterministic agglomerative clustering by least variance increase."""
-    points = _check_points(points, masses)
-    if not 1 <= m <= points.shape[0]:
-        raise ValueError(f"m={m} must lie in 1..{points.shape[0]}")
-    w = masses.masses
-    labels = _agglomerate(points, w, m, rng=None, temperature=0.0, pairs=_ward_pairs(points, w))
-    return _labels_to_assignment(points, w, labels)
 
 
 # the temperature of stochastic_ward's merge draws (see _agglomerate)

@@ -121,14 +121,15 @@ class MatchPlan:
 
 @dataclass(frozen=True)
 class AlignResult:
-    """Per-layer couplings plus the ascent trace of the alignment objective.
+    """Per-layer couplings, and the fixed-point sweep that changed nothing.
 
-    Alignment never reads the interpolation factor, so one result can be
-    assembled at any number of lambdas (`match_pair`, then `MatchedPair.fuse`).
+    converged_sweep is None for greedy alignment and for a fixed-point
+    ascent that stopped after OUTER_ITERATIONS sweeps.  Alignment never
+    reads the interpolation factor, so one result can be assembled at any
+    number of lambdas (`match_pair`, then `MatchedPair.fuse`).
     """
 
     couplings: tuple
-    objective_trace: Tuple[float, ...] = ()
     converged_sweep: Optional[int] = None
 
 
@@ -247,7 +248,7 @@ def alignment_objective(net_a, net_b, couplings) -> float:
     outgoing-weight features (bias coordinate included); the shared input
     layer contributes through the identity coupling.  Fixed-point coordinate
     steps maximize exactly this, so it ascends monotonically in the full
-    (alpha = 0) case.
+    (alpha = 0) case; fixed_point_align climbs it without evaluating it.
     """
     total = 0.0
     for l in range(net_a.num_hidden + 1):
@@ -292,11 +293,13 @@ def _solve_layer(mu, nu, cost: np.ndarray, alpha: float, layer: int) -> Coupling
 
 
 def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfig) -> AlignResult:
-    """Coordinate ascent over per-layer couplings of the global objective.
+    """Coordinate ascent over per-layer couplings of alignment_objective.
 
     Couplings start from the product coupling; sweeps visit layers in order
     and re-solve one (partial) transport problem each, holding the rest
-    fixed.  Stops early once a sweep changes nothing.
+    fixed.  Stops early once a sweep changes nothing, and records that sweep
+    as converged_sweep.  A solve needs only its layer's rewards, so the
+    ascent never evaluates the objective it climbs.
     """
     check_compatible(net_a, net_b)
     replace(cfg, align=AlignMethod.FIXED_POINT)  # FusionConfig rejects activation features here
@@ -306,7 +309,6 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
         _product_coupling(net_a.hidden_dims[l], net_b.hidden_dims[l], alphas[l])
         for l in range(L)
     ]
-    trace = [alignment_objective(net_a, net_b, couplings)]
     converged = None
     for sweep in range(1, OUTER_ITERATIONS + 1):
         changed = False
@@ -318,11 +320,10 @@ def fixed_point_align(net_a: DenseNetwork, net_b: DenseNetwork, cfg: FusionConfi
             if not np.array_equal(new.matrix, couplings[layer - 1].matrix):
                 changed = True
             couplings[layer - 1] = new
-            trace.append(alignment_objective(net_a, net_b, couplings))
         if not changed:
             converged = sweep
             break
-    return AlignResult(tuple(couplings), tuple(trace), converged)
+    return AlignResult(tuple(couplings), converged)
 
 
 def greedy_align(

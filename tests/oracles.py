@@ -1,6 +1,7 @@
 """Exact oracles that only the tests use: exhaustive transport and clustering,
 finite-difference gradients and the closed-form pruned-parameter counts;
-also the stratified holdout split that only tests draw.
+also the stratified holdout split that only tests draw, greedy Ward on the
+dense merge-cost matrix, and the objective trace of fixed-point alignment.
 
 They check their inputs and score their plans with the library's own
 private helpers, so an oracle and the solver it checks read an instance
@@ -9,10 +10,18 @@ alike.
 
 import itertools
 from typing import Optional, Tuple
+from unittest import mock
 
 import numpy as np
 
-from partfuse.clustering import _check_points, _objective_for_labels
+from partfuse import fusion
+from partfuse.clustering import (
+    ClusterAssignment,
+    _check_points,
+    _labels_to_assignment,
+    _objective_for_labels,
+    _ward_pairs,
+)
 from partfuse.data import _per_class_draw, _take
 from partfuse.netcore import DenseNetwork, LabeledDataset
 from partfuse.train import loss_and_gradients
@@ -117,6 +126,102 @@ def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) 
 
     rec(0, 0)
     return float(best)
+
+
+def dense_agglomerate(points, weights, m, rng, temperature):
+    """Ward agglomeration on the full n x n delta matrix, the reference for
+    the condensed pair state: every merge gathers all pairs and rebuilds the
+    merged cluster's row and column.  rng=None takes the least-cost pair,
+    the lowest (i, j) on ties."""
+
+    def ward_delta_matrix(centers, w):
+        sq = np.einsum("ij,ij->i", centers, centers)
+        d2 = np.maximum(sq[:, None] - 2.0 * (centers @ centers.T) + sq[None, :], 0.0)
+        delta = ((w[:, None] * w[None, :]) / (w[:, None] + w[None, :])) * d2
+        np.fill_diagonal(delta, np.inf)
+        return delta
+
+    def median(values):
+        k = values.size
+        if k == 0:
+            return 0.0
+        half = k // 2
+        part = np.partition(values, half)
+        if k % 2:
+            return float(part[half])
+        return float(0.5 * (part[half] + part[:half].max()))
+
+    n = points.shape[0]
+    centers = points.copy()
+    w = weights.copy()
+    labels = np.arange(n)
+    alive = np.ones(n, dtype=bool)
+    delta = ward_delta_matrix(centers, w)
+    iu, ju = np.triu_indices(n, k=1)
+    for _ in range(n - m):
+        flat = delta[iu, ju]
+        if rng is None:
+            pick = int(np.argmin(flat))
+        else:
+            lo = flat.min()
+            med = median(flat[np.isfinite(flat)])
+            scale = max(med, 1e-300) * temperature
+            cum = np.cumsum(np.exp((lo - flat) / scale))
+            u = rng.random() * cum[-1]
+            pick = min(int(np.searchsorted(cum, u, side="right")), flat.size - 1)
+        i, j = int(iu[pick]), int(ju[pick])
+        tot = w[i] + w[j]
+        centers[i] = (w[i] * centers[i] + w[j] * centers[j]) / tot
+        w[i] = tot
+        alive[j] = False
+        labels[labels == j] = i
+        delta[j, :] = np.inf
+        delta[:, j] = np.inf
+        d2 = np.einsum("ij,ij->i", centers - centers[i], centers - centers[i])
+        row = (w * w[i] / (w + w[i])) * d2
+        row[~alive] = np.inf
+        row[i] = np.inf
+        delta[i, :] = row
+        delta[:, i] = row
+    return labels
+
+
+def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterAssignment:
+    """Deterministic agglomerative clustering by least variance increase."""
+    points = _check_points(points, masses)
+    if not 1 <= m <= points.shape[0]:
+        raise ValueError(f"m={m} must lie in 1..{points.shape[0]}")
+    w = masses.masses
+    _ward_pairs(points, w)  # raises MergeCostOverflow as stochastic_ward does
+    return _labels_to_assignment(points, w, dense_agglomerate(points, w, m, None, 0.0))
+
+
+def fixed_point_trace(
+    net_a: DenseNetwork, net_b: DenseNetwork, cfg: fusion.FusionConfig
+) -> Tuple[fusion.AlignResult, Tuple[float, ...]]:
+    """fixed_point_align's result, and fusion.alignment_objective at its
+    start and after each of its layer solves.
+
+    The trace is read from outside: during the one alignment call, every
+    solve also updates a copy of the couplings started, as the aligner
+    starts its own, from the product coupling.
+    """
+    alphas = cfg.alphas(net_a.num_hidden)
+    couplings = [
+        fusion._product_coupling(n_a, n_b, alpha)
+        for n_a, n_b, alpha in zip(net_a.hidden_dims, net_b.hidden_dims, alphas)
+    ]
+    trace = [fusion.alignment_objective(net_a, net_b, couplings)]
+    solve = fusion._solve_layer
+
+    def traced(mu, nu, cost, alpha, layer):
+        couplings[layer - 1] = solve(mu, nu, cost, alpha, layer)
+        trace.append(fusion.alignment_objective(net_a, net_b, couplings))
+        return couplings[layer - 1]
+
+    with mock.patch.object(fusion, "_solve_layer", traced):
+        result = fusion.fixed_point_align(net_a, net_b, cfg)
+    return result, tuple(trace)
 
 
 def gradient_check(

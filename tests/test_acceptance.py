@@ -5,6 +5,7 @@ gracefully when they are absent.  Run with `pytest tests/test_acceptance.py -v -
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from conftest import rand_net
 from oracles import (
     brute_force_clustering,
     brute_force_ot,
+    fixed_point_trace,
     gradient_check,
+    greedy_ward,
     holdout,
     theoretical_counts,
     transport_objective,
@@ -40,10 +43,35 @@ def load_mnist():
     return train, test
 
 
+def closed_form_fusion(a, b, couplings, lam):
+    """(1 - lam) W_b + lam K_ab W_a K_ba and (1 - lam) b_b + lam K_ab b_a per
+    layer, with the kernels of an alignment's full couplings; the shared
+    input and output layers translate by the identity."""
+    kernels = [pf.coupling_to_kernels(c) for c in couplings]
+    k_ab = [*(k.k_ab for k in kernels), np.eye(a.output_dim)]
+    k_ba = [np.eye(a.input_dim), *(k.k_ba for k in kernels)]
+    weights = [
+        (1.0 - lam) * w_b + lam * (k_ab[l] @ w_a @ k_ba[l])
+        for l, (w_a, w_b) in enumerate(zip(a.weights, b.weights))
+    ]
+    biases = [
+        (1.0 - lam) * b_b + lam * (k_ab[l] @ b_a)
+        for l, (b_a, b_b) in enumerate(zip(a.biases, b.biases))
+    ]
+    return weights, biases
+
+
+def max_deviation(net, weights, biases):
+    """Largest entrywise gap between a network's parameters and the given ones."""
+    pairs = [*zip(net.weights, weights), *zip(net.biases, biases)]
+    return max(np.abs(x - y).max() for x, y in pairs)
+
+
 def test_criterion_1_reduction_exactness():
-    """partial_fuse(alpha=0) equals ot_fuse weights within 1e-12, 20 pairs."""
+    """partial_fuse(alpha=0) equals ot_fuse and the closed form
+    (1-lam) W_b + lam K W_a K within 1e-12, 20 pairs."""
     start = time.perf_counter()
-    worst = 0.0
+    worst = worst_closed = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         dims = (6, int(rng.integers(4, 33)), int(rng.integers(4, 33)), 4)
@@ -56,10 +84,53 @@ def test_criterion_1_reduction_exactness():
             worst = max(worst, np.abs(w1 - w2).max())
         for b1, b2 in zip(full.biases, part.biases):
             worst = max(worst, np.abs(b1 - b2).max())
+        closed = closed_form_fusion(a, b, pf.align(a, b, cfg).couplings, cfg.lam)
+        worst_closed = max(worst_closed, max_deviation(part, *closed))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
+    assert worst_closed <= 1e-12
     assert elapsed < 10.0
-    report(1, f"max weight deviation {worst:.2e}, {elapsed:.1f}s")
+    report(1, f"max weight deviation {worst:.2e}, from the closed form {worst_closed:.2e}, {elapsed:.1f}s")
+
+
+PAPER_DIMS = (784, 100, 100, 100, 10)
+PAPER_ALIGNMENTS = {
+    "fixed-point": pf.FusionConfig(),
+    "greedy-weights": pf.FusionConfig(align=pf.AlignMethod.GREEDY),
+    "greedy-activations": pf.FusionConfig(
+        align=pf.AlignMethod.GREEDY, features=pf.FeatureKind.ACTIVATIONS
+    ),
+}
+
+
+@pytest.mark.parametrize("alignment", list(PAPER_ALIGNMENTS))
+def test_criteria_1_and_2_at_paper_width(alignment):
+    """Both reductions on one 784-100-100-100-10 pair: alpha = 0 equals
+    ot_fuse and the closed form within 1e-12, and alpha = 1 logits match
+    make_ensemble within 1e-8."""
+    rng = np.random.default_rng(0)
+    a, b = rand_net(PAPER_DIMS, seed=0), rand_net(PAPER_DIMS, seed=500)
+    data = rng.normal(size=(200, PAPER_DIMS[0]))
+    x = rng.normal(size=(256, PAPER_DIMS[0]))
+    base = PAPER_ALIGNMENTS[alignment]
+    couplings = pf.align(a, b, base, data).couplings
+    worst_ot = worst_closed = worst_logit = 0.0
+    for lam in (0.0, 0.3, 1.0):
+        cfg = replace(base, lam=lam)
+        part = pf.partial_fuse(a, b, cfg, data)
+        full = pf.ot_fuse(a, b, cfg, data)
+        worst_ot = max(worst_ot, max_deviation(part, full.weights, full.biases))
+        worst_closed = max(worst_closed, max_deviation(part, *closed_form_fusion(a, b, couplings, lam)))
+        fused = pf.partial_fuse(a, b, replace(cfg, alpha=1.0), data)
+        ens = pf.make_ensemble(a, b, lam)
+        worst_logit = max(worst_logit, np.abs(pf.forward(fused, x) - pf.forward(ens, x)).max())
+    assert worst_ot <= 1e-12
+    assert worst_closed <= 1e-12
+    assert worst_logit <= 1e-8
+    report(
+        1, f"{alignment} at paper width: ot_fuse {worst_ot:.2e}, closed form "
+        f"{worst_closed:.2e}, ensemble logits {worst_logit:.2e}"
+    )
 
 
 def test_criterion_2_ensemble_exactness():
@@ -210,7 +281,7 @@ def test_criterion_6_clustering_oracle():
         opt = brute_force_clustering(pts, mu, m)
         sw = pf.stochastic_ward(pts, mu, m, restarts=1000, seed=seed)
         obj = pf.clustering_objective(pts, mu, sw)
-        greedy = pf.clustering_objective(pts, mu, pf.greedy_ward(pts, mu, m))
+        greedy = pf.clustering_objective(pts, mu, greedy_ward(pts, mu, m))
         assert greedy >= opt - 1e-12
         if obj <= 1.01 * opt + 1e-12:
             hits += 1
@@ -258,8 +329,8 @@ def test_criterion_8_fixed_point_monotonicity():
     for seed in range(10):
         a = rand_net((6, 10, 9, 4), seed=seed + 70)
         b = rand_net((6, 10, 9, 4), seed=seed + 170)
-        result = pf.fixed_point_align(a, b, pf.FusionConfig())
-        trace = np.array(result.objective_trace)
+        result, trace = fixed_point_trace(a, b, pf.FusionConfig())
+        trace = np.array(trace)
         assert np.all(np.diff(trace) >= -1e-9), f"seed {seed}"
         convergence.append(result.converged_sweep)
     report(8, f"ascent held on 10 pairs; convergence sweeps {convergence}")

@@ -82,7 +82,7 @@ ARRAY_HOLDERS = {
     "LabeledDataset": lambda: pf.LabeledDataset(np.zeros((2, 3)), np.array([0, 1])),
     "MatchPlan": lambda: pf.MatchPlan.boundary(3),
     "SimilarityReport": lambda: pf.SimilarityReport(1, {"nn_within_a": np.zeros(2)}, {}, {}),
-    "AlignResult": lambda: pf.AlignResult((_coupling(),), (1.0,), 1),
+    "AlignResult": lambda: pf.AlignResult((_coupling(),), 1),
     "MatchedPair": lambda: pf.fusion.MatchedPair(
         ARRAY_HOLDERS["DenseNetwork"](), ARRAY_HOLDERS["DenseNetwork"](), (pf.MatchPlan.boundary(2),)
     ),

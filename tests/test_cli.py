@@ -120,6 +120,17 @@ class TestFuse:
         assert records[0] == cli.CSV_HEADER
         assert len(records) == 2
 
+    def test_default_fuse_never_evaluates_the_objective(self, data_dir, trained_dir, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("fixed-point alignment evaluated its objective")
+
+        monkeypatch.setattr(fusion, "alignment_objective", fail)
+        code = run([
+            "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--out", tmp_path / "fused.pfnn",
+        ])
+        assert code == 0
+
     def test_alpha_one_is_ensemble_sized(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "fused.pfnn"
         code = run([

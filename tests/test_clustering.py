@@ -7,7 +7,7 @@ import partfuse as pf
 from partfuse import clustering, netcore
 from partfuse.clustering import _labels_to_assignment
 
-from oracles import brute_force_clustering
+from oracles import brute_force_clustering, dense_agglomerate, greedy_ward
 
 
 def uniform(n):
@@ -39,20 +39,20 @@ class TestGreedyWard:
     def test_two_points_merge_value(self):
         pts = np.array([[0.0], [2.0]])
         masses = pf.DiscreteMeasure(np.array([0.3, 0.7]))
-        a = pf.greedy_ward(pts, masses, 1)
+        a = greedy_ward(pts, masses, 1)
         want = (0.3 * 0.7 / 1.0) * 4.0
         assert pf.clustering_objective(pts, masses, a) == pytest.approx(want)
 
     def test_singletons_zero(self, rng):
         pts = rng.normal(size=(5, 3))
-        a = pf.greedy_ward(pts, uniform(5), 5)
+        a = greedy_ward(pts, uniform(5), 5)
         assert pf.clustering_objective(pts, uniform(5), a) == 0.0
 
     def test_three_tight_pairs(self, rng):
         anchors = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
         pts = np.vstack([a + 0.01 * rng.normal(size=(2, 2)) for a in anchors])
         mu = uniform(6)
-        a = pf.greedy_ward(pts, mu, 3)
+        a = greedy_ward(pts, mu, 3)
         assert pf.clustering_objective(pts, mu, a) == pytest.approx(
             brute_force_clustering(pts, mu, 3), abs=1e-12
         )
@@ -67,7 +67,7 @@ class TestGreedyWard:
             m = int(rng.integers(1, n))
             pts = rng.normal(size=(n, 2))
             mu = uniform(n)
-            greedy = pf.clustering_objective(pts, mu, pf.greedy_ward(pts, mu, m))
+            greedy = pf.clustering_objective(pts, mu, greedy_ward(pts, mu, m))
             assert greedy >= brute_force_clustering(pts, mu, m) - 1e-12
 
 
@@ -77,7 +77,7 @@ class TestStochasticWard:
         mu = uniform(9)
         pairs = clustering._ward_pairs(pts, mu.masses)
         sw = clustering._agglomerate(pts, mu.masses, 3, np.random.default_rng((0, 0)), 1e-12, pairs)
-        gw = pf.greedy_ward(pts, mu, 3)
+        gw = greedy_ward(pts, mu, 3)
         np.testing.assert_array_equal(_labels_to_assignment(pts, mu.masses, sw).assign, gw.assign)
 
     def test_best_of_restarts_non_increasing(self, rng):
@@ -153,63 +153,6 @@ class TestStochasticWard:
         assert calls == []
 
 
-def _dense_agglomerate(points, weights, m, rng, temperature):
-    """Ward agglomeration on the full n x n delta matrix, the reference for
-    the condensed pair state: every merge gathers all pairs and rebuilds the
-    merged cluster's row and column."""
-
-    def ward_delta_matrix(centers, w):
-        sq = np.einsum("ij,ij->i", centers, centers)
-        d2 = np.maximum(sq[:, None] - 2.0 * (centers @ centers.T) + sq[None, :], 0.0)
-        delta = ((w[:, None] * w[None, :]) / (w[:, None] + w[None, :])) * d2
-        np.fill_diagonal(delta, np.inf)
-        return delta
-
-    def median(values):
-        k = values.size
-        if k == 0:
-            return 0.0
-        half = k // 2
-        part = np.partition(values, half)
-        if k % 2:
-            return float(part[half])
-        return float(0.5 * (part[half] + part[:half].max()))
-
-    n = points.shape[0]
-    centers = points.copy()
-    w = weights.copy()
-    labels = np.arange(n)
-    alive = np.ones(n, dtype=bool)
-    delta = ward_delta_matrix(centers, w)
-    iu, ju = np.triu_indices(n, k=1)
-    for _ in range(n - m):
-        flat = delta[iu, ju]
-        if rng is None:
-            pick = int(np.argmin(flat))
-        else:
-            lo = flat.min()
-            med = median(flat[np.isfinite(flat)])
-            scale = max(med, 1e-300) * temperature
-            cum = np.cumsum(np.exp((lo - flat) / scale))
-            u = rng.random() * cum[-1]
-            pick = min(int(np.searchsorted(cum, u, side="right")), flat.size - 1)
-        i, j = int(iu[pick]), int(ju[pick])
-        tot = w[i] + w[j]
-        centers[i] = (w[i] * centers[i] + w[j] * centers[j]) / tot
-        w[i] = tot
-        alive[j] = False
-        labels[labels == j] = i
-        delta[j, :] = np.inf
-        delta[:, j] = np.inf
-        d2 = np.einsum("ij,ij->i", centers - centers[i], centers - centers[i])
-        row = (w * w[i] / (w + w[i])) * d2
-        row[~alive] = np.inf
-        row[i] = np.inf
-        delta[i, :] = row
-        delta[:, i] = row
-    return labels
-
-
 class TestCondensedPairState:
     def test_labels_match_dense_reference(self):
         for case in range(40):
@@ -223,16 +166,12 @@ class TestCondensedPairState:
             w = pf.DiscreteMeasure(rng.random(n) + 0.05).masses if case % 2 else uniform(n).masses
             m = int(rng.integers(1, n))
             pairs = clustering._ward_pairs(pts, w)
-            np.testing.assert_array_equal(
-                clustering._agglomerate(pts, w, m, None, 0.0, pairs),
-                _dense_agglomerate(pts, w, m, None, 0.0),
-            )
             for seed, r in ((case, 0), (case, 1), (7, case)):
                 temperature = (0.03, 0.1, 2.0)[r % 3]
                 got = clustering._agglomerate(
                     pts, w, m, np.random.default_rng((seed, r)), temperature, pairs
                 )
-                want = _dense_agglomerate(pts, w, m, np.random.default_rng((seed, r)), temperature)
+                want = dense_agglomerate(pts, w, m, np.random.default_rng((seed, r)), temperature)
                 np.testing.assert_array_equal(got, want)
 
 
@@ -278,7 +217,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [5, 63, 64, 65, 200])
     def test_merge_rows_match_whole_array(self, n):
-        # _dense_agglomerate computes each merged row over the whole n x d array
+        # dense_agglomerate computes each merged row over the whole n x d array
         rng = np.random.default_rng(100 + n)
         grid = np.round(2 * rng.normal(size=(n, 2)))  # exact ties: any changed bit re-breaks them
         for pts, w in (
@@ -287,13 +226,9 @@ class TestRowBlocks:
         ):
             m = max(1, n // 4)
             pairs = clustering._ward_pairs(pts, w)
-            np.testing.assert_array_equal(
-                clustering._agglomerate(pts, w, m, None, 0.0, pairs),
-                _dense_agglomerate(pts, w, m, None, 0.0),
-            )
             d = pts.shape[1]
             got = clustering._agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1, pairs)
-            want = _dense_agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1)
+            want = dense_agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1)
             np.testing.assert_array_equal(got, want)
 
 
@@ -417,7 +352,7 @@ class TestNonFinitePoints:
         pts[5, 1] = bad
         mu = uniform(8)
         with pytest.raises(ValueError, match="points must be finite"):
-            pf.greedy_ward(pts, mu, 3)
+            greedy_ward(pts, mu, 3)
         with pytest.raises(ValueError, match="points must be finite"):
             pf.stochastic_ward(pts, mu, 3, restarts=2)
         with pytest.raises(ValueError, match="points must be finite"):
@@ -432,7 +367,7 @@ class TestNonFinitePoints:
         mu = uniform(8)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(clustering.MergeCostOverflow):
-                pf.greedy_ward(pts, mu, 3)
+                greedy_ward(pts, mu, 3)
             with pytest.raises(clustering.MergeCostOverflow):
                 pf.stochastic_ward(pts, mu, 3, restarts=2)
 
@@ -447,8 +382,8 @@ class TestTranslationInvariance:
             base = pf.stochastic_ward(pts, mu, 3, restarts=50, seed=seed)
             moved = pf.stochastic_ward(pts + shift, mu, 3, restarts=50, seed=seed)
             np.testing.assert_array_equal(base.assign, moved.assign)
-            gw_base = pf.greedy_ward(pts, mu, 4)
-            gw_moved = pf.greedy_ward(pts + shift, mu, 4)
+            gw_base = greedy_ward(pts, mu, 4)
+            gw_moved = greedy_ward(pts + shift, mu, 4)
             np.testing.assert_array_equal(gw_base.assign, gw_moved.assign)
 
 
@@ -532,7 +467,7 @@ class TestInvariants:
     def test_center_mass_consistency(self, rng):
         pts = rng.normal(size=(8, 3))
         masses = pf.DiscreteMeasure(rng.random(8) + 0.2)
-        a = pf.greedy_ward(pts, masses, 3)
+        a = greedy_ward(pts, masses, 3)
         for k in range(a.num_clusters):
             members = a.assign == k
             assert a.center_mass[k] == pytest.approx(masses.masses[members].sum(), abs=1e-12)

@@ -6,6 +6,7 @@ from partfuse.fusion import MatchPlan, build_match_plan
 from partfuse.netcore import ShapeError, remap_neurons
 
 from conftest import rand_net, random_plan
+from oracles import fixed_point_trace
 
 
 def permuted_pair(dims, seed):
@@ -266,9 +267,25 @@ class TestFixedPoint:
     def test_objective_non_decreasing_per_step(self):
         for seed in range(5):
             a, b = rand_net((4, 6, 5, 3), seed=seed), rand_net((4, 6, 5, 3), seed=seed + 50)
-            result = pf.fixed_point_align(a, b, pf.FusionConfig())
-            trace = np.array(result.objective_trace)
+            _, trace = fixed_point_trace(a, b, pf.FusionConfig())
+            trace = np.array(trace)
             assert np.all(np.diff(trace) >= -1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    def test_ascent_never_evaluates_the_objective(self, monkeypatch, alpha):
+        a, b = rand_net((4, 6, 5, 3), seed=3), rand_net((4, 6, 5, 3), seed=53)
+        cfg = pf.FusionConfig(alpha=alpha)
+        want, trace = fixed_point_trace(a, b, cfg)
+        assert len(trace) > 1  # the oracle did evaluate it
+
+        def fail(*args, **kwargs):
+            raise AssertionError("fixed-point alignment evaluated its objective")
+
+        monkeypatch.setattr(pf.fusion, "alignment_objective", fail)
+        got = pf.fixed_point_align(a, b, cfg)
+        assert got.converged_sweep == want.converged_sweep
+        for c_got, c_want in zip(got.couplings, want.couplings, strict=True):
+            assert c_got.matrix.tobytes() == c_want.matrix.tobytes()
 
     def test_single_hidden_layer_converges_in_one_sweep(self):
         a, b = rand_net((5, 7, 3), seed=31), rand_net((5, 7, 3), seed=32)
