@@ -22,7 +22,6 @@ from .clustering import (
     stochastic_ward,
 )
 from .data import (
-    SplitSpec,
     heterogeneous_split,
     load_idx,
     synthetic_blobs,
@@ -48,7 +47,6 @@ from .genprune import (
     PruneSpec,
     apply_generalized_pruning,
     cluster_prune,
-    partial_fusion_as_pruning_kernels,
     prune,
     prune_with_postprocess,
     unstructured_prune,

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, data as datamod, fusion as fus, genprune as gp, netcore, train as trainmod
@@ -125,8 +124,7 @@ def cmd_train(args) -> int:
     lines = []
     for k in range(args.pairs):
         if args.split_digit is not None:
-            spec = datamod.SplitSpec(args.split_digit, seed=args.seed_base + k)
-            part_a, part_b = datamod.heterogeneous_split(train, spec)
+            part_a, part_b = datamod.heterogeneous_split(train, args.split_digit, seed=args.seed_base + k)
         else:
             part_a = part_b = train
         for side, part, seed in (
@@ -145,7 +143,7 @@ def cmd_train(args) -> int:
 
 
 def _append_record(path: Path, record: RunRecord):
-    new = not path.exists()
+    new = not path.exists() or path.stat().st_size == 0
     with open(path, "a") as fh:
         if new:
             fh.write(CSV_HEADER + "\n")
@@ -265,11 +263,8 @@ def cmd_sweep(args) -> int:
             measure_time=args.timing,
         )
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            per_pair = list(pool.map(run_pair, pairs))
-    else:
-        per_pair = [run_pair(p) for p in pairs]
+    with netcore.CallerPool(args.jobs) as pool:
+        per_pair = list(pool.map(run_pair, pairs))
 
     lines = [CSV_HEADER]
     if per_pair:

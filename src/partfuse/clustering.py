@@ -173,13 +173,12 @@ def _agglomerate(
     weights: np.ndarray,
     m: int,
     rng: np.random.Generator,
-    temperature: float,
     pairs: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Merge singletons down to m clusters by random draws.
 
     Each merge draws a pair with probability proportional to
-    exp(-delta / (temperature * median(delta))); the least-cost pair stays
+    exp(-delta / (TEMPERATURE * median(delta))); the least-cost pair stays
     the likeliest.  A merge rewrites only the O(n) pairs of its two
     clusters; dead pairs stay in place at inf.
     """
@@ -204,7 +203,7 @@ def _agglomerate(
         lo = delta.min()
         odds[...] = delta
         med = _fast_median(odds, live * (live - 1) // 2)
-        scale = max(med, 1e-300) * temperature
+        scale = max(med, 1e-300) * TEMPERATURE
         np.subtract(lo, delta, out=odds)
         np.divide(odds, scale, out=odds)
         np.exp(odds, out=odds)
@@ -279,7 +278,7 @@ def stochastic_ward(
 
     def restart(r: int) -> Tuple[float, np.ndarray]:
         rng = np.random.default_rng((seed, r))
-        labels = _agglomerate(points, w, m, rng=rng, temperature=TEMPERATURE, pairs=pairs)
+        labels = _agglomerate(points, w, m, rng=rng, pairs=pairs)
         return _objective_for_labels(points, w, labels), labels
 
     # numpy releases the GIL inside each restart's array work

@@ -6,7 +6,6 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -124,18 +123,6 @@ def find_mnist(directory: Optional[Path] = None) -> Optional[dict]:
     return found
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Heterogeneous split: one specialist digit plus MINORITY_SHARE of the rest."""
-
-    special_digit: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.special_digit < 0:
-            raise ValueError("special_digit must be a valid class index")
-
-
 def _take(data: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
     return LabeledDataset(data.inputs[idx], data.labels[idx])
 
@@ -158,16 +145,17 @@ def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None
 
 
 def heterogeneous_split(
-    data: LabeledDataset, spec: SplitSpec
+    data: LabeledDataset, special_digit: int, seed: int = 0
 ) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Split A gets every specialist sample plus a seeded per-class minority.
+    """Split A gets every sample of the specialist digit plus a seeded
+    MINORITY_SHARE of each other class.
 
     Split B is the exact complement, so the two splits partition the data
     and B contains no specialist samples at all.
     """
-    if spec.special_digit not in data.labels:
-        raise ValueError(f"class {spec.special_digit} not present in the data")
-    in_a = _per_class_draw(data, MINORITY_SHARE, spec.seed, whole=spec.special_digit)
+    if special_digit not in data.labels:
+        raise ValueError(f"class {special_digit} not present in the data")
+    in_a = _per_class_draw(data, MINORITY_SHARE, seed, whole=special_digit)
     return _take(data, np.flatnonzero(in_a)), _take(data, np.flatnonzero(~in_a))
 
 

@@ -109,10 +109,6 @@ class MatchPlan:
     def n_b(self) -> int:
         return len(self.isolated_b) + len(self.fused_b)
 
-    @property
-    def fused_width(self) -> int:
-        return len(self.isolated_a) + len(self.fused_b) + len(self.isolated_b)
-
     @classmethod
     def boundary(cls, n: int) -> "MatchPlan":
         empty, every = np.empty(0, dtype=np.int64), np.arange(n)

@@ -8,33 +8,30 @@ import numpy as np
 from .netcore import ActivationKind, DenseNetwork, LabeledDataset, NumericalFailure, ShapeError
 
 
-# Adam's moment decay rates and denominator guard
+# Adam's step size, moment decay rates and denominator guard, and the minibatch size
+_LEARNING_RATE, _BATCH_SIZE = 1e-3, 128
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
-    learning_rate: float = 1e-3
-    batch_size: int = 128
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError("hyperparameters must be nonnegative (batch size positive)")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
 
 
-def init_network(
-    dims: Sequence[int], activation: ActivationKind, seed: int = 0
-) -> DenseNetwork:
-    """Seeded uniform initialization in +-sqrt(6 / (fan_in + fan_out))."""
+def init_network(dims: Sequence[int], seed: int = 0) -> DenseNetwork:
+    """Seeded GELU network, uniform in +-sqrt(6 / (fan_in + fan_out))."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return DenseNetwork(weights, biases, activation)
+    return DenseNetwork(weights, biases, ActivationKind.GELU)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -96,8 +93,8 @@ def _run_adam(
     n = len(dataset)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, n, _BATCH_SIZE):
+            batch = order[start : start + _BATCH_SIZE]
             loss, gw, gb = loss_and_gradients(
                 weights, biases, activation, dataset.inputs[batch], dataset.labels[batch]
             )
@@ -115,7 +112,7 @@ def _run_adam(
                     m += (1 - _BETA1) * g
                     v *= _BETA2
                     v += (1 - _BETA2) * g**2
-                    param -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + _EPS)
+                    param -= _LEARNING_RATE * (m / c1) / (np.sqrt(v / c2) + _EPS)
     return weights, biases
 
 
@@ -123,7 +120,7 @@ def train_mlp(dims: Sequence[int], dataset: LabeledDataset, cfg: TrainConfig) ->
     """Train a fresh MLP of the given dimension chain on the dataset."""
     if dataset.labels.max() >= dims[-1]:
         raise ShapeError("a label exceeds the output dimension")
-    net = init_network(dims, ActivationKind.GELU, seed=cfg.seed)
+    net = init_network(dims, seed=cfg.seed)
     return fine_tune(net, dataset, cfg)
 
 

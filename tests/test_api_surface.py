@@ -99,16 +99,16 @@ def test_array_holders_compare_by_identity(name):
 
 
 # Every option below has a caller outside the tests (the CLI or the library's
-# own pipeline), except two TrainConfig fields that only tests set:
-# learning_rate (the exit-3 test overflows the loss with it) and batch_size
-# (criteria 5 and 12 train with it).  A new option changes these lists on
-# purpose, as does a new command-line flag in CLI_OPTIONS.
+# own pipeline).  A new option changes these lists on purpose, as does a new
+# command-line flag in CLI_OPTIONS.
 CONFIG_FIELDS = {
     pf.FusionConfig: ("lam", "alpha", "features", "align"),
     pf.PruneSpec: ("target_widths", "method", "lam"),
-    pf.TrainConfig: ("epochs", "learning_rate", "batch_size", "seed"),
+    pf.TrainConfig: ("epochs", "seed"),
 }
 PARAMETERS = {
+    pf.train.init_network: ("dims", "seed"),
+    pf.heterogeneous_split: ("data", "special_digit", "seed"),
     pf.activations: ("net", "batch"),
     pf.features_activation: ("net", "data"),
     pf.similarity_stats: ("net_a", "net_b", "data"),

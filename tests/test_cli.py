@@ -1,5 +1,6 @@
 import gzip
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,20 @@ class TestFuse:
         records = (tmp_path / "records.csv").read_text().splitlines()
         assert records[0] == cli.CSV_HEADER
         assert len(records) == 2
+
+    def test_records_into_empty_file_start_with_header(self, data_dir, trained_dir, tmp_path):
+        records = tmp_path / "records.csv"
+        records.touch()
+        for _ in range(2):
+            code = run([
+                "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                "--align", "greedy", "--alpha", "0.4", "--out", tmp_path / "fused.pfnn",
+                "--records", records,
+            ])
+            assert code == 0
+        lines = records.read_text().splitlines()
+        assert lines[0] == cli.CSV_HEADER
+        assert len(lines) == 3 and lines[1] == lines[2]
 
     def test_default_fuse_never_evaluates_the_objective(self, data_dir, trained_dir, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -392,6 +407,33 @@ class TestSweep:
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cpus", [None, 1], ids=["affinity", "one-cpu"])
+    def test_jobs_flag_threads_per_cpu(self, data_dir, trained_dir, tmp_path, monkeypatch, cpus):
+        # None keeps the real affinity lookup, which reads 1 under `taskset -c 0`
+        if cpus is not None:
+            monkeypatch.setattr(netcore, "available_cpus", lambda: cpus)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"sweep{jobs}.csv"
+            code = run([
+                "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                "--alphas", "0;0.5", "--lambdas", "0.5", "--methods", "partial-ot",
+                "--jobs", jobs, "--out", out,
+            ])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        if netcore.available_cpus() == 1:  # the calling thread runs every pair
+            assert started == []
 
     def test_output_independent_of_cpu_count(self, data_dir, trained_dir, tmp_path, monkeypatch):
         # None keeps the real affinity lookup; 1 CPU evaluates serially, 2 and 3 with a pool thread
@@ -679,7 +721,7 @@ class TestTrainEpochsZero:
         ])
         assert code == 0
         net = pf.load(out / "pair0_A.pfnn")
-        assert net.equals(init_network([36, 5, 5, 4], pf.ActivationKind.GELU, seed=0))
+        assert net.equals(init_network([36, 5, 5, 4], seed=0))
 
 
 REQUIRED_FLAGS = {

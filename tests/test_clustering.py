@@ -72,14 +72,6 @@ class TestGreedyWard:
 
 
 class TestStochasticWard:
-    def test_degenerate_temperature_equals_greedy(self, rng):
-        pts = rng.normal(size=(9, 3))
-        mu = uniform(9)
-        pairs = clustering._ward_pairs(pts, mu.masses)
-        sw = clustering._agglomerate(pts, mu.masses, 3, np.random.default_rng((0, 0)), 1e-12, pairs)
-        gw = greedy_ward(pts, mu, 3)
-        np.testing.assert_array_equal(_labels_to_assignment(pts, mu.masses, sw).assign, gw.assign)
-
     def test_best_of_restarts_non_increasing(self, rng):
         pts = rng.normal(size=(10, 2))
         mu = uniform(10)
@@ -167,11 +159,10 @@ class TestCondensedPairState:
             m = int(rng.integers(1, n))
             pairs = clustering._ward_pairs(pts, w)
             for seed, r in ((case, 0), (case, 1), (7, case)):
-                temperature = (0.03, 0.1, 2.0)[r % 3]
-                got = clustering._agglomerate(
-                    pts, w, m, np.random.default_rng((seed, r)), temperature, pairs
+                got = clustering._agglomerate(pts, w, m, np.random.default_rng((seed, r)), pairs)
+                want = dense_agglomerate(
+                    pts, w, m, np.random.default_rng((seed, r)), clustering.TEMPERATURE
                 )
-                want = dense_agglomerate(pts, w, m, np.random.default_rng((seed, r)), temperature)
                 np.testing.assert_array_equal(got, want)
 
 
@@ -227,27 +218,27 @@ class TestRowBlocks:
             m = max(1, n // 4)
             pairs = clustering._ward_pairs(pts, w)
             d = pts.shape[1]
-            got = clustering._agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1, pairs)
-            want = dense_agglomerate(pts, w, m, np.random.default_rng((n, d)), 0.1)
+            got = clustering._agglomerate(pts, w, m, np.random.default_rng((n, d)), pairs)
+            want = dense_agglomerate(pts, w, m, np.random.default_rng((n, d)), clustering.TEMPERATURE)
             np.testing.assert_array_equal(got, want)
 
 
-def _restart_results(points, masses, m, temperature, restarts, seed):
+def _restart_results(points, masses, m, restarts, seed):
     """(objective, labels) of each restart, one after another on this thread."""
     w = masses.masses
     pairs = clustering._ward_pairs(points, w)
     results = []
     for r in range(restarts):
         rng = np.random.default_rng((seed, r))
-        labels = clustering._agglomerate(points, w, m, rng=rng, temperature=temperature, pairs=pairs)
+        labels = clustering._agglomerate(points, w, m, rng=rng, pairs=pairs)
         results.append((_whole_array_objective(points, w, labels), labels))
     return results
 
 
-def _serial_stochastic_ward(points, masses, m, temperature, restarts, seed):
+def _serial_stochastic_ward(points, masses, m, restarts, seed):
     """The restart loop before threads: the strict < keeps the earliest best."""
     best = None
-    for obj, labels in _restart_results(points, masses, m, temperature, restarts, seed):
+    for obj, labels in _restart_results(points, masses, m, restarts, seed):
         if best is None or obj < best[0]:
             best = (obj, labels)
     return _labels_to_assignment(points, masses.masses, best[1])
@@ -265,12 +256,12 @@ def _parallel_instances():
     rng = np.random.default_rng(77)
     relu = np.maximum(rng.normal(size=(90, 800)), 0.0)
     return {
-        # (points, masses, m, temperature, restarts, seed)
-        "below-threshold": (rng.normal(size=(40, 30)), uniform(40), 25, 0.1, 12, 3),
-        "above-threshold": (relu, pf.DiscreteMeasure(rng.random(90) + 0.05), 60, 0.1, 7, 5),
+        # (points, masses, m, restarts, seed)
+        "below-threshold": (rng.normal(size=(40, 30)), uniform(40), 25, 12, 3),
+        "above-threshold": (relu, pf.DiscreteMeasure(rng.random(90) + 0.05), 60, 7, 5),
         # 64 x 1024 points, just above the threshold; masses 1/64 keep
         # every center and objective exact, so the two pairings tie bitwise
-        "duplicated-rows": (_square_corners(16, 1024), uniform(64), 2, 0.1, 9, 0),
+        "duplicated-rows": (_square_corners(16, 1024), uniform(64), 2, 9, 0),
     }
 
 
@@ -280,18 +271,18 @@ class TestParallelRestarts:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(_parallel_instances()))
     def test_matches_serial_loop(self, monkeypatch, case, workers):
-        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
+        points, masses, m, restarts, seed = _parallel_instances()[case]
         monkeypatch.setattr(netcore, "available_cpus", lambda: workers)
         got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
-        want = _serial_stochastic_ward(points, masses, m, temperature, restarts, seed)
+        want = _serial_stochastic_ward(points, masses, m, restarts, seed)
         assert got.assign.tobytes() == want.assign.tobytes()
         assert got.centers.tobytes() == want.centers.tobytes()
 
     def test_duplicated_rows_tie_across_restarts(self):
         # the premise of the duplicated-rows case: a later restart reaches the
         # best objective with another partition, so only the earliest may win
-        points, masses, m, temperature, restarts, seed = _parallel_instances()["duplicated-rows"]
-        results = _restart_results(points, masses, m, temperature, restarts, seed)
+        points, masses, m, restarts, seed = _parallel_instances()["duplicated-rows"]
+        results = _restart_results(points, masses, m, restarts, seed)
         best = min(obj for obj, _ in results)
         partitions = {
             _labels_to_assignment(points, masses.masses, labels).assign.tobytes()
@@ -316,7 +307,7 @@ class TestParallelRestarts:
 
     @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
     def test_pool_only_above_threshold(self, pools, case, threads):
-        points, masses, m, temperature, restarts, seed = _parallel_instances()[case]
+        points, masses, m, restarts, seed = _parallel_instances()[case]
         pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         # the calling thread runs a share of the restarts itself
         assert pools == ([threads] if threads else [])
@@ -336,12 +327,12 @@ class TestParallelRestarts:
         pts[70:, :2] = 1e5 * np.random.default_rng(4).normal(size=(10, 2))
         mu = uniform(80)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            _serial_stochastic_ward(pts, mu, 5, 0.1, 4, 0)
+            _serial_stochastic_ward(pts, mu, 5, 4, 0)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pf.stochastic_ward(pts, mu, 5, restarts=4)
-            want = _serial_stochastic_ward(pts, mu, 5, 0.1, 4, 0)
+            want = _serial_stochastic_ward(pts, mu, 5, 4, 0)
         assert got.assign.tobytes() == want.assign.tobytes()
 
 

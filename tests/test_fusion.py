@@ -183,7 +183,7 @@ class TestAssemble:
 
     def test_boundary_plan_has_no_kernels(self):
         plan = MatchPlan.boundary(784)
-        assert plan.kernels is None and plan.fused_width == 784
+        assert plan.kernels is None and plan.n_a == plan.n_b == len(plan.fused_b) == 784
         with pytest.raises(ShapeError):
             MatchPlan(np.empty(0), np.arange(3), np.empty(0), np.arange(4), kernels=None)
 

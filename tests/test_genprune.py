@@ -9,6 +9,7 @@ from partfuse.netcore import NumericalFailure
 from partfuse.transport import KernelPair
 
 from conftest import rand_net, random_plan
+from oracles import partial_fusion_as_pruning_kernels
 
 
 def duplicate_neuron_net(seed=0, activation=pf.ActivationKind.RELU):
@@ -48,7 +49,7 @@ class TestApplyGeneralizedPruning:
             lam = float(rng.random())
             plans = [random_plan(rng, a.hidden_dims[l], b.hidden_dims[l]) for l in range(2)]
             ens = pf.make_ensemble(a, b, lam)
-            kernels = [pf.partial_fusion_as_pruning_kernels(p, lam) for p in plans]
+            kernels = [partial_fusion_as_pruning_kernels(p, lam) for p in plans]
             pruned = pf.apply_generalized_pruning(ens, kernels)
             chain = [MatchPlan.boundary(dims[0]), *plans, MatchPlan.boundary(dims[-1])]
             for l in range(3):
@@ -237,7 +238,7 @@ class TestPruningKernelShapes:
             k_ab=(raw / raw.sum(axis=1)[:, None]).T, k_ba=raw / raw.sum(axis=0)[None, :]
         )
         plan = MatchPlan(np.empty(0), np.arange(n), np.empty(0), np.arange(n), kernels)
-        k_es, k_se = pf.partial_fusion_as_pruning_kernels(plan, 0.5)
+        k_es, k_se = partial_fusion_as_pruning_kernels(plan, 0.5)
         assert k_es.shape == (n, 2 * n)
         np.testing.assert_allclose(k_es[:, :n], 0.5 * kernels.k_ab)
         np.testing.assert_allclose(k_es[:, n:], 0.5 * np.eye(n))
@@ -249,6 +250,6 @@ class TestPruningKernelShapes:
             isolated_b=np.arange(4), fused_b=empty,
             kernels=KernelPair(np.zeros((0, 0)), np.zeros((0, 0))),
         )
-        k_es, k_se = pf.partial_fusion_as_pruning_kernels(plan, 0.3)
+        k_es, k_se = partial_fusion_as_pruning_kernels(plan, 0.3)
         np.testing.assert_array_equal(k_es, np.eye(7))
         np.testing.assert_array_equal(k_se, np.eye(7))
