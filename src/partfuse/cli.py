@@ -28,6 +28,14 @@ def _parse_alpha(text: str):
     return [float(p) for p in text.split(",")]
 
 
+def _entries(text: str, sep: str, flag: str) -> list:
+    """The non-blank entries of a list flag; a list with none is a usage error."""
+    entries = [p for p in text.split(sep) if p.strip()]
+    if not entries:
+        raise UsageError(f"{flag} lists no entry")
+    return entries
+
+
 def _count(least: int):
     """An argparse type for integers of at least `least`."""
 
@@ -212,7 +220,7 @@ def cmd_fuse(args) -> int:
 
 def cmd_prune(args) -> int:
     net = netcore.load(args.net)
-    if args.widths:
+    if args.widths is not None:  # "" is an empty list, not the --factor default
         widths = tuple(int(w) for w in args.widths.split(","))
     else:
         widths = tuple(max(1, round(args.factor * n)) for n in net.hidden_dims)
@@ -228,9 +236,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = [_parse_alpha(a) for a in args.alphas.split(";") if a.strip()]
-    lambdas = [float(p) for p in args.lambdas.split(",") if p.strip()]
-    methods = [m for m in args.methods.split(",") if m.strip()]
+    alphas = [_parse_alpha(a) for a in _entries(args.alphas, ";", "--alphas")]
+    lambdas = [float(p) for p in _entries(args.lambdas, ",", "--lambdas")]
+    methods = _entries(args.methods, ",", "--methods")
     # the whole grid is checked before the first cell; only an alpha list's
     # length depends on the pair, so a mismatch there stays an error row
     for method in methods:

@@ -10,6 +10,7 @@ transportation simplex; either plan is kept only when its duals prove it
 the unique optimum.
 """
 
+import graphlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -261,50 +262,6 @@ def _augment(cost: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return np.array(col4row), u, v
 
 
-def _strong_components(adj: Sequence[Sequence[int]]) -> np.ndarray:
-    """Strongly connected component label of every node (Tarjan, iterative)."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    comp = np.full(n, -1, dtype=np.int64)
-    stack = []
-    counter = labels = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, k = work.pop()
-            if k == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            else:  # back from the child adj[node][k - 1]
-                low[node] = min(low[node], low[adj[node][k - 1]])
-            nbrs = adj[node]
-            while k < len(nbrs):
-                w = nbrs[k]
-                k += 1
-                if index[w] < 0:
-                    work.append((node, k))
-                    work.append((w, 0))
-                    break
-                if on_stack[w]:
-                    low[node] = min(low[node], index[w])
-            else:
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = labels
-                        if w == node:
-                            break
-                    labels += 1
-    return comp
-
-
 def _margins(cost: np.ndarray) -> Tuple[float, float]:
     """(tol, eps) of `_unique_optimum` for this cost matrix."""
     tol = UNIQUE_TOL * max(1.0, float(np.abs(cost).max()))
@@ -324,28 +281,47 @@ def _unique_optimum(
     simple cycle has at most n_a + n_b arcs, so one that uses an arc that
     is not tight costs more than tol / 2.  The residual graph of tight arcs
     has no simple directed cycle of length >= 4 exactly when each strongly
-    connected component is a bidirected tree: no tight arc without flow
-    inside a component, and the flow arcs a forest.  Then every other plan
-    costs more than `flow` by over tol / 2.
+    connected component is a bidirected tree.  A flow arc can be crossed
+    both ways, so every tree of flow arcs is strongly connected, and the
+    condition reads: the flow arcs form a forest, no tight arc without flow
+    joins two nodes of one tree, and those arcs form no directed cycle
+    among the trees.  Then every other plan costs more than `flow` by over
+    tol / 2.
     """
-    n_a, n_b = cost.shape
+    n_a = cost.shape[0]
     tol, eps = _margins(cost)
     red = cost - pot_a[:, None] - pot_b[None, :]
     carries = flow > 0
     if not (red.min() >= -eps and np.abs(red[carries]).max() <= eps):
         return False
-    tight_a, tight_b = (red <= tol).nonzero()
-    back_b, back_a = carries.T.nonzero()
-    adj = [[] for _ in range(n_a + n_b)]
-    for i, j in zip(tight_a.tolist(), (tight_b + n_a).tolist()):
-        adj[i].append(j)
-    for j, i in zip((back_b + n_a).tolist(), back_a.tolist()):
-        adj[j].append(i)
-    comp = _strong_components(adj)
-    inner = comp[tight_a] == comp[tight_b + n_a]
-    if (inner & ~carries[tight_a, tight_b]).any():
+    root = list(range(sum(cost.shape)))  # row i is node i, column j is n_a + j
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    def arcs(mask):
+        rows, cols = mask.nonzero()
+        return zip(rows.tolist(), (cols + n_a).tolist())
+
+    for i, j in arcs(carries):
+        a, b = find(i), find(j)
+        if a == b:  # a cycle of flow arcs
+            return False
+        root[a] = b
+    preds = {}  # tree of a column -> trees of the rows with a tight arc into it
+    for i, j in arcs((red <= tol) & ~carries):
+        a, b = find(i), find(j)
+        if a == b:
+            return False
+        preds.setdefault(b, []).append(a)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError:
         return False
-    return int(carries.sum()) == n_a + n_b - int(comp.max()) - 1
+    return True
 
 
 def _unit_capacity(supply: np.ndarray, demand: np.ndarray) -> bool:

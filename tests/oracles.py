@@ -1,8 +1,9 @@
-"""Exact oracles that only the tests use: exhaustive transport and clustering,
-finite-difference gradients and the closed-form pruned-parameter counts;
-also the stratified holdout split that only tests draw, greedy Ward on the
-dense merge-cost matrix, the objective trace of fixed-point alignment, and
-the kernel pair that writes partial fusion as generalized pruning.
+"""Exact oracles that only the tests use: exhaustive transport (the optimum,
+and every integral plan) and clustering, finite-difference gradients and
+the closed-form pruned-parameter counts; also the stratified holdout split
+that only tests draw, greedy Ward on the dense merge-cost matrix, the
+objective trace of fixed-point alignment, and the kernel pair that writes
+partial fusion as generalized pruning.
 
 They check their inputs and score their plans with the library's own
 private helpers, so an oracle and the solver it checks read an instance
@@ -62,25 +63,39 @@ def brute_force_ot(
             plan[i, j] = unit
         return float(best_val * unit), plan
 
-    cells = [(i, j) for i in range(n_a) for j in range(n_b)]
     # nonnegative shift keeps the partial sum an admissible pruning bound
     shifted = cost - min(0.0, float(cost.min()))
-    best = {"val": np.inf, "plan": None}
-    nodes = {"count": 0}
+    best_val, best_flow = np.inf, None
+    for val, flow in _plans(sup, dem, shifted, lambda: best_val):
+        best_val, best_flow = val, flow.copy()
+    if best_flow is None:
+        raise RuntimeError("no feasible plan found")
+    plan = best_flow / den
+    return transport_objective(plan, cost), plan
+
+
+def _plans(sup, dem, weights, bound):
+    """Integral plans with row sums `sup` and column sums `dem`, as (sum of
+    weights * flow, flow), cells filled in row-major order.  A branch stops
+    once its partial sum reaches bound(), so with nonnegative weights every
+    plan below bound() is reached.  The flow array is reused; copy it."""
+    n_a, n_b = weights.shape
+    cells = [(i, j) for i in range(n_a) for j in range(n_b)]
     flow = np.zeros((n_a, n_b), dtype=np.int64)
-    rem_r = sup.copy()
-    rem_c = dem.copy()
+    rem_r = np.array(sup, dtype=np.int64)
+    rem_c = np.array(dem, dtype=np.int64)
+    nodes = 0
 
     def rec(idx: int, cur: float):
-        nodes["count"] += 1
-        if nodes["count"] > ENUMERATION_NODES:
+        nonlocal nodes
+        nodes += 1
+        if nodes > ENUMERATION_NODES:
             raise EnumerationError("instance too large to enumerate")
-        if cur >= best["val"]:
+        if cur >= bound():
             return
         if idx == len(cells):
             if rem_r.sum() == 0:
-                best["val"] = cur
-                best["plan"] = flow.copy()
+                yield cur, flow
             return
         i, j = cells[idx]
         # remaining columns in this row must be able to absorb what is left
@@ -91,16 +106,18 @@ def brute_force_ot(
             flow[i, j] = f
             rem_r[i] -= f
             rem_c[j] -= f
-            rec(idx + 1, cur + f * shifted[i, j])
+            yield from rec(idx + 1, cur + f * weights[i, j])
             flow[i, j] = 0
             rem_r[i] += f
             rem_c[j] += f
 
-    rec(0, 0.0)
-    if best["plan"] is None:
-        raise RuntimeError("no feasible plan found")
-    plan = best["plan"] / den
-    return transport_objective(plan, cost), plan
+    yield from rec(0, 0.0)
+
+
+def integral_plans(supply: np.ndarray, demand: np.ndarray) -> list:
+    """Every integral plan with row sums `supply` and column sums `demand`."""
+    zero = np.zeros((len(supply), len(demand)))
+    return [flow.copy() for _, flow in _plans(supply, demand, zero, lambda: np.inf)]
 
 
 def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) -> float:

@@ -321,6 +321,7 @@ class TestTradeoffSweep:
                     rows.append(analysis.cell_record(net, method, alpha, lam, 0, data).csv_row())
         return rows
 
+    @pytest.mark.one_cpu
     def test_evaluation_threads_capped(self, rng, monkeypatch):
         # eight CPUs, and the pool thread held up by its first network until
         # the caller takes one: the caller takes networks only past the
@@ -368,6 +369,7 @@ class TestTradeoffSweep:
         assert len(waiting) == len(want)
         assert all(size <= 2 * widest or count == 1 for size, count in waiting)
 
+    @pytest.mark.one_cpu
     def test_queue_under_rapid_thread_switches(self, monkeypatch):
         # thousands of adds race the pool thread for the oldest network (a
         # one-byte budget) while the interpreter switches threads every
@@ -390,6 +392,7 @@ class TestTradeoffSweep:
         assert len(evaluated) == 5000 and sorted(results) == list(range(5000))
         assert all(results[key] == (1.0, None, 0.0) for key in results)
 
+    @pytest.mark.one_cpu
     def test_one_cpu_evaluates_each_network_as_it_is_built(self, rng, monkeypatch):
         a, b = self._pair()
         data = self._eval_data(rng)
@@ -411,6 +414,7 @@ class TestTradeoffSweep:
         assert all(r.error is None for r in records)
         assert events == ["build", True] * 8
 
+    @pytest.mark.one_cpu
     def test_timed_records_match_serial_rows(self, rng, monkeypatch):
         # --timing: each cell's wall_ms is its build, plus its network's
         # evaluation (5 s here) in the first cell of that network only;
@@ -429,6 +433,7 @@ class TestTradeoffSweep:
         assert [r.wall_ms >= 5000.0 for r in records] == first
         assert all(0.0 < r.wall_ms - 5000.0 * f < 5000.0 for r, f in zip(records, first))
 
+    @pytest.mark.one_cpu
     @pytest.mark.parametrize("policy, error", [
         ("ignore", "NumericalFailure"),
         ("raise", "FloatingPointError"),  # the pool thread takes the caller's policy

@@ -408,6 +408,7 @@ class TestSweep:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.one_cpu
     @pytest.mark.parametrize("cpus", [None, 1], ids=["affinity", "one-cpu"])
     def test_jobs_flag_threads_per_cpu(self, data_dir, trained_dir, tmp_path, monkeypatch, cpus):
         # None keeps the real affinity lookup, which reads 1 under `taskset -c 0`
@@ -435,6 +436,7 @@ class TestSweep:
         if netcore.available_cpus() == 1:  # the calling thread runs every pair
             assert started == []
 
+    @pytest.mark.one_cpu
     def test_output_independent_of_cpu_count(self, data_dir, trained_dir, tmp_path, monkeypatch):
         # None keeps the real affinity lookup; 1 CPU evaluates serially, 2 and 3 with a pool thread
         outputs = []
@@ -463,14 +465,15 @@ class TestSweep:
         assert len(lines) == 1 + 7 * 1 * 1 * 2  # default 7-point alpha grid
         assert not any("error" in line for line in lines)
 
-    def test_empty_grid_header_only(self, data_dir, trained_dir, tmp_path):
+    def test_empty_grid_is_a_usage_error(self, data_dir, trained_dir, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         code = run([
             "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
             "--alphas", "", "--out", out,
         ])
-        assert code == 0
-        assert out.read_text() == cli.CSV_HEADER + "\n"
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --alphas lists no entry\n"
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("grid", [
@@ -772,6 +775,10 @@ class TestCountFlags:
         ("prune", "--widths 5,5000"),  # wider than the 6-neuron layer
         ("prune", "--widths 5"),  # one width for two hidden layers
         ("prune", "--widths 5,5,5"),
+        ("prune", "--widths="),  # an empty list, not the --factor default
+        ("sweep", "--alphas=;"),
+        ("sweep", "--lambdas=,"),
+        ("sweep", "--methods=,"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                           command, flags):

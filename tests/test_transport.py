@@ -10,7 +10,7 @@ import partfuse as pf
 from partfuse import transport
 from partfuse.transport import DegenerateNeuronError
 
-from oracles import brute_force_ot, transport_objective
+from oracles import brute_force_ot, integral_plans, transport_objective
 
 
 def uniform(n):
@@ -544,6 +544,10 @@ class TestMinCostFlowReference:
         )
 
 
+# the most units an enumerated instance holds: at most 27,845 plans each
+ENUMERATED_UNITS = 15
+
+
 class TestDensePath:
     @pytest.fixture
     def taken(self, monkeypatch):
@@ -624,6 +628,71 @@ class TestDensePath:
         star = np.array([[0, 1], [1, 1]])
         cost = np.array([[5.0, 0.0], [0.0, 9.0]])
         assert transport._unique_optimum(cost, star, np.array([-9.0, 0.0]), np.array([0.0, 9.0]))
+        # a cycle of flow arcs: flow can move around it at no cost
+        cost = np.array([[1.0, 2.0], [3.0, 4.0]])
+        full = np.ones((2, 2), dtype=np.int64)
+        assert not transport._unique_optimum(cost, full, np.array([0.0, 2.0]), np.array([1.0, 2.0]))
+        # one flow tree c0-r0-c1-r1, with the arc (r1, c0) inside it tight or not
+        path = np.array([[1, 1], [0, 1]])
+        assert not transport._unique_optimum(np.zeros((2, 2)), path, zero, zero)
+        assert transport._unique_optimum(np.array([[0.0, 0.0], [1.0, 0.0]]), path, zero, zero)
+        # three one-arc trees: tight arcs without flow from tree 0 to 1 and
+        # from 1 to 2 form no cycle, and one from 2 to 0 closes it
+        chain = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        eye, zero = np.eye(3, dtype=np.int64), np.zeros(3)
+        assert transport._unique_optimum(chain, eye, zero, zero)
+        chain[2, 0] = 0.0
+        assert not transport._unique_optimum(chain, eye, zero, zero)
+
+    def test_certified_plans_are_unique_minima(self, monkeypatch):
+        """Soundness: each plan _unique_optimum accepts on a small instance is
+        its unique integral optimum, and every other plan costs over tol / 2 more."""
+        seen = []
+        unique_optimum = transport._unique_optimum
+
+        def recording(cost, flow, pot_a, pot_b):
+            seen.append((cost, flow, unique_optimum(cost, flow, pot_a, pot_b)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(transport, "_unique_optimum", recording)
+        instances = [_flow_instance(seed) for seed in range(1400)]
+        instances += [_unit_instance(seed)[1] for seed in range(672)]
+        for sup, dem, cost in instances:
+            if max(cost.shape) <= 5 and sup.sum() <= ENUMERATED_UNITS:
+                transport._min_cost_flow(sup, dem, cost)
+        for cost, flow, certified in seen:
+            if certified:
+                plans = np.array(integral_plans(flow.sum(axis=1), flow.sum(axis=0)))
+                costs = (plans * cost).sum(axis=(1, 2))
+                own = (plans == flow).all(axis=(1, 2))
+                tol, _ = transport._margins(cost)
+                assert own.sum() == 1 and (costs[~own] > costs[own] + tol / 2).all()
+        certified = sum(c for _, _, c in seen)
+        assert 100 < len(seen) and 0 < certified < len(seen)
+
+    def test_ties_at_working_size_match_reference_bitwise(self, taken):
+        """100 neurons a side: B copies 20 of A's and has a dead one; A has a
+        dead one too (kinds 1-3), two (kind 2) or a duplicated one (kind 3)."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            xa, xb = rng.normal(size=(100, 20)), rng.normal(size=(100, 20))
+            kind = seed % 4
+            xb[:20], xb[99] = xa[:20], 0.0
+            if kind:
+                xa[99] = 0.0
+            if kind == 2:
+                xa[98] = 0.0
+            if kind == 3:
+                xa[97] = xa[21]
+            alpha = (Fraction(0), Fraction(1, 4), Fraction(2, 5))[seed % 3]
+            mu = np.full(100, 0.01)
+            sup, dem, cost = _network(mu, mu, pf.cost_matrix(xa, xb), alpha)
+            np.testing.assert_array_equal(
+                transport._min_cost_flow(sup, dem, cost),
+                _reference_min_cost_flow(sup, dem, cost),
+                err_msg=f"seed {seed}",
+            )
+        assert len(taken) == 12 and 0 < sum(taken) < 12
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.4])
