@@ -84,7 +84,7 @@ def _within(d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def similarity_stats(net_a: DenseNetwork, net_b: DenseNetwork, data: np.ndarray) -> tuple:
     """Per hidden layer, nearest-neighbor and mean activation distances, within and across nets."""
     feats = zip(fus.features_activation(net_a, data), fus.features_activation(net_b, data), strict=True)
-    return tuple(_layer_stats(l, fa, fb) for l, ((fa, _), (fb, _)) in enumerate(feats, start=1))
+    return tuple(_layer_stats(l, fa, fb) for l, (fa, fb) in enumerate(feats, start=1))
 
 
 def _layer_stats(layer: int, fa: np.ndarray, fb: np.ndarray) -> SimilarityReport:

@@ -24,16 +24,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_alpha(text: str):
-    return [float(p) for p in text.split(",")]
-
-
-def _entries(text: str, sep: str, flag: str) -> list:
-    """The non-blank entries of a list flag; a list with none is a usage error."""
-    entries = [p for p in text.split(sep) if p.strip()]
-    if not entries:
-        raise UsageError(f"{flag} lists no entry")
-    return entries
+def _entries(text: str, sep: str, flag: str, parse=str) -> list:
+    """The entries of a list flag, each parsed; a blank entry (an empty list too) is a usage error."""
+    entries = text.split(sep)
+    if not all(p.strip() for p in entries):
+        raise UsageError(f"{flag} has a blank entry in {text!r}")
+    return [parse(p) for p in entries]
 
 
 def _count(least: int):
@@ -167,7 +163,7 @@ def cmd_fuse(args) -> int:
         raise UsageError(f"pair {args.pair} not found in manifest")
     idx, path_a, path_b = chosen[0]
     net_a, net_b = netcore.load(path_a), netcore.load(path_b)
-    alpha = _parse_alpha(args.alpha)
+    alpha = _entries(args.alpha, ",", "--alpha", float)
     # every method's --lambda and --alpha are checked before any data is read;
     # the aligner flags are partial-ot's
     partial = args.method == "partial-ot"
@@ -221,7 +217,7 @@ def cmd_fuse(args) -> int:
 def cmd_prune(args) -> int:
     net = netcore.load(args.net)
     if args.widths is not None:  # "" is an empty list, not the --factor default
-        widths = tuple(int(w) for w in args.widths.split(","))
+        widths = tuple(_entries(args.widths, ",", "--widths", int))
     else:
         widths = tuple(max(1, round(args.factor * n)) for n in net.hidden_dims)
     spec = gp.PruneSpec(widths, gp.PruneMethod(args.method))
@@ -236,8 +232,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    alphas = [_parse_alpha(a) for a in _entries(args.alphas, ";", "--alphas")]
-    lambdas = [float(p) for p in _entries(args.lambdas, ",", "--lambdas")]
+    alphas = _entries(args.alphas, ";", "--alphas", lambda a: _entries(a, ",", "--alphas", float))
+    lambdas = _entries(args.lambdas, ",", "--lambdas", float)
     methods = _entries(args.methods, ",", "--methods")
     # the whole grid is checked before the first cell; only an alpha list's
     # length depends on the pair, so a mismatch there stays an error row

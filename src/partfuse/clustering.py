@@ -6,7 +6,7 @@ agglomeration, best of stochastic restarts.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -239,15 +239,6 @@ TEMPERATURE = 0.1
 _PARALLEL_MIN_WORK = 50_000
 
 
-def _best_restart(results: Iterable[Tuple[float, np.ndarray]]) -> np.ndarray:
-    """Labels of the lowest objective; the strict < keeps the earliest on ties."""
-    best_obj, best_labels = np.inf, None
-    for obj, labels in results:
-        if best_labels is None or obj < best_obj:
-            best_obj, best_labels = obj, labels
-    return best_labels
-
-
 def stochastic_ward(
     points: np.ndarray,
     masses: DiscreteMeasure,
@@ -283,7 +274,8 @@ def stochastic_ward(
 
     # numpy releases the GIL inside each restart's array work
     with CallerPool(1 if n * (n + d) < _PARALLEL_MIN_WORK else restarts) as pool:
-        labels = _best_restart(pool.map(restart, range(restarts)))
+        # min keeps the earliest restart on ties
+        _, labels = min(pool.map(restart, range(restarts)), key=lambda result: result[0])
     return _labels_to_assignment(points, w, labels)
 
 

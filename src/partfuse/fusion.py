@@ -136,16 +136,12 @@ class AlignResult:
 def features_activation(net: DenseNetwork, data: np.ndarray) -> tuple:
     """Neuron features from hidden activations, one forward pass for every layer.
 
-    Entry l - 1 is hidden layer l's (features, uniform measure), where row i
-    of the features is neuron i's trace.
+    Entry l - 1 is hidden layer l's features: row i is neuron i's trace.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError("activation features need a nonempty sample")
-    return tuple(
-        (acts.T.copy(), DiscreteMeasure.uniform(acts.shape[1]))
-        for acts in netcore.activations(net, data)
-    )
+    return tuple(acts.T.copy() for acts in netcore.activations(net, data))
 
 
 def features_weight(
@@ -330,29 +326,26 @@ def greedy_align(
 ) -> AlignResult:
     """Single-pass alignment: every layer is solved once and never revisited.
 
-    Activation features make the layers independent.  Weight features chain
-    top-down: each layer's outgoing weights are compared in the joint space
-    of the layer above, solved just before.
+    Layers are solved top-down between uniform marginals.  Weight features
+    chain: each layer's outgoing weights are compared in the joint space of
+    the layer above, solved just before.  Activation features make the
+    layers independent.
     """
     check_compatible(net_a, net_b)
     L = net_a.num_hidden
     alphas = cfg.alphas(L)
     couplings: List[Optional[Coupling]] = [None] * L
-
+    feats = None  # activation features, when the layers do not chain
     if cfg.features is FeatureKind.ACTIVATIONS:
         if data is None:
             raise ValueError("activation features need a data sample")
         sample = np.asarray(data, dtype=np.float64)[:ACTIVATION_SAMPLES]
-        layers = zip(features_activation(net_a, sample), features_activation(net_b, sample))
-        for layer, ((fa, mu), (fb, nu)) in enumerate(layers, start=1):
-            couplings[layer - 1] = _solve_layer(mu, nu, cost_matrix(fa, fb), alphas[layer - 1], layer)
-    else:
-        for layer in range(L, 0, -1):
-            fa, fb = features_weight(net_a, net_b, couplings, layer)
-            mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
-            nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
-            couplings[layer - 1] = _solve_layer(mu, nu, cost_matrix(fa, fb), alphas[layer - 1], layer)
-
+        feats = list(zip(features_activation(net_a, sample), features_activation(net_b, sample)))
+    for layer in range(L, 0, -1):
+        fa, fb = features_weight(net_a, net_b, couplings, layer) if feats is None else feats[layer - 1]
+        mu = DiscreteMeasure.uniform(net_a.hidden_dims[layer - 1])
+        nu = DiscreteMeasure.uniform(net_b.hidden_dims[layer - 1])
+        couplings[layer - 1] = _solve_layer(mu, nu, cost_matrix(fa, fb), alphas[layer - 1], layer)
     return AlignResult(tuple(couplings))
 
 

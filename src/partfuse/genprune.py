@@ -103,10 +103,9 @@ def cluster_prune(
     spec.check_against(net)
     data = np.asarray(data, dtype=np.float64)[: fus.ACTIVATION_SAMPLES]
     kernel_list = []
-    for layer, (feats, mu) in enumerate(fus.features_activation(net, data), start=1):
-        if spec.lam is not None:
-            factors = _provenance_factors(net, spec.lam, layer)
-            mu = DiscreteMeasure(factors / factors.sum())
+    for layer, feats in enumerate(fus.features_activation(net, data), start=1):
+        factors = np.ones(len(feats)) if spec.lam is None else _provenance_factors(net, spec.lam, layer)
+        mu = DiscreteMeasure(factors / factors.sum())
         m = spec.target_widths[layer - 1]
         try:
             assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)

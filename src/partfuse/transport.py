@@ -6,8 +6,9 @@ shortest paths with node potentials), so returned objectives are exact
 minima rather than floating-point approximations.  Unit-capacity instances
 are first solved by shortest augmenting paths on the real block (k of them
 when a virtual point absorbs the unmatched mass) and all others by a
-transportation simplex; either plan is kept only when its duals prove it
-the unique optimum.
+transportation simplex.  Either route only proposes a plan with its duals;
+`_min_cost_flow` keeps the plan when `_unique_optimum` proves it the unique
+optimum, and runs the search otherwise.
 """
 
 import graphlib
@@ -334,8 +335,8 @@ def _unit_capacity(supply: np.ndarray, demand: np.ndarray) -> bool:
 
 def _dense_flow(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
-) -> Optional[np.ndarray]:
-    """The flow of a unit-capacity instance when it is certified unique, else None.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An optimal flow of a unit-capacity instance and its duals, (flow, pot_a, pot_b).
 
     Unit capacity: a square instance whose supplies and demands are all 1,
     except that the last node on each side may carry the same V <= m (the
@@ -359,7 +360,7 @@ def _dense_flow(
         flow[m, col4row[col4row >= 0]] = 0
         pot_a = np.append(u + to_virtual, -v[flow[m, :m] > 0].max())
         pot_b = np.append(v + from_virtual, -u[col4row < 0].max())
-    return flow if _unique_optimum(cost, flow, pot_a, pot_b) else None
+    return flow, pot_a, pot_b
 
 
 # The simplex hands an instance to the search after this many pivots per
@@ -370,8 +371,8 @@ _PIVOTS_PER_NODE = 4
 
 def _simplex_flow(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
-) -> Optional[np.ndarray]:
-    """The flow of a transportation instance when it is certified unique, else None.
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """An optimal plan of a transportation instance and its duals, (plan, pot_a, pot_b).
 
     Dense transportation simplex.  The basis is a spanning tree of n_a + n_b
     - 1 arcs (node n_a + j is column j).  The least-cost rule starts it: the
@@ -386,8 +387,8 @@ def _simplex_flow(
     its lower end (Glover, Klingman & Stutz, INFOR 12, 1974).  The subtree
     the leaving arc cuts off is read off the thread, rehung below the
     entering arc, and its potentials shift by that arc's reduced cost.  The
-    plan is returned when `_unique_optimum` accepts the tree's potentials,
-    and the search runs instead after _PIVOTS_PER_NODE * (n_a + n_b) pivots.
+    plan and the tree's potentials are returned once no reduced cost is
+    below -eps, and None after _PIVOTS_PER_NODE * (n_a + n_b) pivots.
     """
     n_a, n_b = cost.shape
     n = n_a + n_b
@@ -441,7 +442,7 @@ def _simplex_flow(
             col = nodes >= n_a
             plan = np.zeros((n_a, n_b), dtype=np.int64)
             plan[np.where(col, tops, nodes), np.where(col, nodes, tops) - n_a] = up[1:]
-            return plan if _unique_optimum(cost, plan, w[:n_a], -w[n_a:]) else None
+            return plan, w[:n_a], -w[n_a:]
         i, j = divmod(k, n_b)
         # the cycle: arc (i, j), then the tree path from column j up to the
         # common ancestor and down to row i; an arc loses flow where the
@@ -516,10 +517,10 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
 
     A unit-capacity instance (see `_dense_flow`) is first solved by k
     shortest augmenting paths on its real block (`_augment`), and any other
-    one by the transportation simplex (`_simplex_flow`).  Either plan is
-    returned only when its duals certify it as the unique optimum with a
-    margin, so it is the plan the search below would return.  Every
-    instance they leave, including every tie, goes to the search.
+    one by the transportation simplex (`_simplex_flow`).  A route proposes a
+    plan with its duals, and the plan is returned only when `_unique_optimum`
+    certifies it as the unique optimum with a margin: the plan the search
+    below would return.  The search takes every other instance, ties included.
 
     Node potentials keep reduced costs nonnegative so plain Dijkstra
     suffices; ties always resolve to A before B and then to the lowest node
@@ -535,9 +536,9 @@ def _min_cost_flow(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> 
     if supply.shape != cost.shape[:1] or demand.shape != cost.shape[1:]:
         raise ShapeError("supply and demand do not match the cost matrix")
     route = _dense_flow if _unit_capacity(supply, demand) else _simplex_flow
-    flow = route(supply, demand, cost)
-    if flow is not None:
-        return flow
+    proposal = route(supply, demand, cost)
+    if proposal is not None and _unique_optimum(cost, *proposal):
+        return proposal[0]
     n_a, n_b = cost.shape
     c = cost - min(0.0, float(cost.min()))  # nonnegative, same minimizers
     flow = np.zeros((n_a, n_b), dtype=np.int64)
@@ -644,10 +645,7 @@ def _check_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> n
 
 def solve_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: np.ndarray) -> Coupling:
     """Exact minimizer of <cost, pi> over couplings of mu and nu."""
-    cost = _check_cost(mu, nu, cost)
-    sup, dem, den = _integerize_pair(mu.masses, nu.masses)
-    flow = _min_cost_flow(sup, dem, cost)
-    return Coupling(flow / den, mu, nu)
+    return solve_partial_ot(mu, nu, cost, 0.0)
 
 
 def solve_partial_ot(
@@ -663,7 +661,8 @@ def solve_partial_ot(
     frac_alpha = exact_alpha(alpha)
     cost = _check_cost(mu, nu, cost)
     if frac_alpha == 0:
-        return solve_ot(mu, nu, cost)
+        sup, dem, den = _integerize_pair(mu.masses, nu.masses)
+        return Coupling(_min_cost_flow(sup, dem, cost) / den, mu, nu)
     if alpha == 1.0:
         return Coupling(np.zeros((len(mu), len(nu))), mu, nu, 1.0)
     # shifting all real-to-real costs is argmin-preserving here because the
@@ -712,10 +711,7 @@ def restrict_normalize_partial(
     keep_b = np.setdiff1d(np.arange(n_b), iso_b)
     sub = partial.matrix[np.ix_(keep_a, keep_b)]
     if sub.size == 0:
-        empty = sub.reshape(len(keep_a), len(keep_b))
-        raise DegenerateNeuronError(
-            f"restriction to fused neurons is empty ({empty.shape})"
-        )
+        raise DegenerateNeuronError(f"restriction to fused neurons is empty ({sub.shape})")
     if iso_a.size or iso_b.size:
         sub = sub / sub.sum()
     return Coupling(

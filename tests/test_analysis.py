@@ -131,8 +131,8 @@ class TestSimilarityStats:
         a, b = rand_net((5, 7, 3), seed=9), rand_net((5, 6, 3), seed=10)
         data = rng.normal(size=(50, 5))
         rep = pf.similarity_stats(a, b, data)[0]
-        fa, _ = pf.features_activation(a, data)[0]
-        fb, _ = pf.features_activation(b, data)[0]
+        fa = pf.features_activation(a, data)[0]
+        fb = pf.features_activation(b, data)[0]
         d = np.sqrt(pf.cost_matrix(fa, fb))
         np.testing.assert_allclose(rep.values["nn_cross_ab"], d.min(axis=1), atol=1e-12)
         np.testing.assert_allclose(rep.values["nn_cross_ba"], d.T.min(axis=1), atol=1e-12)

@@ -472,7 +472,7 @@ class TestSweep:
             "--alphas", "", "--out", out,
         ])
         assert code == 1
-        assert capsys.readouterr().err == "usage error: --alphas lists no entry\n"
+        assert capsys.readouterr().err == "usage error: --alphas has a blank entry in ''\n"
         assert not out.exists()
 
 
@@ -779,6 +779,11 @@ class TestCountFlags:
         ("sweep", "--alphas=;"),
         ("sweep", "--lambdas=,"),
         ("sweep", "--methods=,"),
+        ("sweep", "--alphas 0;;1 --lambdas 0.5,,1 --methods prune"),
+        ("sweep", "--alphas 0;1; --methods prune,"),
+        ("sweep", "--alphas 0;0.4,,0.4"),
+        ("fuse", "--alpha 0.4,,0.4"),
+        ("prune", "--widths 5,,5"),
     ])
     def test_out_of_range_exit_1_at_parse(self, data_dir, trained_dir, tmp_path, capsys, monkeypatch,
                                           command, flags):
@@ -789,6 +794,19 @@ class TestCountFlags:
         assert capsys.readouterr().err.startswith("usage error:")
         assert read == []  # rejected before any data is loaded
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("fuse", "--alpha 0.4,,0.4"),
+        ("prune", "--widths 5,"),
+        ("sweep", "--alphas 0;0.4,,0.4"),
+        ("sweep", "--lambdas 0.5,,1"),
+        ("sweep", "--methods prune,"),
+    ])
+    def test_blank_entry_names_its_flag(self, data_dir, trained_dir, tmp_path, capsys, command, flags):
+        argv = fill([command, *REQUIRED_FLAGS[command], *flags.split()], tmp_path, trained_dir, data_dir)
+        assert run(argv) == 1
+        flag = flags.split()[0]
+        assert capsys.readouterr().err.startswith(f"usage error: {flag} has a blank entry")
 
 
 def _splits_read(monkeypatch, argv, code=0):

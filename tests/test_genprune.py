@@ -64,7 +64,7 @@ class TestApplyGeneralizedPruning:
     def test_singleton_cluster_preserved_exactly(self, rng):
         net = rand_net((4, 6, 3), seed=3)
         data = rng.normal(size=(30, 4))
-        feats, mu = pf.features_activation(net, data)[0]
+        feats, mu = pf.features_activation(net, data)[0], pf.DiscreteMeasure.uniform(6)
         labels = np.array([0, 0, 1, 2, 3, 4])  # neuron 2 is a singleton
         from partfuse.clustering import _labels_to_assignment
 

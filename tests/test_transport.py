@@ -544,6 +544,21 @@ class TestMinCostFlowReference:
         )
 
 
+def _record_certified(monkeypatch, route):
+    """Wrap transport's `route`: per call, whether `_unique_optimum` accepts its proposal."""
+    taken = []
+    propose = getattr(transport, route)
+    unique_optimum = transport._unique_optimum
+
+    def recording(supply, demand, cost):
+        proposal = propose(supply, demand, cost)
+        taken.append(proposal is not None and unique_optimum(cost, *proposal))
+        return proposal
+
+    monkeypatch.setattr(transport, route, recording)
+    return taken
+
+
 # the most units an enumerated instance holds: at most 27,845 plans each
 ENUMERATED_UNITS = 15
 
@@ -551,17 +566,17 @@ ENUMERATED_UNITS = 15
 class TestDensePath:
     @pytest.fixture
     def taken(self, monkeypatch):
-        """Per _dense_flow call: whether it returned the flow."""
-        taken = []
-        dense_flow = transport._dense_flow
+        """Per _dense_flow call: whether its proposal was certified."""
+        return _record_certified(monkeypatch, "_dense_flow")
 
-        def recording(supply, demand, cost):
-            flow = dense_flow(supply, demand, cost)
-            taken.append(flow is not None)
-            return flow
-
-        monkeypatch.setattr(transport, "_dense_flow", recording)
-        return taken
+    def test_an_uncertified_proposal_goes_to_the_search(self, monkeypatch):
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ones = np.ones(2, dtype=np.int64)
+        anti = np.array([[0, 1], [1, 0]])
+        monkeypatch.setattr(transport, "_dense_flow", lambda *args: (anti, np.zeros(2), np.zeros(2)))
+        np.testing.assert_array_equal(
+            transport._min_cost_flow(ones, ones, cost), _reference_min_cost_flow(ones, ones, cost)
+        )
 
     def test_unit_instances_match_reference_bitwise(self, taken):
         dense = {kind: 0 for kind in range(7)}
@@ -761,17 +776,18 @@ SWEEP_CERTIFIED_FLOOR = 30  # of the 30 instances below
 class TestSimplexPath:
     @pytest.fixture
     def taken(self, monkeypatch):
-        """Per _simplex_flow call: whether it returned the flow."""
-        taken = []
-        simplex_flow = transport._simplex_flow
+        """Per _simplex_flow call: whether its proposal was certified."""
+        return _record_certified(monkeypatch, "_simplex_flow")
 
-        def recording(supply, demand, cost):
-            flow = simplex_flow(supply, demand, cost)
-            taken.append(flow is not None)
-            return flow
-
-        monkeypatch.setattr(transport, "_simplex_flow", recording)
-        return taken
+    def test_an_uncertified_proposal_goes_to_the_search(self, monkeypatch):
+        sup, dem, cost = _flow_instance(1)
+        assert not transport._unit_capacity(sup, dem)
+        worst = _reference_min_cost_flow(sup, dem, -cost)  # feasible, not optimal
+        want = _reference_min_cost_flow(sup, dem, cost)
+        assert not np.array_equal(worst, want)
+        zero_a, zero_b = np.zeros(cost.shape[0]), np.zeros(cost.shape[1])
+        monkeypatch.setattr(transport, "_simplex_flow", lambda *args: (worst, zero_a, zero_b))
+        np.testing.assert_array_equal(transport._min_cost_flow(sup, dem, cost), want)
 
     def test_non_unit_instances_match_reference_bitwise(self, taken):
         simplex = {kind: 0 for kind in range(7)}
