@@ -18,7 +18,6 @@ from .analysis import (
 from .clustering import (
     ClusterAssignment,
     assignment_to_kernels,
-    clustering_objective,
     stochastic_ward,
 )
 from .data import (

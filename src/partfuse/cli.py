@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -146,6 +147,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _publish(outputs) -> None:
+    """Write every output, then move each into place, so a failing write leaves none.
+
+    outputs maps each target path to a function that writes a given path;
+    it writes a temporary file beside the target, which os.replace then
+    renames over the target.
+    """
+    temps = {}
+    try:
+        for target, write in outputs.items():
+            temps[target] = temp = Path(f"{target}.{os.getpid()}.tmp")
+            write(temp)
+        for target, temp in temps.items():
+            os.replace(temp, target)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def _append_record(path: Path, record: RunRecord):
     new = not path.exists() or path.stat().st_size == 0
     with open(path, "a") as fh:
@@ -198,15 +218,19 @@ def cmd_fuse(args) -> int:
         alignment=fus.match_pair(net_a, net_b, alignment) if alignment else None,
     )
     record = analysis.cell_record(net, args.method, alpha, args.lam, idx, eval_data, start)
+    outputs = {}
     if args.export_couplings:
         lines = ["layer,row,col,mass"]
         for layer, coupling in enumerate(alignment.couplings, start=1):
             mat = coupling.matrix
             for i, j in zip(*mat.nonzero()):
                 lines.append(f"{layer},{i},{j},{mat[i, j]:.17g}")
-        Path(args.export_couplings).write_text("\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
+        outputs[args.export_couplings] = lambda path: Path(path).write_text(text)
+    outputs[args.out] = lambda path: netcore.save(net, path)
+    _publish(outputs)
+    if args.export_couplings:
         print(f"wrote {args.export_couplings}")
-    netcore.save(net, args.out)
     print(f"wrote {args.out} widths={net.hidden_dims}")
     if args.records:
         _append_record(Path(args.records), record)

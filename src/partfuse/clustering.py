@@ -4,12 +4,15 @@ The target regime has m as a large fraction of n; the solver is Ward-style
 agglomeration, best of stochastic restarts.
 """
 
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from . import netcore
 from .netcore import CallerPool, ShapeError
 from .transport import Coupling, DiscreteMeasure, KernelPair, cost_matrix, coupling_to_kernels
 
@@ -95,19 +98,6 @@ def _labels_to_assignment(
     """Relabel to consecutive cluster ids and place centers at weighted means."""
     uniq, labels = np.unique(labels, return_inverse=True)
     return ClusterAssignment(labels, *_cluster_centers(points, masses, labels, len(uniq)))
-
-
-def clustering_objective(
-    points: np.ndarray, masses: DiscreteMeasure, assignment: ClusterAssignment
-) -> float:
-    """Sum of mass-weighted squared distances of points to their centers."""
-    points = _check_points(points, masses)
-    if assignment.assign.shape[0] != points.shape[0]:
-        raise ShapeError("assignment length does not match points")
-    if assignment.centers.shape[1] != points.shape[1]:
-        raise ShapeError("center dimension does not match points")
-    diff = points - assignment.centers[assignment.assign]
-    return float(np.sum(masses.masses * np.einsum("ij,ij->i", diff, diff)))
 
 
 def _objective_for_labels(points: np.ndarray, masses: np.ndarray, labels: np.ndarray) -> float:
@@ -233,10 +223,74 @@ def _agglomerate(
 TEMPERATURE = 0.1
 
 # Below this much work per restart, n (n + d) for its pair deltas and its
-# centers, a second thread does not pay off, so restarts run serially
-# without a pool.  Two-thread speed-ups by shape are in the prune-cluster
-# BENCH file.
+# centers, a second worker, thread or forked process, does not pay off, so
+# restarts run serially.  Speed-ups by shape and route are in the
+# prune-cluster BENCH files.
 _PARALLEL_MIN_WORK = 50_000
+
+# (objective, restart, labels) of one Ward restart
+_Restart = Tuple[float, int, np.ndarray]
+
+
+def _serial_rank(result: _Restart) -> Tuple[bool, bool, float, int]:
+    """Key under which min picks what a strict < loop over restarts 0, 1, ...
+    picks: the least objective, the earliest restart on ties.  That loop keeps
+    restart 0's objective when it is NaN and skips any later NaN."""
+    objective, r, _ = result
+    nan = objective != objective
+    return (not (nan and r == 0), nan, 0.0 if nan else objective, r)
+
+
+def _send_result(conn, fn: Callable, item) -> None:
+    """Child side of _fork_map: send fn(item), or the exception it raised."""
+    try:
+        result = fn(item)
+    except Exception as exc:  # raised again in the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _fork_map(fn: Callable, items: Sequence) -> List:
+    """[fn(x) for x in items], the caller running items[0] and a forked child
+    each later item.
+
+    Each child pipes back its result, or the exception it raised, which is
+    raised again here.  Every child is joined before this returns or raises.
+    Fork only from a process with no other thread.
+    """
+    import multiprocessing  # only this route starts processes
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for item in items[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_result, args=(send, fn, item))
+            child.start()
+            children.append((child, receive))
+            send.close()
+        results = [fn(items[0])]
+        for child, receive in children:
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a Ward restart process exited with code {child.exitcode}"
+                ) from None
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+        return results
+    except BaseException:
+        for child, _ in children:  # a share failed: the others are of no use
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
 
 
 def stochastic_ward(
@@ -250,9 +304,17 @@ def stochastic_ward(
 
     Restart r draws from an independent generator keyed by (seed, r), so
     enlarging the restart budget with the same seed only ever improves the
-    returned objective.  Ties keep the earliest restart.  Large instances
-    run their restarts in threads, one per available CPU; the result does
-    not depend on how many there are.
+    returned objective.  Ties keep the earliest restart.
+
+    Instances with at least _PARALLEL_MIN_WORK work per restart split their
+    restarts over k = min(restarts, available CPUs) workers: worker c runs
+    restarts r = c (mod k), the caller being worker 0, and each reports only
+    its earliest best restart.  On Linux, when the calling process runs no
+    other thread, workers 1..k-1 are forked child processes, which get round
+    the GIL; their memory is not in the caller's resident set.  Otherwise
+    they are threads, in which numpy releases the GIL inside each restart's
+    array work.  The result is byte-identical whatever the route or the
+    number of CPUs.
     """
     points = _check_points(points, masses)
     n, d = points.shape
@@ -265,17 +327,24 @@ def stochastic_ward(
     w = masses.masses
     if m == n:  # nothing to merge: every point is its own cluster
         return _labels_to_assignment(points, w, np.arange(n))
+    # the one BLAS product, before any fork
     pairs = _ward_pairs(points, w)
 
-    def restart(r: int) -> Tuple[float, np.ndarray]:
-        rng = np.random.default_rng((seed, r))
-        labels = _agglomerate(points, w, m, rng=rng, pairs=pairs)
-        return _objective_for_labels(points, w, labels), labels
+    def restart(r: int) -> _Restart:
+        labels = _agglomerate(points, w, m, np.random.default_rng((seed, r)), pairs)
+        return _objective_for_labels(points, w, labels), r, labels
 
-    # numpy releases the GIL inside each restart's array work
-    with CallerPool(1 if n * (n + d) < _PARALLEL_MIN_WORK else restarts) as pool:
-        # min keeps the earliest restart on ties
-        _, labels = min(pool.map(restart, range(restarts)), key=lambda result: result[0])
+    def best_of(share: range) -> _Restart:
+        return min(map(restart, share), key=_serial_rank)
+
+    k = 1 if n * (n + d) < _PARALLEL_MIN_WORK else min(restarts, netcore.available_cpus())
+    shares = [range(c, restarts, k) for c in range(k)]
+    if k > 1 and sys.platform == "linux" and threading.active_count() == 1:
+        bests = _fork_map(best_of, shares)
+    else:
+        with CallerPool(k) as pool:
+            bests = list(pool.map(best_of, shares))
+    _, _, labels = min(bests, key=_serial_rank)
     return _labels_to_assignment(points, w, labels)
 
 

@@ -1,9 +1,10 @@
 """Exact oracles that only the tests use: exhaustive transport (the optimum,
 and every integral plan) and clustering, finite-difference gradients and
 the closed-form pruned-parameter counts; also the stratified holdout split
-that only tests draw, greedy Ward on the dense merge-cost matrix, the
-objective trace of fixed-point alignment, and the kernel pair that writes
-partial fusion as generalized pruning.
+that only tests draw, the clustering objective of an assignment, greedy Ward
+on the dense merge-cost matrix, the objective trace of fixed-point
+alignment, and the kernel pair that writes partial fusion as generalized
+pruning.
 
 They check their inputs and score their plans with the library's own
 private helpers, so an oracle and the solver it checks read an instance
@@ -25,7 +26,7 @@ from partfuse.clustering import (
     _ward_pairs,
 )
 from partfuse.data import _per_class_draw, _take
-from partfuse.netcore import DenseNetwork, LabeledDataset
+from partfuse.netcore import DenseNetwork, LabeledDataset, ShapeError
 from partfuse.train import loss_and_gradients
 from partfuse.transport import DiscreteMeasure, _check_cost, _integerize_pair
 
@@ -118,6 +119,19 @@ def integral_plans(supply: np.ndarray, demand: np.ndarray) -> list:
     """Every integral plan with row sums `supply` and column sums `demand`."""
     zero = np.zeros((len(supply), len(demand)))
     return [flow.copy() for _, flow in _plans(supply, demand, zero, lambda: np.inf)]
+
+
+def clustering_objective(
+    points: np.ndarray, masses: DiscreteMeasure, assignment: ClusterAssignment
+) -> float:
+    """Sum of mass-weighted squared distances of points to their centers."""
+    points = _check_points(points, masses)
+    if assignment.assign.shape[0] != points.shape[0]:
+        raise ShapeError("assignment length does not match points")
+    if assignment.centers.shape[1] != points.shape[1]:
+        raise ShapeError("center dimension does not match points")
+    diff = points - assignment.centers[assignment.assign]
+    return float(np.sum(masses.masses * np.einsum("ij,ij->i", diff, diff)))
 
 
 def brute_force_clustering(points: np.ndarray, masses: DiscreteMeasure, m: int) -> float:

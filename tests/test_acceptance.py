@@ -21,6 +21,7 @@ from conftest import rand_net
 from oracles import (
     brute_force_clustering,
     brute_force_ot,
+    clustering_objective,
     fixed_point_trace,
     gradient_check,
     greedy_ward,
@@ -281,8 +282,8 @@ def test_criterion_6_clustering_oracle():
         mu = pf.DiscreteMeasure.uniform(n)
         opt = brute_force_clustering(pts, mu, m)
         sw = pf.stochastic_ward(pts, mu, m, restarts=1000, seed=seed)
-        obj = pf.clustering_objective(pts, mu, sw)
-        greedy = pf.clustering_objective(pts, mu, greedy_ward(pts, mu, m))
+        obj = clustering_objective(pts, mu, sw)
+        greedy = clustering_objective(pts, mu, greedy_ward(pts, mu, m))
         assert greedy >= opt - 1e-12
         if obj <= 1.01 * opt + 1e-12:
             hits += 1

@@ -712,6 +712,16 @@ class TestFuseCouplingExport:
                 want.append(f"{layer},{i},{j},{coupling.matrix[i, j]:.17g}")
         assert couplings.read_text().splitlines() == want
 
+    def test_failing_out_leaves_no_couplings(self, data_dir, trained_dir, tmp_path):
+        couplings = tmp_path / "c.csv"
+        code = run([
+            "fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+            "--align", "greedy", "--alpha", "0.4", "--export-couplings", couplings,
+            "--out", tmp_path / "missing" / "x.pfnn",
+        ])
+        assert code == 2
+        assert list(tmp_path.glob("c.csv*")) == []  # nor a temporary file
+
 
 class TestTrainEpochsZero:
     def test_epochs_zero_writes_initialization(self, data_dir, tmp_path):

@@ -1,3 +1,9 @@
+import collections
+import contextlib
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +13,7 @@ import partfuse as pf
 from partfuse import clustering, netcore
 from partfuse.clustering import _labels_to_assignment
 
-from oracles import brute_force_clustering, dense_agglomerate, greedy_ward
+from oracles import brute_force_clustering, clustering_objective, dense_agglomerate, greedy_ward
 
 
 def uniform(n):
@@ -18,21 +24,21 @@ class TestObjective:
     def test_every_point_its_own_center(self, rng):
         pts = rng.normal(size=(5, 2))
         a = _labels_to_assignment(pts, uniform(5).masses, np.arange(5))
-        assert pf.clustering_objective(pts, uniform(5), a) == 0.0
+        assert clustering_objective(pts, uniform(5), a) == 0.0
 
     def test_coincident_points_single_center(self):
         pts = np.ones((2, 3))
         a = _labels_to_assignment(pts, uniform(2).masses, np.zeros(2, dtype=int))
-        assert pf.clustering_objective(pts, uniform(2), a) == 0.0
+        assert clustering_objective(pts, uniform(2), a) == 0.0
 
     def test_hand_computed_pairings(self):
         # four points 0, 0, 10, 10 with masses 1/4 each
         pts = np.array([[0.0], [0.0], [10.0], [10.0]])
         mu = uniform(4)
         paired = _labels_to_assignment(pts, mu.masses, np.array([0, 0, 1, 1]))
-        assert pf.clustering_objective(pts, mu, paired) == 0.0
+        assert clustering_objective(pts, mu, paired) == 0.0
         crossed = _labels_to_assignment(pts, mu.masses, np.array([0, 1, 0, 1]))
-        assert pf.clustering_objective(pts, mu, crossed) == pytest.approx(25.0)
+        assert clustering_objective(pts, mu, crossed) == pytest.approx(25.0)
 
 
 class TestGreedyWard:
@@ -41,19 +47,19 @@ class TestGreedyWard:
         masses = pf.DiscreteMeasure(np.array([0.3, 0.7]))
         a = greedy_ward(pts, masses, 1)
         want = (0.3 * 0.7 / 1.0) * 4.0
-        assert pf.clustering_objective(pts, masses, a) == pytest.approx(want)
+        assert clustering_objective(pts, masses, a) == pytest.approx(want)
 
     def test_singletons_zero(self, rng):
         pts = rng.normal(size=(5, 3))
         a = greedy_ward(pts, uniform(5), 5)
-        assert pf.clustering_objective(pts, uniform(5), a) == 0.0
+        assert clustering_objective(pts, uniform(5), a) == 0.0
 
     def test_three_tight_pairs(self, rng):
         anchors = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]])
         pts = np.vstack([a + 0.01 * rng.normal(size=(2, 2)) for a in anchors])
         mu = uniform(6)
         a = greedy_ward(pts, mu, 3)
-        assert pf.clustering_objective(pts, mu, a) == pytest.approx(
+        assert clustering_objective(pts, mu, a) == pytest.approx(
             brute_force_clustering(pts, mu, 3), abs=1e-12
         )
         assert a.assign[0] == a.assign[1]
@@ -67,7 +73,7 @@ class TestGreedyWard:
             m = int(rng.integers(1, n))
             pts = rng.normal(size=(n, 2))
             mu = uniform(n)
-            greedy = pf.clustering_objective(pts, mu, greedy_ward(pts, mu, m))
+            greedy = clustering_objective(pts, mu, greedy_ward(pts, mu, m))
             assert greedy >= brute_force_clustering(pts, mu, m) - 1e-12
 
 
@@ -76,7 +82,7 @@ class TestStochasticWard:
         pts = rng.normal(size=(10, 2))
         mu = uniform(10)
         objs = [
-            pf.clustering_objective(
+            clustering_objective(
                 pts, mu, pf.stochastic_ward(pts, mu, 3, restarts=r, seed=7)
             )
             for r in (1, 5, 20, 50)
@@ -90,7 +96,7 @@ class TestStochasticWard:
             pts = rng.normal(size=(8, 2))
             mu = uniform(8)
             opt = brute_force_clustering(pts, mu, 3)
-            obj = pf.clustering_objective(
+            obj = clustering_objective(
                 pts, mu, pf.stochastic_ward(pts, mu, 3, restarts=300, seed=seed)
             )
             hits += obj <= 1.01 * opt + 1e-12
@@ -252,6 +258,13 @@ def _square_corners(copies, d):
     return np.repeat(corners, copies, axis=0)
 
 
+def _overflowing_picks():
+    """80 x 1000 points, 70 of them identical: the median merge cost is 0."""
+    pts = np.zeros((80, 1000))
+    pts[70:, :2] = 1e5 * np.random.default_rng(4).normal(size=(10, 2))
+    return pts, uniform(80)
+
+
 def _parallel_instances():
     rng = np.random.default_rng(77)
     relu = np.maximum(rng.normal(size=(90, 800)), 0.0)
@@ -265,18 +278,44 @@ def _parallel_instances():
     }
 
 
+@contextlib.contextmanager
+def _idle_thread():
+    """A second thread stays alive, so stochastic_ward may not fork."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# route -> a context in which stochastic_ward takes it
+_ROUTES = {"fork": contextlib.nullcontext, "threads": _idle_thread}
+
+
 class TestParallelRestarts:
-    """stochastic_ward equals the serial restart loop bitwise for any CPU count."""
+    """stochastic_ward equals the serial restart loop bitwise on either route,
+    for any CPU count, and leaves no process behind."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_left(self):
+        yield
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(_parallel_instances()))
     def test_matches_serial_loop(self, monkeypatch, case, workers):
         points, masses, m, restarts, seed = _parallel_instances()[case]
         monkeypatch.setattr(netcore, "available_cpus", lambda: workers)
-        got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         want = _serial_stochastic_ward(points, masses, m, restarts, seed)
-        assert got.assign.tobytes() == want.assign.tobytes()
-        assert got.centers.tobytes() == want.centers.tobytes()
+        for route in _ROUTES.values():
+            with route():
+                got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
+            assert got.assign.tobytes() == want.assign.tobytes()
+            assert got.centers.tobytes() == want.centers.tobytes()
 
     def test_duplicated_rows_tie_across_restarts(self):
         # the premise of the duplicated-rows case: a later restart reaches the
@@ -291,49 +330,157 @@ class TestParallelRestarts:
         }
         assert len(partitions) >= 2
 
+    @pytest.mark.parametrize(
+        "objectives",
+        [
+            [np.nan, 1.0, 0.0, 1.0, 0.5, 2.0, 0.0],  # the loop keeps restart 0's NaN
+            [3.0, np.nan, 2.0, 1.0, 1.0, np.nan, 5.0],  # and skips a later one
+            [2.0, 1.0, np.nan, 1.0, np.nan, 0.5, np.nan],
+            [5.0, np.nan, np.nan, np.nan, np.nan, np.nan, np.nan],
+            [2.0, 0.5, 1.0, 0.5, 1.0, 1.0, 1.0],  # worker 0's tie is the later restart
+            [1.0] * 7,
+        ],
+    )
+    def test_picks_what_the_strict_loop_picks(self, monkeypatch, objectives):
+        # restart r puts point 0 into point r + 1's cluster and scores objectives[r]
+        first_draw = {int(np.random.default_rng((0, r)).integers(1 << 62)): r for r in range(7)}
+
+        def agglomerate(points, w, m, rng, pairs):
+            labels = np.arange(len(w))
+            labels[0] = first_draw[int(rng.integers(1 << 62))] + 1
+            return labels
+
+        monkeypatch.setattr(clustering, "_agglomerate", agglomerate)
+        monkeypatch.setattr(clustering, "_objective_for_labels", lambda p, w, labels: objectives[labels[0] - 1])
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        best = 0
+        for r, objective in enumerate(objectives):
+            if objective < objectives[best]:
+                best = r
+        points, masses = np.zeros((64, 800)), uniform(64)
+        want = agglomerate(points, masses.masses, 63, np.random.default_rng((0, best)), None)
+        want = _labels_to_assignment(points, masses.masses, want).assign.tobytes()
+        for route in _ROUTES.values():
+            with route():
+                got = pf.stochastic_ward(points, masses, 63, restarts=7)
+            assert got.assign.tobytes() == want
+
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Thread counts of the pools stochastic_ward makes at 3 CPUs."""
-        pools = []
+    def started(self, monkeypatch):
+        """Workers stochastic_ward starts beside the caller, by route."""
+        started = collections.Counter()
 
         class RecordingPool(netcore.ThreadPoolExecutor):
             def __init__(self, max_workers, **kwargs):
-                pools.append(max_workers)
+                started["threads"] += max_workers
                 super().__init__(max_workers, **kwargs)
 
+        fork = multiprocessing.context.ForkProcess.start
+
+        def recording_fork(process):
+            started["fork"] += 1
+            fork(process)
+
         monkeypatch.setattr(netcore, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        return pools
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording_fork)
+        return started
 
-    @pytest.mark.parametrize("case, threads", [("below-threshold", 0), ("above-threshold", 2)])
-    def test_pool_only_above_threshold(self, pools, case, threads):
+    @pytest.mark.parametrize("case, helpers", [("below-threshold", 0), ("above-threshold", 2)])
+    def test_pool_only_above_threshold(self, monkeypatch, started, case, helpers):
         points, masses, m, restarts, seed = _parallel_instances()[case]
-        pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
-        # the calling thread runs a share of the restarts itself
-        assert pools == ([threads] if threads else [])
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        for route, context in _ROUTES.items():
+            started.clear()
+            with context():
+                pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
+            # the caller runs a share of the restarts itself
+            assert started == ({route: helpers} if helpers else {})
 
-    @pytest.mark.parametrize("n, d, threads", [(200, 100, 1), (100, 300, 0)])
-    def test_threshold_counts_pair_work(self, pools, n, d, threads):
+    @pytest.mark.parametrize("n, d, helpers", [(200, 100, 1), (100, 300, 0)])
+    def test_threshold_counts_pair_work(self, monkeypatch, started, n, d, helpers):
         # 200 x 100 has fewer coordinates than 100 x 300 but more pair work;
-        # two restarts need one pool thread
+        # two restarts need one helper
         points = np.random.default_rng(n).normal(size=(n, d))
-        pf.stochastic_ward(points, uniform(n), n - 5, restarts=2)
-        assert pools == ([threads] if threads else [])
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        for route, context in _ROUTES.items():
+            started.clear()
+            with context():
+                pf.stochastic_ward(points, uniform(n), n - 5, restarts=2)
+            assert started == ({route: helpers} if helpers else {})
+
+    @pytest.mark.one_cpu
+    def test_forks_one_child_per_extra_cpu(self, started):
+        # the real affinity lookup: pinned to one CPU, nothing is forked
+        points, masses, m, restarts, seed = _parallel_instances()["above-threshold"]
+        got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
+        assert started["fork"] == min(restarts, netcore.available_cpus()) - 1
+        want = _serial_stochastic_ward(points, masses, m, restarts, seed)
+        assert got.assign.tobytes() == want.assign.tobytes()
 
     def test_workers_take_the_callers_error_policy(self, monkeypatch):
         # mostly identical rows: the median delta is 0, so the pick weights
         # overflow to -inf before exp
-        pts = np.zeros((80, 1000))
-        pts[70:, :2] = 1e5 * np.random.default_rng(4).normal(size=(10, 2))
-        mu = uniform(80)
+        pts, mu = _overflowing_picks()
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _serial_stochastic_ward(pts, mu, 5, 4, 0)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = pf.stochastic_ward(pts, mu, 5, restarts=4)
-            want = _serial_stochastic_ward(pts, mu, 5, 4, 0)
-        assert got.assign.tobytes() == want.assign.tobytes()
+        for route in _ROUTES.values():
+            with route(), np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pf.stochastic_ward(pts, mu, 5, restarts=4)
+                want = _serial_stochastic_ward(pts, mu, 5, 4, 0)
+            assert got.assign.tobytes() == want.assign.tobytes()
+
+    @pytest.mark.parametrize("where", ["everywhere", "helpers"])
+    def test_a_raising_restart_reaches_the_caller(self, monkeypatch, where):
+        pts, mu = _overflowing_picks()
+        caller = os.getpid(), threading.get_ident()
+        agglomerate = clustering._agglomerate
+
+        def raising(*args):
+            if where == "everywhere" or (os.getpid(), threading.get_ident()) != caller:
+                with np.errstate(over="raise"):
+                    return agglomerate(*args)
+            return agglomerate(*args)
+
+        monkeypatch.setattr(clustering, "_agglomerate", raising)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        for route in _ROUTES.values():
+            with route(), np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+                pf.stochastic_ward(pts, mu, 5, restarts=4)
+            assert multiprocessing.active_children() == []
+
+    def test_a_raising_caller_stops_its_children(self, monkeypatch):
+        pts, mu = _overflowing_picks()
+        caller, agglomerate = os.getpid(), clustering._agglomerate
+
+        def stalling(*args):
+            if os.getpid() != caller:
+                time.sleep(60)  # the call returns at once only if it stops them
+            with np.errstate(over="raise"):
+                return agglomerate(*args)
+
+        monkeypatch.setattr(clustering, "_agglomerate", stalling)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        start = time.perf_counter()
+        with pytest.raises(FloatingPointError):
+            pf.stochastic_ward(pts, mu, 5, restarts=4)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        pts, mu = _overflowing_picks()
+        caller, agglomerate = os.getpid(), clustering._agglomerate
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(7)
+            return agglomerate(*args)
+
+        monkeypatch.setattr(clustering, "_agglomerate", dying)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="exited with code 7"):
+            pf.stochastic_ward(pts, mu, 5, restarts=4)
 
 
 class TestNonFinitePoints:
@@ -350,7 +497,7 @@ class TestNonFinitePoints:
             brute_force_clustering(pts, mu, 3)
         a = _labels_to_assignment(pts, mu.masses, np.arange(8) % 3)
         with pytest.raises(ValueError, match="points must be finite"):
-            pf.clustering_objective(pts, mu, a)
+            clustering_objective(pts, mu, a)
 
     def test_overflowing_merge_costs_rejected(self, rng):
         # finite points whose squared distances overflow
@@ -428,7 +575,7 @@ class TestBruteForceClustering:
         mu = uniform(6)
         opt = brute_force_clustering(pts, mu, 3)
         a = _labels_to_assignment(pts, mu.masses, np.array([0, 0, 1, 1, 2, 2]))
-        assert opt == pytest.approx(pf.clustering_objective(pts, mu, a), abs=1e-12)
+        assert opt == pytest.approx(clustering_objective(pts, mu, a), abs=1e-12)
 
     def test_too_large_rejected(self, rng):
         with pytest.raises(ValueError):
