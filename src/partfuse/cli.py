@@ -1,18 +1,20 @@
 """Command-line entry point: train, fuse, prune, sweep, stats.
 
-Every command is reproducible byte-for-byte for fixed flags and seeds;
-wall-clock measurement is therefore off unless --timing is passed.
+Every command is reproducible byte-for-byte for fixed flags, seeds and
+BLAS thread count (CI and perfbench pin one thread); wall-clock
+measurement is therefore off unless --timing is passed.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import analysis, data as datamod, fusion as fus, genprune as gp, netcore, train as trainmod
-from .analysis import CSV_HEADER, RunRecord
+from .analysis import CSV_HEADER
 from .netcore import PfnnFormatError
 
 
@@ -124,9 +126,8 @@ def cmd_train(args) -> int:
     if args.split_digit is not None and args.split_digit not in train.labels:
         raise UsageError(f"--split-digit {args.split_digit}: class not present in the training labels")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dims = [train.inputs.shape[1], *([args.width] * args.depth), int(train.labels.max()) + 1]
-    lines = []
+    outputs, lines = {}, []
     for k in range(args.pairs):
         if args.split_digit is not None:
             part_a, part_b = datamod.heterogeneous_split(train, args.split_digit, seed=args.seed_base + k)
@@ -136,27 +137,32 @@ def cmd_train(args) -> int:
             ("A", part_a, args.seed_base + 2 * k),
             ("B", part_b, args.seed_base + 2 * k + 1),
         ):
-            cfg = trainmod.TrainConfig(epochs=args.epochs, seed=seed)
-            net = trainmod.train_mlp(dims, part, cfg)
+            net = trainmod.train_mlp(dims, part, trainmod.TrainConfig(epochs=args.epochs, seed=seed))
             name = f"pair{k}_{side}.pfnn"
-            netcore.save(net, out_dir / name)
+            outputs[out_dir / name] = lambda path, net=net: netcore.save(net, path)
             lines.append(f"{name} {side}{k}")
-            print(f"wrote {out_dir / name}")
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
-    print(f"wrote {out_dir / 'manifest.txt'}")
+    manifest = "\n".join(lines) + "\n"
+    outputs[out_dir / "manifest.txt"] = lambda path: Path(path).write_text(manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once every pair is trained
+    _publish(outputs)
+    for target in outputs:
+        print(f"wrote {target}")
     return 0
 
 
 def _publish(outputs) -> None:
-    """Write every output, then move each into place, so a failing write leaves none.
+    """Write every output, then move each into place: the one way a command writes a file.
 
     outputs maps each target path to a function that writes a given path;
     it writes a temporary file beside the target, which os.replace then
-    renames over the target.
+    renames over the target. A failing write leaves no output, and every old
+    target as it was; a directory target fails before anything is renamed.
     """
     temps = {}
     try:
         for target, write in outputs.items():
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"{target} is a directory")
             temps[target] = temp = Path(f"{target}.{os.getpid()}.tmp")
             write(temp)
         for target, temp in temps.items():
@@ -166,17 +172,12 @@ def _publish(outputs) -> None:
             temp.unlink(missing_ok=True)
 
 
-def _append_record(path: Path, record: RunRecord):
-    new = not path.exists() or path.stat().st_size == 0
-    with open(path, "a") as fh:
-        if new:
-            fh.write(CSV_HEADER + "\n")
-        fh.write(record.csv_row() + "\n")
-
-
 def cmd_fuse(args) -> int:
     if args.export_couplings and args.method != "partial-ot":
         raise UsageError("--export-couplings applies to --method partial-ot only")
+    named = [os.path.realpath(p) for p in (args.out, args.export_couplings, args.records) if p]
+    if len(set(named)) < len(named):
+        raise UsageError("--out, --export-couplings and --records must name different files")
     pairs = _manifest_path_pairs(Path(args.manifest))
     chosen = [p for p in pairs if p[0] == args.pair]
     if not chosen:
@@ -228,12 +229,14 @@ def cmd_fuse(args) -> int:
         text = "\n".join(lines) + "\n"
         outputs[args.export_couplings] = lambda path: Path(path).write_text(text)
     outputs[args.out] = lambda path: netcore.save(net, path)
-    _publish(outputs)
-    if args.export_couplings:
-        print(f"wrote {args.export_couplings}")
-    print(f"wrote {args.out} widths={net.hidden_dims}")
-    if args.records:
-        _append_record(Path(args.records), record)
+    # opened before the publish, so a bad records path fails first; the row goes last
+    with open(args.records, "a") if args.records else contextlib.nullcontext() as records:
+        _publish(outputs)
+        if args.export_couplings:
+            print(f"wrote {args.export_couplings}")
+        print(f"wrote {args.out} widths={net.hidden_dims}")
+        if records:
+            records.write(("" if records.tell() else CSV_HEADER + "\n") + record.csv_row() + "\n")
     print(record.csv_row())
     return 0
 
@@ -250,7 +253,7 @@ def cmd_prune(args) -> int:
     if spec.method is gp.PruneMethod.CLUSTER:
         feature_data = _feature_inputs(args)
     pruned = gp.prune(net, spec, feature_data, restarts=args.cluster_restarts, seed=args.seed)
-    netcore.save(pruned, args.out)
+    _publish({args.out: lambda path: netcore.save(pruned, path)})
     print(f"wrote {args.out} widths={pruned.hidden_dims}")
     return 0
 
@@ -331,10 +334,10 @@ def cmd_stats(args) -> int:
 
 
 def _write_report(out, lines) -> int:
-    """Write the lines to the file `out`, or to stdout when `out` is None."""
+    """Publish the lines as the file `out`, or write them to stdout when `out` is None."""
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        _publish({out: lambda path: Path(path).write_text(text)})
         print(f"wrote {out}")
     else:
         sys.stdout.write(text)

@@ -357,10 +357,7 @@ class CallerPool:
 
 def save(net: DenseNetwork, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(PFNN_MAGIC)
-        fh.write(struct.pack("<I", PFNN_VERSION))
-        fh.write(struct.pack("<B", net.activation.value))
-        fh.write(struct.pack("<I", net.num_hidden))
+        fh.write(PFNN_MAGIC + struct.pack("<IBI", PFNN_VERSION, net.activation.value, net.num_hidden))
         fh.write(struct.pack(f"<{len(net.dims)}I", *net.dims))
         for w, b in zip(net.weights, net.biases):
             fh.write(w.astype("<f8").tobytes(order="C"))

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import struct
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 import partfuse as pf
 from partfuse import analysis, cli, fusion, netcore, transport
+from partfuse import train as trainmod
 from partfuse import data as datamod
 from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
 
@@ -289,6 +291,15 @@ class TestFuse:
             "--export-couplings", tmp_path / "c.csv",
         ])
         assert code == 1
+
+
+    @pytest.mark.parametrize("flag", ["--records", "--export-couplings"])
+    def test_one_file_named_twice_exit_1_before_any_read(self, data_dir, trained_dir, tmp_path, capsys,
+                                                          monkeypatch, flag):
+        argv = ["fuse", "--manifest", "{manifest}", "--out", "{tmp}/x.pfnn", flag, "{tmp}/./x.pfnn"]
+        assert _splits_read(monkeypatch, fill(argv, tmp_path, trained_dir, data_dir), code=1) == {}
+        assert "--out, --export-couplings and --records must name different files" in capsys.readouterr().err
+        assert not (tmp_path / "x.pfnn").exists()
 
 
 class TestPrune:
@@ -721,6 +732,90 @@ class TestFuseCouplingExport:
         ])
         assert code == 2
         assert list(tmp_path.glob("c.csv*")) == []  # nor a temporary file
+
+
+def _fail_after_two_bytes(path):
+    Path(path).write_bytes(b"PF")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestPublish:
+    """A command publishes its files only once all are written: a failure keeps every old target."""
+
+    # command: (argv, the target that exists before, the writer that fails)
+    FAILING_WRITES = {
+        "train": (["train", "--out", "{tmp}/run", "--pairs", "1", "--width", "3", "--depth", "1",
+                   "--epochs", "0"], "run/pair0_A.pfnn", "save"),
+        "fuse": (["fuse", "--manifest", "{manifest}", "--records", "{tmp}/records.csv", "--out", "{tmp}/x.pfnn"],
+                 "x.pfnn", "save"),
+        "prune": (["prune", "--net", "{ckpt}", "--out", "{tmp}/x.pfnn"], "x.pfnn", "save"),
+        "sweep": (["sweep", "--manifest", "{manifest}", "--alphas", "0.5", "--lambdas", "0.5", "--out",
+                   "{tmp}/x.csv"], "x.csv", "write_text"),
+        "stats": (["stats", "--net-a", "{ckpt}", "--net-b", "{ckpt}", "--out", "{tmp}/x.csv"], "x.csv", "write_text"),
+    }
+
+    @pytest.mark.parametrize("command", list(FAILING_WRITES))
+    def test_a_failing_write_keeps_the_old_target(self, data_dir, trained_dir, tmp_path, monkeypatch, command):
+        argv, target, writer = self.FAILING_WRITES[command]
+        target = tmp_path / target
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(b"precious")
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"old rows\n")
+        if writer == "save":
+            monkeypatch.setattr(netcore, "save", lambda net, path: _fail_after_two_bytes(path))
+        else:
+            monkeypatch.setattr(Path, "write_text", lambda path, text: _fail_after_two_bytes(path))
+        assert run(fill(argv, tmp_path, trained_dir, data_dir)) == 2
+        assert target.read_bytes() == b"precious"
+        assert records.read_bytes() == b"old rows\n"
+        assert list(target.parent.glob("*.tmp")) == []
+        assert not (target.parent / "manifest.txt").exists()
+
+    def test_train_failing_in_its_second_pair_leaves_no_out(self, data_dir, tmp_path, monkeypatch):
+        train_mlp = trainmod.train_mlp
+
+        def diverging(dims, part, cfg):
+            if cfg.seed >= 2:  # pair 1
+                raise netcore.NumericalFailure("loss diverged")
+            return train_mlp(dims, part, cfg)
+
+        monkeypatch.setattr(trainmod, "train_mlp", diverging)
+        out = tmp_path / "run"
+        assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "2", "--width", "3",
+                    "--depth", "1", "--epochs", "0"]) == 3
+        assert not out.exists()
+
+    def test_records_directory_exit_2_leaves_no_checkpoint(self, data_dir, trained_dir, tmp_path):
+        out = tmp_path / "x.pfnn"
+        assert run(["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--records", tmp_path, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_a_directory_target_publishes_nothing(self, data_dir, trained_dir, tmp_path, capsys):
+        couplings = tmp_path / "c.csv"
+        (tmp_path / "x.pfnn").mkdir()
+        assert run(["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--export-couplings", couplings, "--out", tmp_path / "x.pfnn"]) == 2
+        assert "x.pfnn is a directory" in capsys.readouterr().err
+        assert not couplings.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_a_symlinked_target_is_replaced_not_written_through(self, trained_dir, tmp_path):
+        kept = tmp_path / "kept.pfnn"
+        kept.write_bytes(b"precious")
+        link = tmp_path / "link.pfnn"
+        link.symlink_to(kept)
+        assert run(["prune", "--net", trained_dir / "pair0_A.pfnn", "--out", link]) == 0
+        assert not link.is_symlink() and pf.load(link).hidden_dims == (3, 3)
+        assert kept.read_bytes() == b"precious"
+
+    def test_a_symlink_loop_target_is_replaced(self, data_dir, trained_dir, tmp_path):
+        loop = tmp_path / "loop.pfnn"
+        loop.symlink_to(loop)
+        assert run(["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--records", tmp_path / "records.csv", "--out", loop]) == 0
+        assert pf.load(loop).hidden_dims == (6, 6)
 
 
 class TestTrainEpochsZero:

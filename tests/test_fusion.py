@@ -253,6 +253,20 @@ class TestPartialFuse:
         x = rng.normal(size=(64, 4))
         assert np.abs(pf.forward(base, x) - pf.forward(moved, x)).max() <= 1e-8
 
+    @pytest.mark.parametrize("align", list(pf.AlignMethod))
+    @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+    def test_swapping_the_pair_computes_the_same_function(self, align, alpha):
+        """Fusing (A, B) at lam and (B, A) at 1 - lam gives one function at working width."""
+        dims = (20, 100, 100, 100, 10)
+        a, b = rand_net(dims, seed=46), rand_net(dims, seed=47)
+        fused = [
+            pf.partial_fuse(first, second, pf.FusionConfig(lam=lam, alpha=alpha, align=align))
+            for first, second, lam in ((a, b, 0.3), (b, a, 0.7))
+        ]
+        x = np.random.default_rng(48).normal(size=(256, 20))
+        ab, ba = (pf.forward(net, x) for net in fused)
+        assert np.abs(ab - ba).max() <= 1e-12
+
 
 class TestFixedPoint:
     def test_recovers_permutation(self):

@@ -559,6 +559,26 @@ def _record_certified(monkeypatch, route):
     return taken
 
 
+TIE_INSTANCES = 12
+
+
+def _tie_cost(seed):
+    """A 100 x 100 cost with ties: B copies 20 of A's neurons and has a dead
+    one; A has a dead one too (kinds 1-3), two (kind 2) or a duplicated one
+    (kind 3)."""
+    rng = np.random.default_rng(seed)
+    xa, xb = rng.normal(size=(100, 20)), rng.normal(size=(100, 20))
+    kind = seed % 4
+    xb[:20], xb[99] = xa[:20], 0.0
+    if kind:
+        xa[99] = 0.0
+    if kind == 2:
+        xa[98] = 0.0
+    if kind == 3:
+        xa[97] = xa[21]
+    return pf.cost_matrix(xa, xb)
+
+
 # the most units an enumerated instance holds: at most 27,845 plans each
 ENUMERATED_UNITS = 15
 
@@ -686,28 +706,16 @@ class TestDensePath:
         assert 100 < len(seen) and 0 < certified < len(seen)
 
     def test_ties_at_working_size_match_reference_bitwise(self, taken):
-        """100 neurons a side: B copies 20 of A's and has a dead one; A has a
-        dead one too (kinds 1-3), two (kind 2) or a duplicated one (kind 3)."""
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            xa, xb = rng.normal(size=(100, 20)), rng.normal(size=(100, 20))
-            kind = seed % 4
-            xb[:20], xb[99] = xa[:20], 0.0
-            if kind:
-                xa[99] = 0.0
-            if kind == 2:
-                xa[98] = 0.0
-            if kind == 3:
-                xa[97] = xa[21]
+        for seed in range(TIE_INSTANCES):
             alpha = (Fraction(0), Fraction(1, 4), Fraction(2, 5))[seed % 3]
             mu = np.full(100, 0.01)
-            sup, dem, cost = _network(mu, mu, pf.cost_matrix(xa, xb), alpha)
+            sup, dem, cost = _network(mu, mu, _tie_cost(seed), alpha)
             np.testing.assert_array_equal(
                 transport._min_cost_flow(sup, dem, cost),
                 _reference_min_cost_flow(sup, dem, cost),
                 err_msg=f"seed {seed}",
             )
-        assert len(taken) == 12 and 0 < sum(taken) < 12
+        assert len(taken) == TIE_INSTANCES and 0 < sum(taken) < TIE_INSTANCES
 
     @pytest.mark.parametrize("n", [100, 200, 400])
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.4])
@@ -860,6 +868,24 @@ class TestSimplexPath:
 
 class TestWorkingSizeOracles:
     """Exact objectives at the sizes fusion solves, against scipy."""
+
+    def test_power_of_two_cost_scaling_returns_the_same_plan(self, monkeypatch):
+        """A power-of-two scale leaves every route's plan bitwise as it was:
+        the dense route, the simplex and the search all take some instances."""
+        dense = _record_certified(monkeypatch, "_dense_flow")
+        simplex = _record_certified(monkeypatch, "_simplex_flow")
+        mu = uniform(100)
+        for seed in range(TIE_INSTANCES):
+            cost = _tie_cost(seed)
+            for alpha in (0.0, 0.25, 0.4, 1 / 3):
+                plan = pf.solve_partial_ot(mu, mu, cost, alpha).matrix
+                for scale in (2.0**-20, 2.0**20):  # 1/4 and 4 hold too, but double the time
+                    np.testing.assert_array_equal(
+                        pf.solve_partial_ot(mu, mu, scale * cost, alpha).matrix,
+                        plan,
+                        err_msg=f"seed {seed}, alpha {alpha}, scale {scale}",
+                    )
+        assert any(dense) and any(simplex) and not all(dense + simplex)
 
     def test_prune_post_shape_matches_highs_with_certified_duals(self, monkeypatch):
         """solve_ot from uniform 200 to uniform 140: the simplex's duals are
