@@ -15,11 +15,7 @@ from .analysis import (
     similarity_stats,
     tradeoff_sweep,
 )
-from .clustering import (
-    ClusterAssignment,
-    assignment_to_kernels,
-    stochastic_ward,
-)
+from .clustering import assignment_to_kernels, stochastic_ward
 from .data import (
     heterogeneous_split,
     load_idx,

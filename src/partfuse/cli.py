@@ -122,10 +122,13 @@ def _fusion_config(args, lam: float, alpha) -> fus.FusionConfig:
 
 
 def cmd_train(args) -> int:
+    out_dir = Path(args.out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():  # checked before any work; --out is made only after training
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     train = _load_split(args, "train")
     if args.split_digit is not None and args.split_digit not in train.labels:
         raise UsageError(f"--split-digit {args.split_digit}: class not present in the training labels")
-    out_dir = Path(args.out)
     dims = [train.inputs.shape[1], *([args.width] * args.depth), int(train.labels.max()) + 1]
     outputs, lines = {}, []
     for k in range(args.pairs):
@@ -229,14 +232,21 @@ def cmd_fuse(args) -> int:
         text = "\n".join(lines) + "\n"
         outputs[args.export_couplings] = lambda path: Path(path).write_text(text)
     outputs[args.out] = lambda path: netcore.save(net, path)
-    # opened before the publish, so a bad records path fails first; the row goes last
+    # opened before the publish, so a bad records path fails first; the row goes
+    # last, and a records file this command created is removed if it fails
+    new_records = args.records and not os.path.lexists(args.records)
     with open(args.records, "a") if args.records else contextlib.nullcontext() as records:
-        _publish(outputs)
-        if args.export_couplings:
-            print(f"wrote {args.export_couplings}")
-        print(f"wrote {args.out} widths={net.hidden_dims}")
-        if records:
-            records.write(("" if records.tell() else CSV_HEADER + "\n") + record.csv_row() + "\n")
+        try:
+            _publish(outputs)
+            if args.export_couplings:
+                print(f"wrote {args.export_couplings}")
+            print(f"wrote {args.out} widths={net.hidden_dims}")
+            if records:
+                records.write(("" if records.tell() else CSV_HEADER + "\n") + record.csv_row() + "\n")
+        except BaseException:
+            if new_records:
+                os.remove(args.records)
+            raise
     print(record.csv_row())
     return 0
 

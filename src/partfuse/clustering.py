@@ -6,7 +6,6 @@ agglomeration, best of stochastic restarts.
 
 import sys
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
@@ -15,36 +14,6 @@ import numpy as np
 from . import netcore
 from .netcore import CallerPool, ShapeError
 from .transport import Coupling, DiscreteMeasure, KernelPair, cost_matrix, coupling_to_kernels
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterAssignment:
-    """Map from points to cluster centers with center coordinates and masses."""
-
-    assign: np.ndarray
-    centers: np.ndarray
-    center_mass: np.ndarray
-
-    def __post_init__(self):
-        assign = np.asarray(self.assign, dtype=np.int64)
-        centers = np.asarray(self.centers, dtype=np.float64)
-        mass = np.asarray(self.center_mass, dtype=np.float64)
-        m = centers.shape[0]
-        if assign.ndim != 1 or centers.ndim != 2 or mass.shape != (m,):
-            raise ShapeError("inconsistent assignment shapes")
-        if assign.size and (assign.min() < 0 or assign.max() >= m):
-            raise ValueError("assignment index out of range")
-        if np.any(mass <= 0):
-            raise ValueError("empty cluster in assignment")
-        for arr in (assign, centers, mass):
-            arr.flags.writeable = False
-        object.__setattr__(self, "assign", assign)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "center_mass", mass)
-
-    @property
-    def num_clusters(self) -> int:
-        return self.centers.shape[0]
 
 
 class MergeCostOverflow(ValueError):
@@ -90,14 +59,6 @@ def _cluster_centers(
         for k, c in enumerate(labels[b].tolist()):
             centers[c] += block[k]
     return centers, mass
-
-
-def _labels_to_assignment(
-    points: np.ndarray, masses: np.ndarray, labels: np.ndarray
-) -> ClusterAssignment:
-    """Relabel to consecutive cluster ids and place centers at weighted means."""
-    uniq, labels = np.unique(labels, return_inverse=True)
-    return ClusterAssignment(labels, *_cluster_centers(points, masses, labels, len(uniq)))
 
 
 def _objective_for_labels(points: np.ndarray, masses: np.ndarray, labels: np.ndarray) -> float:
@@ -299,8 +260,9 @@ def stochastic_ward(
     m: int,
     restarts: int = 1000,
     seed: int = 0,
-) -> ClusterAssignment:
-    """Best of many randomized Ward runs at the fixed TEMPERATURE.
+) -> np.ndarray:
+    """Labels 0..m-1 of the best of many randomized Ward runs at the fixed
+    TEMPERATURE, numbering the clusters in order of their first member.
 
     Restart r draws from an independent generator keyed by (seed, r), so
     enlarging the restart budget with the same seed only ever improves the
@@ -326,7 +288,7 @@ def stochastic_ward(
         raise ValueError("seed must be >= 0")
     w = masses.masses
     if m == n:  # nothing to merge: every point is its own cluster
-        return _labels_to_assignment(points, w, np.arange(n))
+        return np.arange(n)
     # the one BLAS product, before any fork
     pairs = _ward_pairs(points, w)
 
@@ -345,20 +307,25 @@ def stochastic_ward(
         with CallerPool(k) as pool:
             bests = list(pool.map(best_of, shares))
     _, _, labels = min(bests, key=_serial_rank)
-    return _labels_to_assignment(points, w, labels)
+    # a cluster holds its smallest member's slot (see _agglomerate)
+    return np.unique(labels, return_inverse=True)[1]
 
 
-def assignment_to_kernels(
-    assignment: ClusterAssignment, mu: DiscreteMeasure
-) -> KernelPair:
-    """Kernels of the point-to-center coupling pi[i, k] = mu[i] * 1{assign[i]=k}.
+def assignment_to_kernels(labels: np.ndarray, mu: DiscreteMeasure) -> KernelPair:
+    """Kernels of the point-to-center coupling pi[i, k] = mu[i] * 1{labels[i]=k}.
 
-    k_ab (E -> S) routes each point wholly to its center; k_ba (S -> E)
-    spreads each center over its members proportionally to their mass.
+    labels number the clusters 0..m-1, each with positive mass.  k_ab
+    (E -> S) routes each point wholly to its center; k_ba (S -> E) spreads
+    each center over its members proportionally to their mass.
     """
-    assign = assignment.assign
-    if len(mu) != assign.shape[0]:
-        raise ShapeError("measure length does not match assignment")
-    pi = np.zeros((len(mu), assignment.num_clusters))
-    pi[np.arange(len(mu)), assign] = mu.masses
-    return coupling_to_kernels(Coupling(pi, mu, DiscreteMeasure(assignment.center_mass)))
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(mu),):
+        raise ShapeError("labels must be a vector with one entry per point of the measure")
+    if labels.min() < 0:
+        raise ValueError("negative cluster label")
+    mass = np.bincount(labels, weights=mu.masses)
+    if np.any(mass <= 0):
+        raise ValueError("empty cluster in the labels")
+    pi = np.zeros((len(mu), mass.size))
+    pi[np.arange(len(mu)), labels] = mu.masses
+    return coupling_to_kernels(Coupling(pi, mu, DiscreteMeasure(mass)))

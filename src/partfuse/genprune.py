@@ -108,10 +108,10 @@ def cluster_prune(
         mu = DiscreteMeasure(factors / factors.sum())
         m = spec.target_widths[layer - 1]
         try:
-            assignment = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
+            labels = clst.stochastic_ward(feats, mu, m, restarts=restarts, seed=seed)
         except clst.MergeCostOverflow as exc:
             raise NumericalFailure(f"layer {layer}: {exc}") from exc
-        kp = clst.assignment_to_kernels(assignment, mu)
+        kp = clst.assignment_to_kernels(labels, mu)
         kernel_list.append((kp.k_ab, kp.k_ba))
     return apply_generalized_pruning(net, kernel_list)
 

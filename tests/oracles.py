@@ -1,7 +1,7 @@
 """Exact oracles that only the tests use: exhaustive transport (the optimum,
 and every integral plan) and clustering, finite-difference gradients and
 the closed-form pruned-parameter counts; also the stratified holdout split
-that only tests draw, the clustering objective of an assignment, greedy Ward
+that only tests draw, the clustering objective of a labelling, greedy Ward
 on the dense merge-cost matrix, the objective trace of fixed-point
 alignment, and the kernel pair that writes partial fusion as generalized
 pruning.
@@ -18,13 +18,7 @@ from unittest import mock
 import numpy as np
 
 from partfuse import fusion
-from partfuse.clustering import (
-    ClusterAssignment,
-    _check_points,
-    _labels_to_assignment,
-    _objective_for_labels,
-    _ward_pairs,
-)
+from partfuse.clustering import _check_points, _cluster_centers, _objective_for_labels, _ward_pairs
 from partfuse.data import _per_class_draw, _take
 from partfuse.netcore import DenseNetwork, LabeledDataset, ShapeError
 from partfuse.train import loss_and_gradients
@@ -121,16 +115,14 @@ def integral_plans(supply: np.ndarray, demand: np.ndarray) -> list:
     return [flow.copy() for _, flow in _plans(supply, demand, zero, lambda: np.inf)]
 
 
-def clustering_objective(
-    points: np.ndarray, masses: DiscreteMeasure, assignment: ClusterAssignment
-) -> float:
-    """Sum of mass-weighted squared distances of points to their centers."""
+def clustering_objective(points: np.ndarray, masses: DiscreteMeasure, labels: np.ndarray) -> float:
+    """Sum of mass-weighted squared distances of points to the centers of their clusters."""
     points = _check_points(points, masses)
-    if assignment.assign.shape[0] != points.shape[0]:
-        raise ShapeError("assignment length does not match points")
-    if assignment.centers.shape[1] != points.shape[1]:
-        raise ShapeError("center dimension does not match points")
-    diff = points - assignment.centers[assignment.assign]
+    labels = np.asarray(labels)
+    if labels.shape != (points.shape[0],):
+        raise ShapeError("labels must be a vector with one entry per point")
+    centers, _ = _cluster_centers(points, masses.masses, labels, labels.max() + 1)
+    diff = points - centers[labels]
     return float(np.sum(masses.masses * np.einsum("ij,ij->i", diff, diff)))
 
 
@@ -218,14 +210,14 @@ def dense_agglomerate(points, weights, m, rng, temperature):
     return labels
 
 
-def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> ClusterAssignment:
-    """Deterministic agglomerative clustering by least variance increase."""
+def greedy_ward(points: np.ndarray, masses: DiscreteMeasure, m: int) -> np.ndarray:
+    """Labels 0..m-1 of deterministic agglomerative clustering by least variance increase."""
     points = _check_points(points, masses)
     if not 1 <= m <= points.shape[0]:
         raise ValueError(f"m={m} must lie in 1..{points.shape[0]}")
     w = masses.masses
     _ward_pairs(points, w)  # raises MergeCostOverflow as stochastic_ward does
-    return _labels_to_assignment(points, w, dense_agglomerate(points, w, m, None, 0.0))
+    return np.unique(dense_agglomerate(points, w, m, None, 0.0), return_inverse=True)[1]
 
 
 def fixed_point_trace(

@@ -77,7 +77,6 @@ ARRAY_HOLDERS = {
     "DiscreteMeasure": lambda: pf.DiscreteMeasure(np.full(3, 1 / 3)),
     "Coupling": _coupling,
     "KernelPair": lambda: pf.KernelPair(np.eye(2), np.eye(2)),
-    "ClusterAssignment": lambda: pf.ClusterAssignment(np.array([0, 1, 1]), np.zeros((2, 2)), np.ones(2)),
     "DenseNetwork": lambda: pf.DenseNetwork([np.eye(2)] * 2, [np.zeros(2)] * 2, pf.ActivationKind.RELU),
     "LabeledDataset": lambda: pf.LabeledDataset(np.zeros((2, 3)), np.array([0, 1])),
     "MatchPlan": lambda: pf.MatchPlan.boundary(3),
@@ -98,6 +97,27 @@ def test_array_holders_compare_by_identity(name):
     assert len({a, b}) == 2
 
 
+# The names `import partfuse` exports besides its modules: adding or removing
+# one edits this set on purpose.
+PUBLIC_NAMES = {
+    "ActivationKind", "AlignMethod", "AlignResult", "Coupling", "DenseNetwork", "DiscreteMeasure",
+    "FeatureKind", "FusionConfig", "KernelPair", "LabeledDataset", "MatchPlan", "ParamReport",
+    "PruneMethod", "PruneSpec", "RunRecord", "SimilarityReport", "TrainConfig",
+    "activations", "align", "apply_generalized_pruning", "assemble_partial_layer",
+    "assignment_to_kernels", "cluster_prune", "cost_matrix", "count_params", "coupling_to_kernels",
+    "evaluate_accuracy", "features_activation", "features_weight", "fine_tune", "fixed_point_align",
+    "forward", "greedy_align", "heterogeneous_split", "load", "load_idx", "make_ensemble",
+    "match_pair", "ot_fuse", "partial_fuse", "prune", "prune_with_postprocess",
+    "restrict_normalize_partial", "save", "similarity_stats", "solve_ot", "solve_partial_ot",
+    "stochastic_ward", "synthetic_blobs", "tradeoff_sweep", "train_mlp", "unstructured_prune",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {name for name, value in vars(pf).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC_NAMES
+
+
 # Every option below has a caller outside the tests (the CLI or the library's
 # own pipeline).  A new option changes these lists on purpose, as does a new
 # command-line flag in CLI_OPTIONS.
@@ -113,6 +133,8 @@ PARAMETERS = {
     pf.features_activation: ("net", "data"),
     pf.similarity_stats: ("net_a", "net_b", "data"),
     pf.load_idx: ("images_path", "labels_path", "rows"),
+    pf.stochastic_ward: ("points", "masses", "m", "restarts", "seed"),
+    pf.assignment_to_kernels: ("labels", "mu"),
     pf.cluster_prune: ("net", "spec", "data", "restarts", "seed"),
     pf.prune_with_postprocess: ("net", "spec"),
     pf.analysis.run_cell: (

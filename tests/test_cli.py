@@ -786,6 +786,24 @@ class TestPublish:
                     "--depth", "1", "--epochs", "0"]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_train_out_under_a_file_exit_2_before_training(self, data_dir, tmp_path, monkeypatch, capsys, out):
+        calls = []
+        monkeypatch.setattr(trainmod, "train_mlp", lambda *args: calls.append(args))
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"precious")
+        assert run(["train", "--data-dir", data_dir, "--out", tmp_path / out, "--pairs", "2", "--width", "3",
+                    "--depth", "1", "--epochs", "0"]) == 2
+        assert calls == []
+        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert taken.read_bytes() == b"precious"
+
+    def test_a_failed_fuse_removes_the_records_file_it_created(self, data_dir, trained_dir, tmp_path):
+        records = tmp_path / "new.csv"
+        assert run(["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--records", records, "--out", tmp_path / "missing" / "x.pfnn"]) == 2
+        assert not records.exists()
+
     def test_records_directory_exit_2_leaves_no_checkpoint(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "x.pfnn"
         assert run(["fuse", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",

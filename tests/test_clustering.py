@@ -11,8 +11,6 @@ import pytest
 
 import partfuse as pf
 from partfuse import clustering, netcore
-from partfuse.clustering import _labels_to_assignment
-
 from oracles import brute_force_clustering, clustering_objective, dense_agglomerate, greedy_ward
 
 
@@ -23,22 +21,18 @@ def uniform(n):
 class TestObjective:
     def test_every_point_its_own_center(self, rng):
         pts = rng.normal(size=(5, 2))
-        a = _labels_to_assignment(pts, uniform(5).masses, np.arange(5))
-        assert clustering_objective(pts, uniform(5), a) == 0.0
+        assert clustering_objective(pts, uniform(5), np.arange(5)) == 0.0
 
     def test_coincident_points_single_center(self):
         pts = np.ones((2, 3))
-        a = _labels_to_assignment(pts, uniform(2).masses, np.zeros(2, dtype=int))
-        assert clustering_objective(pts, uniform(2), a) == 0.0
+        assert clustering_objective(pts, uniform(2), np.zeros(2, dtype=int)) == 0.0
 
     def test_hand_computed_pairings(self):
         # four points 0, 0, 10, 10 with masses 1/4 each
         pts = np.array([[0.0], [0.0], [10.0], [10.0]])
         mu = uniform(4)
-        paired = _labels_to_assignment(pts, mu.masses, np.array([0, 0, 1, 1]))
-        assert clustering_objective(pts, mu, paired) == 0.0
-        crossed = _labels_to_assignment(pts, mu.masses, np.array([0, 1, 0, 1]))
-        assert clustering_objective(pts, mu, crossed) == pytest.approx(25.0)
+        assert clustering_objective(pts, mu, np.array([0, 0, 1, 1])) == 0.0
+        assert clustering_objective(pts, mu, np.array([0, 1, 0, 1])) == pytest.approx(25.0)
 
 
 class TestGreedyWard:
@@ -62,9 +56,9 @@ class TestGreedyWard:
         assert clustering_objective(pts, mu, a) == pytest.approx(
             brute_force_clustering(pts, mu, 3), abs=1e-12
         )
-        assert a.assign[0] == a.assign[1]
-        assert a.assign[2] == a.assign[3]
-        assert a.assign[4] == a.assign[5]
+        assert a[0] == a[1]
+        assert a[2] == a[3]
+        assert a[4] == a[5]
 
     def test_never_beats_brute_force(self):
         for seed in range(25):
@@ -107,8 +101,7 @@ class TestStochasticWard:
         mu = uniform(8)
         a = pf.stochastic_ward(pts, mu, 3, restarts=20, seed=5)
         b = pf.stochastic_ward(pts, mu, 3, restarts=20, seed=5)
-        np.testing.assert_array_equal(a.assign, b.assign)
-        np.testing.assert_array_equal(a.centers, b.centers)
+        np.testing.assert_array_equal(a, b)
 
     def test_full_width_merges_nothing(self, rng, monkeypatch):
         def no_merges(*args, **kwargs):
@@ -116,7 +109,8 @@ class TestStochasticWard:
 
         monkeypatch.setattr(pf.clustering, "_agglomerate", no_merges)
         a = pf.stochastic_ward(rng.normal(size=(6, 3)), uniform(6), 6, restarts=3)
-        np.testing.assert_array_equal(a.assign, np.arange(6))
+        assert a.dtype == np.int64
+        np.testing.assert_array_equal(a, np.arange(6))
 
     def test_invalid_parameters(self, rng):
         pts = rng.normal(size=(4, 2))
@@ -247,7 +241,7 @@ def _serial_stochastic_ward(points, masses, m, restarts, seed):
     for obj, labels in _restart_results(points, masses, m, restarts, seed):
         if best is None or obj < best[0]:
             best = (obj, labels)
-    return _labels_to_assignment(points, masses.masses, best[1])
+    return np.unique(best[1], return_inverse=True)[1]
 
 
 def _square_corners(copies, d):
@@ -314,8 +308,19 @@ class TestParallelRestarts:
         for route in _ROUTES.values():
             with route():
                 got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
-            assert got.assign.tobytes() == want.assign.tobytes()
-            assert got.centers.tobytes() == want.centers.tobytes()
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_parallel_instances()))
+    def test_labels_number_clusters_by_first_member(self, monkeypatch, case):
+        points, masses, m, restarts, _ = _parallel_instances()[case]
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        for seed in range(3):
+            for route in _ROUTES.values():
+                with route():
+                    labels = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
+                assert labels.dtype == np.int64 and labels.shape == (len(masses),)
+                first = np.sort(np.unique(labels, return_index=True)[1])
+                np.testing.assert_array_equal(labels[first], np.arange(m))
 
     def test_duplicated_rows_tie_across_restarts(self):
         # the premise of the duplicated-rows case: a later restart reaches the
@@ -324,7 +329,7 @@ class TestParallelRestarts:
         results = _restart_results(points, masses, m, restarts, seed)
         best = min(obj for obj, _ in results)
         partitions = {
-            _labels_to_assignment(points, masses.masses, labels).assign.tobytes()
+            np.unique(labels, return_inverse=True)[1].tobytes()
             for obj, labels in results
             if obj == best
         }
@@ -359,11 +364,11 @@ class TestParallelRestarts:
                 best = r
         points, masses = np.zeros((64, 800)), uniform(64)
         want = agglomerate(points, masses.masses, 63, np.random.default_rng((0, best)), None)
-        want = _labels_to_assignment(points, masses.masses, want).assign.tobytes()
+        want = np.unique(want, return_inverse=True)[1].tobytes()
         for route in _ROUTES.values():
             with route():
                 got = pf.stochastic_ward(points, masses, 63, restarts=7)
-            assert got.assign.tobytes() == want
+            assert got.tobytes() == want
 
     @pytest.fixture
     def started(self, monkeypatch):
@@ -415,7 +420,7 @@ class TestParallelRestarts:
         got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
         assert started["fork"] == min(restarts, netcore.available_cpus()) - 1
         want = _serial_stochastic_ward(points, masses, m, restarts, seed)
-        assert got.assign.tobytes() == want.assign.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_workers_take_the_callers_error_policy(self, monkeypatch):
         # mostly identical rows: the median delta is 0, so the pick weights
@@ -429,7 +434,7 @@ class TestParallelRestarts:
                 warnings.simplefilter("error")
                 got = pf.stochastic_ward(pts, mu, 5, restarts=4)
                 want = _serial_stochastic_ward(pts, mu, 5, 4, 0)
-            assert got.assign.tobytes() == want.assign.tobytes()
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("where", ["everywhere", "helpers"])
     def test_a_raising_restart_reaches_the_caller(self, monkeypatch, where):
@@ -495,9 +500,8 @@ class TestNonFinitePoints:
             pf.stochastic_ward(pts, mu, 3, restarts=2)
         with pytest.raises(ValueError, match="points must be finite"):
             brute_force_clustering(pts, mu, 3)
-        a = _labels_to_assignment(pts, mu.masses, np.arange(8) % 3)
         with pytest.raises(ValueError, match="points must be finite"):
-            clustering_objective(pts, mu, a)
+            clustering_objective(pts, mu, np.arange(8) % 3)
 
     def test_overflowing_merge_costs_rejected(self, rng):
         # finite points whose squared distances overflow
@@ -519,43 +523,43 @@ class TestTranslationInvariance:
             mu = uniform(9)
             base = pf.stochastic_ward(pts, mu, 3, restarts=50, seed=seed)
             moved = pf.stochastic_ward(pts + shift, mu, 3, restarts=50, seed=seed)
-            np.testing.assert_array_equal(base.assign, moved.assign)
+            np.testing.assert_array_equal(base, moved)
             gw_base = greedy_ward(pts, mu, 4)
             gw_moved = greedy_ward(pts + shift, mu, 4)
-            np.testing.assert_array_equal(gw_base.assign, gw_moved.assign)
+            np.testing.assert_array_equal(gw_base, gw_moved)
 
 
 class TestAssignmentKernels:
-    def test_identity_assignment(self, rng):
-        pts = rng.normal(size=(4, 2))
-        a = _labels_to_assignment(pts, uniform(4).masses, np.arange(4))
-        kp = pf.assignment_to_kernels(a, uniform(4))
+    def test_identity_assignment(self):
+        kp = pf.assignment_to_kernels(np.arange(4), uniform(4))
         np.testing.assert_allclose(kp.k_ab, np.eye(4))
         np.testing.assert_allclose(kp.k_ba, np.eye(4))
 
-    def test_uniform_pairs(self, rng):
-        pts = rng.normal(size=(4, 2))
-        a = _labels_to_assignment(pts, uniform(4).masses, np.array([0, 0, 1, 1]))
-        kp = pf.assignment_to_kernels(a, uniform(4))
+    def test_uniform_pairs(self):
+        kp = pf.assignment_to_kernels(np.array([0, 0, 1, 1]), uniform(4))
         np.testing.assert_allclose(kp.k_ba[:, 0], [0.5, 0.5, 0.0, 0.0])
         np.testing.assert_allclose(kp.k_ba[:, 1], [0.0, 0.0, 0.5, 0.5])
 
     def test_columns_stochastic(self, rng):
-        pts = rng.normal(size=(7, 2))
         masses = pf.DiscreteMeasure(rng.random(7) + 0.1)
         labels = rng.integers(0, 3, size=7)
         labels[:3] = [0, 1, 2]  # no empty cluster
-        a = _labels_to_assignment(pts, masses.masses, labels)
-        kp = pf.assignment_to_kernels(a, masses)
+        kp = pf.assignment_to_kernels(labels, masses)
         np.testing.assert_allclose(kp.k_ab.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(kp.k_ba.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_measure_inconsistent_with_center_masses_rejected(self, rng):
-        pts = rng.normal(size=(4, 2))
-        a = _labels_to_assignment(pts, uniform(4).masses, np.array([0, 0, 1, 1]))
-        skewed = pf.DiscreteMeasure(np.array([0.1, 0.1, 0.4, 0.4]))
-        with pytest.raises(ValueError, match="column sums"):
-            pf.assignment_to_kernels(a, skewed)
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (5,)])
+    def test_labels_not_one_per_point_rejected(self, shape):
+        with pytest.raises(pf.netcore.ShapeError):
+            pf.assignment_to_kernels(np.zeros(shape, dtype=int), uniform(4))
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0, -1, 1, 1], "negative cluster"), ([0, 0, 2, 2], "empty cluster"), ([1, 1, 2, 2], "empty cluster")],
+    )
+    def test_negative_or_skipped_cluster_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            pf.assignment_to_kernels(np.array(labels), uniform(4))
 
 
 class TestBruteForceClustering:
@@ -574,8 +578,8 @@ class TestBruteForceClustering:
         pts = np.vstack([a + 0.01 * rng.normal(size=(2, 2)) for a in anchors])
         mu = uniform(6)
         opt = brute_force_clustering(pts, mu, 3)
-        a = _labels_to_assignment(pts, mu.masses, np.array([0, 0, 1, 1, 2, 2]))
-        assert opt == pytest.approx(clustering_objective(pts, mu, a), abs=1e-12)
+        labels = np.array([0, 0, 1, 1, 2, 2])
+        assert opt == pytest.approx(clustering_objective(pts, mu, labels), abs=1e-12)
 
     def test_too_large_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -594,10 +598,15 @@ class TestInvariants:
             np.add.at(mass, inverse, masses)
             centers = np.zeros((len(uniq), d))
             np.add.at(centers, inverse, (masses / mass[inverse])[:, None] * pts)
-            a = _labels_to_assignment(pts, masses, labels)
-            np.testing.assert_array_equal(a.assign, inverse)
-            assert a.centers.tobytes() == centers.tobytes()
-            assert a.center_mass.tobytes() == mass.tobytes()
+            got_centers, got_mass = clustering._cluster_centers(pts, masses, inverse, len(uniq))
+            assert got_centers.tobytes() == centers.tobytes()
+            assert got_mass.tobytes() == mass.tobytes()
+            # slot ids as _agglomerate leaves them: an unused id gets zeros
+            got_centers, got_mass = clustering._cluster_centers(pts, masses, labels, labels.max() + 1)
+            assert got_centers[uniq].tobytes() == centers.tobytes()
+            assert got_mass[uniq].tobytes() == mass.tobytes()
+            assert not np.delete(got_centers, uniq, axis=0).any()
+            assert not np.delete(got_mass, uniq).any()
             diff = pts - centers[inverse]
             want = float(np.sum(masses * np.einsum("ij,ij->i", diff, diff)))
             assert clustering._objective_for_labels(pts, masses, labels) == want
@@ -605,12 +614,13 @@ class TestInvariants:
     def test_center_mass_consistency(self, rng):
         pts = rng.normal(size=(8, 3))
         masses = pf.DiscreteMeasure(rng.random(8) + 0.2)
-        a = greedy_ward(pts, masses, 3)
-        for k in range(a.num_clusters):
-            members = a.assign == k
-            assert a.center_mass[k] == pytest.approx(masses.masses[members].sum(), abs=1e-12)
+        labels = greedy_ward(pts, masses, 3)
+        centers, mass = clustering._cluster_centers(pts, masses.masses, labels, 3)
+        for k in range(3):
+            members = labels == k
+            assert mass[k] == pytest.approx(masses.masses[members].sum(), abs=1e-12)
             np.testing.assert_allclose(
-                a.centers[k],
+                centers[k],
                 np.average(pts[members], axis=0, weights=masses.masses[members]),
                 atol=1e-9,
             )

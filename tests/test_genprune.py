@@ -66,10 +66,7 @@ class TestApplyGeneralizedPruning:
         data = rng.normal(size=(30, 4))
         feats, mu = pf.features_activation(net, data)[0], pf.DiscreteMeasure.uniform(6)
         labels = np.array([0, 0, 1, 2, 3, 4])  # neuron 2 is a singleton
-        from partfuse.clustering import _labels_to_assignment
-
-        assignment = _labels_to_assignment(feats, mu.masses, labels)
-        kp = pf.assignment_to_kernels(assignment, mu)
+        kp = pf.assignment_to_kernels(labels, mu)
         out = pf.apply_generalized_pruning(net, [(kp.k_ab, kp.k_ba)])
         np.testing.assert_array_equal(out.weights[0][1], net.weights[0][2])
         np.testing.assert_array_equal(out.weights[1][:, 1], net.weights[1][:, 2])
