@@ -121,6 +121,17 @@ def _fusion_config(args, lam: float, alpha) -> fus.FusionConfig:
     )
 
 
+def _balanced_shares(sizes, workers: int) -> list:
+    """The indices of sizes dealt into `workers` lists: largest first, each to
+    the list with the least total (the earliest on ties)."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for t in sorted(range(len(sizes)), key=lambda t: -sizes[t]):
+        c = loads.index(min(loads))
+        shares[c].append(t)
+        loads[c] += sizes[t]
+    return shares
+
+
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
@@ -130,24 +141,44 @@ def cmd_train(args) -> int:
     if args.split_digit is not None and args.split_digit not in train.labels:
         raise UsageError(f"--split-digit {args.split_digit}: class not present in the training labels")
     dims = [train.inputs.shape[1], *([args.width] * args.depth), int(train.labels.max()) + 1]
-    outputs, lines = {}, []
+    # one (checkpoint name, manifest role, seed, training rows) per network;
+    # None rows train on the whole split
+    nets = []
     for k in range(args.pairs):
+        rows = (None, None)
         if args.split_digit is not None:
-            part_a, part_b = datamod.heterogeneous_split(train, args.split_digit, seed=args.seed_base + k)
-        else:
-            part_a = part_b = train
-        for side, part, seed in (
-            ("A", part_a, args.seed_base + 2 * k),
-            ("B", part_b, args.seed_base + 2 * k + 1),
-        ):
-            net = trainmod.train_mlp(dims, part, trainmod.TrainConfig(epochs=args.epochs, seed=seed))
-            name = f"pair{k}_{side}.pfnn"
-            outputs[out_dir / name] = lambda path, net=net: netcore.save(net, path)
-            lines.append(f"{name} {side}{k}")
-    manifest = "\n".join(lines) + "\n"
+            rows = datamod.split_rows(train, args.split_digit, seed=args.seed_base + k)
+        for side, seed, side_rows in zip("AB", (args.seed_base + 2 * k, args.seed_base + 2 * k + 1), rows):
+            nets.append((f"pair{k}_{side}.pfnn", f"{side}{k}", seed, side_rows))
+
+    def train_one(seed, rows):
+        # each worker copies out only the rows of the network it trains
+        part = train if rows is None else datamod.take_rows(train, rows)
+        return trainmod.train_mlp(dims, part, trainmod.TrainConfig(epochs=args.epochs, seed=seed))
+
+    sizes = [len(train) if rows is None else rows.size for *_, rows in nets]
+    # each worker's products take as many BLAS threads as a serial run's, so
+    # only as many workers as leave every BLAS thread a CPU of its own
+    workers = min(len(nets), max(1, netcore.available_cpus() // netcore.blas_threads()))
+    shares = _balanced_shares(sizes, workers)
+    trained = netcore.worker_map(lambda share: [train_one(*nets[t][2:]) for t in share], shares)
+    by_index = {t: net for share, share_nets in zip(shares, trained) for t, net in zip(share, share_nets)}
+    outputs = {}
+    for t, (name, _, _, _) in enumerate(nets):
+        outputs[out_dir / name] = lambda path, net=by_index[t]: netcore.save(net, path)
+    manifest = "".join(f"{name} {role}\n" for name, role, _, _ in nets)
     outputs[out_dir / "manifest.txt"] = lambda path: Path(path).write_text(manifest)
-    out_dir.mkdir(parents=True, exist_ok=True)  # only once every pair is trained
-    _publish(outputs)
+    # made only once every network is trained, and removed again, deepest
+    # first, while still empty when the publish fails
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        _publish(outputs)
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
     for target in outputs:
         print(f"wrote {target}")
     return 0

@@ -4,15 +4,13 @@ The target regime has m as a large fraction of n; the solver is Ward-style
 agglomeration, best of stochastic restarts.
 """
 
-import sys
-import threading
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import netcore
-from .netcore import CallerPool, ShapeError
+from .netcore import ShapeError
 from .transport import Coupling, DiscreteMeasure, KernelPair, cost_matrix, coupling_to_kernels
 
 
@@ -202,58 +200,6 @@ def _serial_rank(result: _Restart) -> Tuple[bool, bool, float, int]:
     return (not (nan and r == 0), nan, 0.0 if nan else objective, r)
 
 
-def _send_result(conn, fn: Callable, item) -> None:
-    """Child side of _fork_map: send fn(item), or the exception it raised."""
-    try:
-        result = fn(item)
-    except Exception as exc:  # raised again in the parent
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
-def _fork_map(fn: Callable, items: Sequence) -> List:
-    """[fn(x) for x in items], the caller running items[0] and a forked child
-    each later item.
-
-    Each child pipes back its result, or the exception it raised, which is
-    raised again here.  Every child is joined before this returns or raises.
-    Fork only from a process with no other thread.
-    """
-    import multiprocessing  # only this route starts processes
-
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for item in items[1:]:
-            receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_result, args=(send, fn, item))
-            child.start()
-            children.append((child, receive))
-            send.close()
-        results = [fn(items[0])]
-        for child, receive in children:
-            try:
-                result = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"a Ward restart process exited with code {child.exitcode}"
-                ) from None
-            if isinstance(result, BaseException):
-                raise result
-            results.append(result)
-        return results
-    except BaseException:
-        for child, _ in children:  # a share failed: the others are of no use
-            child.terminate()
-        raise
-    finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
-
-
 def stochastic_ward(
     points: np.ndarray,
     masses: DiscreteMeasure,
@@ -271,12 +217,12 @@ def stochastic_ward(
     Instances with at least _PARALLEL_MIN_WORK work per restart split their
     restarts over k = min(restarts, available CPUs) workers: worker c runs
     restarts r = c (mod k), the caller being worker 0, and each reports only
-    its earliest best restart.  On Linux, when the calling process runs no
-    other thread, workers 1..k-1 are forked child processes, which get round
-    the GIL; their memory is not in the caller's resident set.  Otherwise
-    they are threads, in which numpy releases the GIL inside each restart's
-    array work.  The result is byte-identical whatever the route or the
-    number of CPUs.
+    its earliest best restart.  The workers come from netcore.worker_map:
+    on Linux, when the calling process runs no other thread, workers
+    1..k-1 are forked child processes, which get round the GIL; their memory
+    is not in the caller's resident set.  Otherwise they are threads, in
+    which numpy releases the GIL inside each restart's array work.  The
+    result is byte-identical whatever the route or the number of CPUs.
     """
     points = _check_points(points, masses)
     n, d = points.shape
@@ -300,12 +246,7 @@ def stochastic_ward(
         return min(map(restart, share), key=_serial_rank)
 
     k = 1 if n * (n + d) < _PARALLEL_MIN_WORK else min(restarts, netcore.available_cpus())
-    shares = [range(c, restarts, k) for c in range(k)]
-    if k > 1 and sys.platform == "linux" and threading.active_count() == 1:
-        bests = _fork_map(best_of, shares)
-    else:
-        with CallerPool(k) as pool:
-            bests = list(pool.map(best_of, shares))
+    bests = netcore.worker_map(best_of, [range(c, restarts, k) for c in range(k)])
     _, _, labels = min(bests, key=_serial_rank)
     # a cluster holds its smallest member's slot (see _agglomerate)
     return np.unique(labels, return_inverse=True)[1]

@@ -123,8 +123,9 @@ def find_mnist(directory: Optional[Path] = None) -> Optional[dict]:
     return found
 
 
-def _take(data: LabeledDataset, idx: np.ndarray) -> LabeledDataset:
-    return LabeledDataset(data.inputs[idx], data.labels[idx])
+def take_rows(data: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
+    """The dataset of the given rows of data, in their order (a copy)."""
+    return LabeledDataset(data.inputs[rows], data.labels[rows])
 
 
 def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None) -> np.ndarray:
@@ -144,6 +145,14 @@ def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None
     return mask
 
 
+def split_rows(data: LabeledDataset, special_digit: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """The row indices, ascending, of heterogeneous_split's split A and split B."""
+    if special_digit not in data.labels:
+        raise ValueError(f"class {special_digit} not present in the data")
+    in_a = _per_class_draw(data, MINORITY_SHARE, seed, whole=special_digit)
+    return np.flatnonzero(in_a), np.flatnonzero(~in_a)
+
+
 def heterogeneous_split(
     data: LabeledDataset, special_digit: int, seed: int = 0
 ) -> Tuple[LabeledDataset, LabeledDataset]:
@@ -153,10 +162,8 @@ def heterogeneous_split(
     Split B is the exact complement, so the two splits partition the data
     and B contains no specialist samples at all.
     """
-    if special_digit not in data.labels:
-        raise ValueError(f"class {special_digit} not present in the data")
-    in_a = _per_class_draw(data, MINORITY_SHARE, seed, whole=special_digit)
-    return _take(data, np.flatnonzero(in_a)), _take(data, np.flatnonzero(~in_a))
+    rows_a, rows_b = split_rows(data, special_digit, seed)
+    return take_rows(data, rows_a), take_rows(data, rows_b)
 
 
 def synthetic_blobs(

@@ -1,16 +1,18 @@
 """Dense feedforward networks: evaluation, ensembling, serialization.
 
-Also the threads that evaluation and Ward restarts share: numpy releases
-the GIL inside their array work.
+Also the workers that evaluation, training and Ward restarts share: threads,
+in which numpy releases the GIL inside the array work, or forked processes.
 """
 
 import functools
 import os
 import struct
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterator, Optional
+from typing import BinaryIO, Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +147,10 @@ class DenseNetwork:
     @property
     def num_hidden(self) -> int:
         return len(self.weights) - 1
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the arrays come back read-only
+        return DenseNetwork, (self.weights, self.biases, self.activation, self.origins)
 
     def equals(self, other: "DenseNetwork") -> bool:
         """Bitwise equality of architecture and parameters (`==` compares identity)."""
@@ -314,6 +320,16 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def blas_threads() -> int:
+    """Threads the BLAS library runs a matrix product on, counted as this
+    process's threads that Python did not start: the caller and the pool
+    BLAS starts when it loads (Linux; 1 where threads cannot be counted)."""
+    try:
+        return max(1, len(os.listdir("/proc/self/task")) - threading.active_count() + 1)
+    except OSError:
+        return 1
+
+
 class CallerPool:
     """Up to `tasks` threads, one per available CPU, the calling thread included.
 
@@ -347,6 +363,74 @@ class CallerPool:
     def __exit__(self, *exc_info):
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
+
+
+def _send_result(conn, fn: Callable, item) -> None:
+    """Child side of _fork_map: send fn(item), or the exception it raised."""
+    try:
+        result = fn(item)
+    except Exception as exc:  # raised again in the parent
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _fork_map(fn: Callable, items: Sequence) -> List:
+    """[fn(x) for x in items], the caller running items[0] and a forked child
+    each later item.
+
+    Each child pipes back its result, or the exception it raised, which is
+    raised again here.  Every child is joined before this returns or raises.
+    Fork only from a process with no other thread.
+    """
+    import multiprocessing  # only this route starts processes
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for item in items[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_result, args=(send, fn, item))
+            child.start()
+            children.append((child, receive))
+            send.close()
+        results = [fn(items[0])]
+        for child, receive in children:
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a worker process exited with code {child.exitcode}") from None
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+        return results
+    except BaseException:
+        for child, _ in children:  # a share failed: the others are of no use
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
+def worker_map(fn: Callable, shares: Sequence) -> List:
+    """[fn(s) for s in shares], each share on a worker of its own, the caller
+    running shares[0]; pass at most available_cpus() shares.
+
+    On Linux, when the calling process runs no other thread, the other
+    workers are forked child processes, which get round the GIL; each pipes
+    back its result, which must pickle, and its memory is not in the caller's
+    resident set.  Otherwise they are CallerPool threads, which take the
+    caller's floating-point error policy.  Either way every worker is done
+    before this returns or raises, and an error a share raises, the earliest
+    share's first, is raised again here.
+    """
+    if len(shares) > 1 and sys.platform == "linux" and threading.active_count() == 1:
+        return _fork_map(fn, shares)
+    with CallerPool(len(shares)) as pool:
+        return list(pool.map(fn, shares))
 
 
 # ---------------------------------------------------------------------------

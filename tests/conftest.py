@@ -1,9 +1,13 @@
+import collections
+import contextlib
+import multiprocessing
 import struct
+import threading
 
 import numpy as np
 import pytest
 
-from partfuse import ActivationKind, DenseNetwork
+from partfuse import ActivationKind, DenseNetwork, netcore
 from partfuse.fusion import MatchPlan
 from partfuse.transport import KernelPair
 from partfuse.train import init_network
@@ -47,3 +51,42 @@ HUGE_IDX_DIMS = (5 * 2**20, 2**21, 2**21)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextlib.contextmanager
+def idle_thread():
+    """A second thread stays alive, so netcore.worker_map may not fork."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# route -> a context in which netcore.worker_map takes it
+ROUTES = {"fork": contextlib.nullcontext, "threads": idle_thread}
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Workers netcore.worker_map starts beside the caller, by route."""
+    started = collections.Counter()
+
+    class RecordingPool(netcore.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started["threads"] += max_workers
+            super().__init__(max_workers, **kwargs)
+
+    fork = multiprocessing.context.ForkProcess.start
+
+    def recording_fork(process):
+        started["fork"] += 1
+        fork(process)
+
+    monkeypatch.setattr(netcore, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording_fork)
+    return started

@@ -19,7 +19,7 @@ import numpy as np
 
 from partfuse import fusion
 from partfuse.clustering import _check_points, _cluster_centers, _objective_for_labels, _ward_pairs
-from partfuse.data import _per_class_draw, _take
+from partfuse.data import _per_class_draw, take_rows
 from partfuse.netcore import DenseNetwork, LabeledDataset, ShapeError
 from partfuse.train import loss_and_gradients
 from partfuse.transport import DiscreteMeasure, _check_cost, _integerize_pair
@@ -341,7 +341,7 @@ def holdout(
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     held = _per_class_draw(data, fraction, seed)
-    return _take(data, np.flatnonzero(~held)), _take(data, np.flatnonzero(held))
+    return take_rows(data, np.flatnonzero(~held)), take_rows(data, np.flatnonzero(held))
 
 
 def theoretical_counts(alpha: float, n: int, m: int, method: str) -> Tuple[float, float]:

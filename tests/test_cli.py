@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import gzip
+import multiprocessing
 import struct
 import threading
 from pathlib import Path
@@ -13,7 +15,14 @@ from partfuse import train as trainmod
 from partfuse import data as datamod
 from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
 
-from conftest import HUGE_IDX_DIMS, HUGE_PFNN_DIMS, pfnn_header, rand_net
+from conftest import HUGE_IDX_DIMS, HUGE_PFNN_DIMS, ROUTES, idle_thread, pfnn_header, rand_net
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """No command leaves a worker process behind."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
@@ -106,6 +115,47 @@ class TestTrain:
         monkeypatch.delenv("PARTFUSE_DATA_DIR", raising=False)
         code = run(["train", "--data-dir", tmp_path / "nope", "--out", tmp_path / "o"])
         assert code == 2
+
+    @pytest.mark.parametrize("split", [[], ["--split-digit", "2"]], ids=["whole", "split-digit"])
+    def test_every_route_writes_the_same_bytes(self, data_dir, tmp_path, monkeypatch, capsys, started, split):
+        # route: (context, CPUs, BLAS threads, workers started beside the caller);
+        # 3 CPUs deal the 6 networks to 3 workers; with BLAS on 2 threads,
+        # 4 CPUs take 2 workers and 2 CPUs one
+        routes = {
+            "fork": (contextlib.nullcontext, 3, 1, {"fork": 2}),
+            "threads": (idle_thread, 3, 1, {"threads": 2}),
+            "serial": (contextlib.nullcontext, 1, 1, {}),
+            "fork-blas2": (contextlib.nullcontext, 4, 2, {"fork": 1}),
+            "serial-blas2": (contextlib.nullcontext, 2, 2, {}),
+        }
+        trees = {}
+        for route, (context, cpus, blas, helpers) in routes.items():
+            monkeypatch.setattr(netcore, "available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(netcore, "blas_threads", lambda blas=blas: blas)
+            started.clear()
+            out = tmp_path / route
+            with context():
+                assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "3", "--width", "5",
+                            "--depth", "2", "--epochs", "2", *split]) == 0
+            assert started == helpers
+            wrote = capsys.readouterr().out.replace(str(out), "<out>")
+            trees[route] = wrote, {p.name: p.read_bytes() for p in out.iterdir()}
+        assert all(tree == trees["serial"] for tree in trees.values())
+        assert len(trees["serial"][1]) == 7
+
+    @pytest.mark.one_cpu
+    def test_forks_one_child_per_extra_cpu(self, data_dir, tmp_path, started):
+        # the real affinity lookup: pinned to one CPU, nothing is forked
+        assert run(["train", "--data-dir", data_dir, "--out", tmp_path / "run", "--pairs", "2", "--width", "3",
+                    "--depth", "1", "--epochs", "1"]) == 0
+        helpers = min(4, netcore.available_cpus() // netcore.blas_threads()) - 1
+        assert started == ({"fork": helpers} if helpers > 0 else {})
+
+    def test_networks_go_largest_first_to_the_least_loaded_worker(self):
+        # split-digit rows: the B nets are about 4x the A nets, and dealing
+        # network t to worker t mod 2 would give one worker all three
+        assert cli._balanced_shares([1140, 4860] * 3, 2) == [[1, 5], [3, 0, 2, 4]]
+        assert cli._balanced_shares([7] * 4, 3) == [[0, 3], [1], [2]]
 
 
 class TestFuse:
@@ -781,10 +831,20 @@ class TestPublish:
             return train_mlp(dims, part, cfg)
 
         monkeypatch.setattr(trainmod, "train_mlp", diverging)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        monkeypatch.setattr(netcore, "blas_threads", lambda: 1)
         out = tmp_path / "run"
-        assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "2", "--width", "3",
-                    "--depth", "1", "--epochs", "0"]) == 3
-        assert not out.exists()
+        for route in ROUTES.values():
+            with route():
+                assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "2", "--width", "3",
+                            "--depth", "1", "--epochs", "0"]) == 3
+            assert not out.exists()
+
+    def test_a_failed_publish_removes_the_out_it_created(self, data_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(netcore, "save", lambda net, path: _fail_after_two_bytes(path))
+        assert run(["train", "--data-dir", data_dir, "--out", tmp_path / "new" / "run", "--pairs", "1",
+                    "--width", "3", "--depth", "1", "--epochs", "0"]) == 2
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_train_out_under_a_file_exit_2_before_training(self, data_dir, tmp_path, monkeypatch, capsys, out):

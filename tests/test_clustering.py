@@ -1,5 +1,3 @@
-import collections
-import contextlib
 import multiprocessing
 import os
 import threading
@@ -11,6 +9,7 @@ import pytest
 
 import partfuse as pf
 from partfuse import clustering, netcore
+from conftest import ROUTES
 from oracles import brute_force_clustering, clustering_objective, dense_agglomerate, greedy_ward
 
 
@@ -272,24 +271,6 @@ def _parallel_instances():
     }
 
 
-@contextlib.contextmanager
-def _idle_thread():
-    """A second thread stays alive, so stochastic_ward may not fork."""
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-# route -> a context in which stochastic_ward takes it
-_ROUTES = {"fork": contextlib.nullcontext, "threads": _idle_thread}
-
-
 class TestParallelRestarts:
     """stochastic_ward equals the serial restart loop bitwise on either route,
     for any CPU count, and leaves no process behind."""
@@ -305,7 +286,7 @@ class TestParallelRestarts:
         points, masses, m, restarts, seed = _parallel_instances()[case]
         monkeypatch.setattr(netcore, "available_cpus", lambda: workers)
         want = _serial_stochastic_ward(points, masses, m, restarts, seed)
-        for route in _ROUTES.values():
+        for route in ROUTES.values():
             with route():
                 got = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
             assert got.tobytes() == want.tobytes()
@@ -315,7 +296,7 @@ class TestParallelRestarts:
         points, masses, m, restarts, _ = _parallel_instances()[case]
         monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
         for seed in range(3):
-            for route in _ROUTES.values():
+            for route in ROUTES.values():
                 with route():
                     labels = pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
                 assert labels.dtype == np.int64 and labels.shape == (len(masses),)
@@ -365,36 +346,16 @@ class TestParallelRestarts:
         points, masses = np.zeros((64, 800)), uniform(64)
         want = agglomerate(points, masses.masses, 63, np.random.default_rng((0, best)), None)
         want = np.unique(want, return_inverse=True)[1].tobytes()
-        for route in _ROUTES.values():
+        for route in ROUTES.values():
             with route():
                 got = pf.stochastic_ward(points, masses, 63, restarts=7)
             assert got.tobytes() == want
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """Workers stochastic_ward starts beside the caller, by route."""
-        started = collections.Counter()
-
-        class RecordingPool(netcore.ThreadPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started["threads"] += max_workers
-                super().__init__(max_workers, **kwargs)
-
-        fork = multiprocessing.context.ForkProcess.start
-
-        def recording_fork(process):
-            started["fork"] += 1
-            fork(process)
-
-        monkeypatch.setattr(netcore, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording_fork)
-        return started
 
     @pytest.mark.parametrize("case, helpers", [("below-threshold", 0), ("above-threshold", 2)])
     def test_pool_only_above_threshold(self, monkeypatch, started, case, helpers):
         points, masses, m, restarts, seed = _parallel_instances()[case]
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        for route, context in _ROUTES.items():
+        for route, context in ROUTES.items():
             started.clear()
             with context():
                 pf.stochastic_ward(points, masses, m, restarts=restarts, seed=seed)
@@ -407,7 +368,7 @@ class TestParallelRestarts:
         # two restarts need one helper
         points = np.random.default_rng(n).normal(size=(n, d))
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        for route, context in _ROUTES.items():
+        for route, context in ROUTES.items():
             started.clear()
             with context():
                 pf.stochastic_ward(points, uniform(n), n - 5, restarts=2)
@@ -429,7 +390,7 @@ class TestParallelRestarts:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             _serial_stochastic_ward(pts, mu, 5, 4, 0)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        for route in _ROUTES.values():
+        for route in ROUTES.values():
             with route(), np.errstate(over="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = pf.stochastic_ward(pts, mu, 5, restarts=4)
@@ -450,7 +411,7 @@ class TestParallelRestarts:
 
         monkeypatch.setattr(clustering, "_agglomerate", raising)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 3)
-        for route in _ROUTES.values():
+        for route in ROUTES.values():
             with route(), np.errstate(over="ignore"), pytest.raises(FloatingPointError):
                 pf.stochastic_ward(pts, mu, 5, restarts=4)
             assert multiprocessing.active_children() == []

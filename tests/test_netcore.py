@@ -1,5 +1,9 @@
 import io
+import os
+import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ import partfuse as pf
 from partfuse import netcore
 from partfuse.netcore import _GELU_CUBIC, _GELU_SCALE, PfnnFormatError, ShapeError, remap_neurons
 
-from conftest import HUGE_PFNN_DIMS, pfnn_header, rand_net
+from conftest import HUGE_PFNN_DIMS, idle_thread, pfnn_header, rand_net
 
 
 def identity_net(n, depth=2):
@@ -276,6 +280,22 @@ class TestSerialization:
         pf.save(net, path)
         assert pf.load(path).equals(net)
 
+    @pytest.mark.parametrize("ensemble", [False, True])
+    def test_pickle_round_trip_keeps_the_invariants(self, ensemble):
+        net = rand_net((5, 9, 8, 3), seed=6)
+        if ensemble:  # origin tags travel too
+            net = pf.make_ensemble(net, rand_net((5, 9, 8, 3), seed=7), 0.3)
+        back = pickle.loads(pickle.dumps(net))
+        assert back.equals(net) and back.activation is net.activation
+        for mine, theirs in zip(net.weights + net.biases, back.weights + back.biases):
+            assert mine.tobytes() == theirs.tobytes()
+        for array in back.weights + back.biases:
+            assert not array.flags.writeable
+        if ensemble:
+            assert all(np.array_equal(a, b) for a, b in zip(net.origins, back.origins))
+        else:
+            assert back.origins is None
+
     def test_truncated_file(self, tmp_path):
         net = rand_net((4, 6, 2), seed=7)
         path = tmp_path / "net.pfnn"
@@ -386,3 +406,17 @@ class TestAccuracy:
         net = identity_net(3)
         with pytest.raises(ShapeError, match="feature dimension"):
             pf.evaluate_accuracy(net, pf.LabeledDataset(np.eye(4), np.array([0, 1, 2, 0])))
+
+
+class TestBlasThreads:
+    def test_pinned_blas_runs_on_the_calling_thread_alone(self):
+        # OpenBLAS reads the pin when it loads, so a fresh interpreter sees it
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+        code = "from partfuse import netcore; print(netcore.blas_threads())"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.stdout.split() == ["1"], done.stderr
+
+    def test_python_threads_are_not_counted(self):
+        before = netcore.blas_threads()
+        with idle_thread():
+            assert netcore.blas_threads() == before
