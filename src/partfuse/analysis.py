@@ -1,5 +1,6 @@
 """Parameter accounting, neuron-similarity statistics, and tradeoff sweeps."""
 
+import contextlib
 import hashlib
 import threading
 import time
@@ -265,12 +266,13 @@ class _Evaluations:
     exceed _BACKLOG_BYTES (never the one it just added, which would gain
     nothing), and takes every network still waiting in `finish`.  Only the
     queue refers to a waiting network, so a network is dropped once its
-    evaluation has started.  Without a pool thread each network is
-    evaluated as it is added.  A key added before adds nothing.
+    evaluation has started.  `pool` is a one-thread netcore.thread_pool,
+    or None: then each network is evaluated as it is added.  A key added
+    before adds nothing.
     """
 
-    def __init__(self, pool: netcore.CallerPool, eval_data: LabeledDataset):
-        self._pool = pool if pool.workers > 1 else None
+    def __init__(self, pool, eval_data: LabeledDataset):
+        self._pool = pool
         self._eval_data = eval_data
         self._lock = threading.Lock()
         self._waiting = deque()  # (key, network, weight bytes), oldest first
@@ -340,7 +342,8 @@ def tradeoff_sweep(
     base = cfg_base or fus.FusionConfig()
     cells = []  # (record, reuse key) in grid order: key None for an error row
     ensemble_widths = tuple(wa + wb for wa, wb in zip(net_a.hidden_dims, net_b.hidden_dims))
-    with netcore.CallerPool(2) as pool:
+    # the pool thread only where it has a CPU beside the caller's
+    with netcore.thread_pool(1) if netcore.available_cpus() > 1 else contextlib.nullcontext() as pool:
         evaluations = _Evaluations(pool, eval_data)
         for method in methods:
             for alpha in alpha_grid:

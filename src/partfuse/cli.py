@@ -132,6 +132,20 @@ def _balanced_shares(sizes, workers: int) -> list:
     return shares
 
 
+def _spread(run, sizes, limit: int) -> list:
+    """[run(t) for t in range(len(sizes))] on at most `limit` workers: the
+    tasks dealt by size (_balanced_shares) to netcore.worker_map's workers.
+
+    Each worker's products take as many BLAS threads as a serial run's, so
+    only as many workers as leave every BLAS thread a CPU of its own.
+    """
+    workers = max(1, min(limit, len(sizes), netcore.available_cpus() // netcore.blas_threads()))
+    shares = _balanced_shares(sizes, workers)
+    done = netcore.worker_map(lambda share: [run(t) for t in share], shares)
+    by_task = {t: result for share, results in zip(shares, done) for t, result in zip(share, results)}
+    return [by_task[t] for t in range(len(sizes))]
+
+
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
@@ -151,21 +165,15 @@ def cmd_train(args) -> int:
         for side, seed, side_rows in zip("AB", (args.seed_base + 2 * k, args.seed_base + 2 * k + 1), rows):
             nets.append((f"pair{k}_{side}.pfnn", f"{side}{k}", seed, side_rows))
 
-    def train_one(seed, rows):
-        # each worker copies out only the rows of the network it trains
-        part = train if rows is None else datamod.take_rows(train, rows)
-        return trainmod.train_mlp(dims, part, trainmod.TrainConfig(epochs=args.epochs, seed=seed))
+    def train_one(t):
+        # every worker reads the one split: each minibatch gathers its rows
+        _, _, seed, rows = nets[t]
+        return trainmod.train_mlp(dims, train, trainmod.TrainConfig(epochs=args.epochs, seed=seed), rows=rows)
 
-    sizes = [len(train) if rows is None else rows.size for *_, rows in nets]
-    # each worker's products take as many BLAS threads as a serial run's, so
-    # only as many workers as leave every BLAS thread a CPU of its own
-    workers = min(len(nets), max(1, netcore.available_cpus() // netcore.blas_threads()))
-    shares = _balanced_shares(sizes, workers)
-    trained = netcore.worker_map(lambda share: [train_one(*nets[t][2:]) for t in share], shares)
-    by_index = {t: net for share, share_nets in zip(shares, trained) for t, net in zip(share, share_nets)}
+    trained = _spread(train_one, [len(train) if rows is None else rows.size for *_, rows in nets], len(nets))
     outputs = {}
-    for t, (name, _, _, _) in enumerate(nets):
-        outputs[out_dir / name] = lambda path, net=by_index[t]: netcore.save(net, path)
+    for (name, _, _, _), net in zip(nets, trained):
+        outputs[out_dir / name] = lambda path, net=net: netcore.save(net, path)
     manifest = "".join(f"{name} {role}\n" for name, role, _, _ in nets)
     outputs[out_dir / "manifest.txt"] = lambda path: Path(path).write_text(manifest)
     # made only once every network is trained, and removed again, deepest
@@ -318,8 +326,8 @@ def cmd_sweep(args) -> int:
     reads_features = any(_reads_features(m, args.features) for m in methods)
     feature_data = _feature_inputs(args) if reads_features else None
 
-    def run_pair(item):
-        idx, path_a, path_b = item
+    def run_pair(t):
+        idx, path_a, path_b = pairs[t]
         net_a, net_b = netcore.load(path_a), netcore.load(path_b)
         return analysis.tradeoff_sweep(
             net_a,
@@ -335,9 +343,7 @@ def cmd_sweep(args) -> int:
             measure_time=args.timing,
         )
 
-    with netcore.CallerPool(args.jobs) as pool:
-        per_pair = list(pool.map(run_pair, pairs))
-
+    per_pair = _spread(run_pair, [1] * len(pairs), args.jobs)
     lines = [CSV_HEADER]
     if per_pair:
         cells = len(per_pair[0])

@@ -1,7 +1,9 @@
 """Dense feedforward networks: evaluation, ensembling, serialization.
 
-Also the workers that evaluation, training and Ward restarts share: threads,
-in which numpy releases the GIL inside the array work, or forked processes.
+Also the workers that every CPU-parallel step shares: worker_map runs the
+networks of `train`, the pairs of `sweep` and the Ward restarts on forked
+processes or threads, and thread_pool builds every thread pool, a sweep's
+evaluation thread included.
 """
 
 import functools
@@ -330,39 +332,10 @@ def blas_threads() -> int:
         return 1
 
 
-class CallerPool:
-    """Up to `tasks` threads, one per available CPU, the calling thread included.
-
-    Only workers - 1 pool threads keep state on heaps of their own after a
-    call, and they take the creating thread's floating-point error policy.
-    Use it as a context manager: leaving it shuts the pool down.
-    """
-
-    def __init__(self, tasks: int):
-        self.workers = max(1, min(tasks, available_cpus()))
-        self._pool = None
-        if self.workers > 1:
-            policy = functools.partial(np.seterr, **np.geterr())
-            self._pool = ThreadPoolExecutor(self.workers - 1, initializer=policy)
-
-    def map(self, fn, items):
-        """fn over items, yielded in order; the calling thread runs every workers-th item."""
-        if self._pool is None:
-            return map(fn, items)
-        items = list(items)
-        pooled = self._pool.map(fn, [x for i, x in enumerate(items) if i % self.workers])
-        return (next(pooled) if i % self.workers else fn(x) for i, x in enumerate(items))
-
-    def submit(self, fn, *args):
-        """fn(*args) on a pool thread, as a Future; there is one when workers > 1."""
-        return self._pool.submit(fn, *args)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
+def thread_pool(workers: int) -> ThreadPoolExecutor:
+    """A pool of `workers` threads that take the calling thread's
+    floating-point error policy; leaving it as a context manager waits for them."""
+    return ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr()))
 
 
 def _send_result(conn, fn: Callable, item) -> None:
@@ -419,18 +392,23 @@ def worker_map(fn: Callable, shares: Sequence) -> List:
     """[fn(s) for s in shares], each share on a worker of its own, the caller
     running shares[0]; pass at most available_cpus() shares.
 
-    On Linux, when the calling process runs no other thread, the other
-    workers are forked child processes, which get round the GIL; each pipes
-    back its result, which must pickle, and its memory is not in the caller's
-    resident set.  Otherwise they are CallerPool threads, which take the
-    caller's floating-point error policy.  Either way every worker is done
-    before this returns or raises, and an error a share raises, the earliest
-    share's first, is raised again here.
+    This is the one place that decides how work runs in parallel.  One
+    share runs in the caller alone.  On Linux, when the calling process
+    runs no other thread, the other workers are forked child processes,
+    which get round the GIL; each pipes back its result, which must pickle,
+    and its memory is not in the caller's resident set.  Otherwise they are
+    thread_pool threads, in which numpy releases the GIL inside the array
+    work.  Either way every worker is done before this returns or raises,
+    and an error a share raises, the earliest share's first, is raised
+    again here.
     """
-    if len(shares) > 1 and sys.platform == "linux" and threading.active_count() == 1:
+    if len(shares) == 1:
+        return [fn(shares[0])]
+    if sys.platform == "linux" and threading.active_count() == 1:
         return _fork_map(fn, shares)
-    with CallerPool(len(shares)) as pool:
-        return list(pool.map(fn, shares))
+    with thread_pool(len(shares) - 1) as pool:
+        rest = pool.map(fn, shares[1:])
+        return [fn(shares[0]), *rest]
 
 
 # ---------------------------------------------------------------------------

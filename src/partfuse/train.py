@@ -1,7 +1,7 @@
 """Minimal MLP training: softmax cross-entropy and Adam."""
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,7 @@ def _run_adam(
     activation: ActivationKind,
     dataset: LabeledDataset,
     cfg: TrainConfig,
+    rows: Optional[np.ndarray],
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     rng = np.random.default_rng(cfg.seed)
     m_w = [np.zeros_like(w) for w in weights]
@@ -90,10 +91,10 @@ def _run_adam(
     m_b = [np.zeros_like(b) for b in biases]
     v_b = [np.zeros_like(b) for b in biases]
     step = 0
-    n = len(dataset)
+    rows = np.arange(len(dataset)) if rows is None else rows
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, _BATCH_SIZE):
+        order = rows[rng.permutation(rows.size)]
+        for start in range(0, rows.size, _BATCH_SIZE):
             batch = order[start : start + _BATCH_SIZE]
             loss, gw, gb = loss_and_gradients(
                 weights, biases, activation, dataset.inputs[batch], dataset.labels[batch]
@@ -116,19 +117,23 @@ def _run_adam(
     return weights, biases
 
 
-def train_mlp(dims: Sequence[int], dataset: LabeledDataset, cfg: TrainConfig) -> DenseNetwork:
-    """Train a fresh MLP of the given dimension chain on the dataset."""
+def train_mlp(dims: Sequence[int], dataset: LabeledDataset, cfg: TrainConfig, rows=None) -> DenseNetwork:
+    """Train a fresh MLP of the given dimension chain on the dataset (its `rows` only, if given)."""
     if dataset.labels.max() >= dims[-1]:
         raise ShapeError("a label exceeds the output dimension")
     net = init_network(dims, seed=cfg.seed)
-    return fine_tune(net, dataset, cfg)
+    return fine_tune(net, dataset, cfg, rows)
 
 
-def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig) -> DenseNetwork:
-    """Continue training an existing network."""
+def fine_tune(net: DenseNetwork, dataset: LabeledDataset, cfg: TrainConfig, rows=None) -> DenseNetwork:
+    """Continue training an existing network on the dataset, or on its `rows` (an index array).
+
+    Each minibatch gathers its rows from the dataset: bitwise what training
+    on a copy of those rows gives, without the copy.
+    """
     if net.input_dim != dataset.inputs.shape[1]:
         raise ShapeError("input dimension does not match the dataset")
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
-    weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg)
+    weights, biases = _run_adam(weights, biases, net.activation, dataset, cfg, rows)
     return DenseNetwork(weights, biases, net.activation)

@@ -375,14 +375,13 @@ class TestTradeoffSweep:
         # one-byte budget) while the interpreter switches threads every
         # microsecond: every network is evaluated exactly once
         net = rand_net((3, 2, 2), seed=1)
-        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
         monkeypatch.setattr(analysis, "_BACKLOG_BYTES", 1)
         evaluated = []
         monkeypatch.setattr(analysis, "_evaluate", lambda n, d: evaluated.append(n) or (1.0, None, 0.0))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with netcore.CallerPool(2) as pool:
+            with netcore.thread_pool(1) as pool:
                 evaluations = analysis._Evaluations(pool, None)
                 for key in range(5000):
                     evaluations.add(key, net)

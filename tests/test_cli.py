@@ -3,7 +3,6 @@ import errno
 import gzip
 import multiprocessing
 import struct
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -470,32 +469,55 @@ class TestSweep:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.one_cpu
-    @pytest.mark.parametrize("cpus", [None, 1], ids=["affinity", "one-cpu"])
-    def test_jobs_flag_threads_per_cpu(self, data_dir, trained_dir, tmp_path, monkeypatch, cpus):
-        # None keeps the real affinity lookup, which reads 1 under `taskset -c 0`
+    @pytest.mark.parametrize("cpus", [None, 1, 3], ids=["affinity", "one-cpu", "three-cpus"])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_jobs_deal_pairs_to_worker_map(self, data_dir, trained_dir, tmp_path, monkeypatch, started, route, cpus):
+        # None keeps the real affinity lookup, which reads 1 under `taskset -c 0`.
+        # With BLAS on one thread --jobs 3 takes min(3, 2 pairs, CPUs) workers;
+        # besides them, each pair swept in this process starts its own
+        # evaluation thread where there are 2 or more CPUs (a forked child's
+        # thread is not counted here)
         if cpus is not None:
             monkeypatch.setattr(netcore, "available_cpus", lambda: cpus)
-        started = []
-        start = threading.Thread.start
-
-        def recording_start(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(netcore, "blas_threads", lambda: 1)
+        many = netcore.available_cpus() > 1
+        want = {  # on 2 or more CPUs
+            "1": {"threads": 2},  # no helper: the two pairs' evaluation threads
+            "3": {"fork": 1, "threads": 1} if route == "fork" else {"threads": 1 + 2},  # one helper
+        }
         outputs = []
         for jobs in ("1", "3"):
             out = tmp_path / f"sweep{jobs}.csv"
-            code = run([
-                "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
-                "--alphas", "0;0.5", "--lambdas", "0.5", "--methods", "partial-ot",
-                "--jobs", jobs, "--out", out,
-            ])
+            started.clear()
+            with ROUTES[route]():
+                code = run([
+                    "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--alphas", "0;0.5", "--lambdas", "0.5", "--methods", "partial-ot,cluster",
+                    "--cluster-restarts", "2", "--jobs", jobs, "--out", out,
+                ])
             assert code == 0
+            assert started == (want[jobs] if many else {})
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        if netcore.available_cpus() == 1:  # the calling thread runs every pair
-            assert started == []
+        assert b"error" not in outputs[0]
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_jobs_with_a_corrupt_pair_exit_2(self, data_dir, trained_dir, tmp_path, monkeypatch, capsys, route):
+        # pair 1 goes to the helper, whose error is raised again in the caller
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        monkeypatch.setattr(netcore, "blas_threads", lambda: 1)
+        corrupt = trained_dir / "pair1_A.pfnn"
+        corrupt.write_bytes(corrupt.read_bytes()[:-3])
+        out = tmp_path / "sweep.csv"
+        with ROUTES[route]():
+            code = run([
+                "sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                "--alphas", "0", "--lambdas", "0.5", "--jobs", "2", "--out", out,
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "pair1_A.pfnn" in err
+        assert not out.exists()
 
     @pytest.mark.one_cpu
     def test_output_independent_of_cpu_count(self, data_dir, trained_dir, tmp_path, monkeypatch):
@@ -825,10 +847,10 @@ class TestPublish:
     def test_train_failing_in_its_second_pair_leaves_no_out(self, data_dir, tmp_path, monkeypatch):
         train_mlp = trainmod.train_mlp
 
-        def diverging(dims, part, cfg):
+        def diverging(dims, part, cfg, rows=None):
             if cfg.seed >= 2:  # pair 1
                 raise netcore.NumericalFailure("loss diverged")
-            return train_mlp(dims, part, cfg)
+            return train_mlp(dims, part, cfg, rows)
 
         monkeypatch.setattr(trainmod, "train_mlp", diverging)
         monkeypatch.setattr(netcore, "available_cpus", lambda: 2)

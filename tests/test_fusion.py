@@ -254,6 +254,21 @@ class TestPartialFuse:
         assert np.abs(pf.forward(base, x) - pf.forward(moved, x)).max() <= 1e-8
 
     @pytest.mark.parametrize("align", list(pf.AlignMethod))
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", [46, 50, 60])
+    def test_permuting_b_permutes_every_coupling_at_working_size(self, align, alpha, seed):
+        """Relabelling all of B's hidden neurons relabels the columns of every coupling, bitwise."""
+        dims = (20, 100, 100, 100, 10)
+        a, b = rand_net(dims, seed=seed), rand_net(dims, seed=seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        perms = {layer: rng.permutation(width) for layer, width in enumerate(b.hidden_dims, start=1)}
+        moved = remap_neurons(b, {layer: (p, None) for layer, p in perms.items()})
+        cfg = pf.FusionConfig(alpha=alpha, align=align)
+        base, permuted = pf.align(a, b, cfg), pf.align(a, moved, cfg)
+        for layer, (c, cp) in enumerate(zip(base.couplings, permuted.couplings), start=1):
+            assert np.array_equal(cp.matrix, c.matrix[:, perms[layer]])
+
+    @pytest.mark.parametrize("align", list(pf.AlignMethod))
     @pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
     def test_swapping_the_pair_computes_the_same_function(self, align, alpha):
         """Fusing (A, B) at lam and (B, A) at 1 - lam gives one function at working width."""

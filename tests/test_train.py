@@ -30,6 +30,15 @@ class TestTrainMlp:
         cfg = TrainConfig(epochs=3, seed=5)
         assert train_mlp([4, 8, 2], data, cfg).equals(train_mlp([4, 8, 2], data, cfg))
 
+    def test_rows_train_as_a_copy_of_those_rows_does(self):
+        # unsorted rows with a repeat, more than one minibatch of them
+        data = pf.synthetic_blobs(3, 100, 4, spread=0.5, seed=2)
+        rows = np.random.default_rng(7).choice(len(data), size=200, replace=True)
+        cfg = TrainConfig(epochs=2, seed=5)
+        copied = pf.LabeledDataset(data.inputs[rows], data.labels[rows])
+        assert train_mlp([4, 8, 3], data, cfg, rows).equals(train_mlp([4, 8, 3], copied, cfg))
+        assert not train_mlp([4, 8, 3], data, cfg).equals(train_mlp([4, 8, 3], copied, cfg))
+
     def test_nan_loss_aborts_with_diagnostic(self):
         data = pf.synthetic_blobs(2, 30, 4, spread=0.5, seed=3)
         # absurd inputs make the first update overflow, so the second loss is NaN
