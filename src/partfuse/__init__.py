@@ -16,11 +16,7 @@ from .analysis import (
     tradeoff_sweep,
 )
 from .clustering import assignment_to_kernels, stochastic_ward
-from .data import (
-    heterogeneous_split,
-    load_idx,
-    synthetic_blobs,
-)
+from .data import load_idx, split_rows, synthetic_blobs
 from .fusion import (
     AlignMethod,
     AlignResult,

@@ -3,7 +3,9 @@
 Every command is reproducible byte-for-byte for fixed flags, seeds and
 BLAS thread count (CI and perfbench pin one thread); wall-clock
 measurement is therefore off unless --timing is passed.
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure
+or a computation that could not finish (a worker process died, or memory
+ran out): the inputs were valid, but no result came of them.
 """
 
 import argparse
@@ -148,7 +150,8 @@ def _spread(run, sizes, limit: int) -> list:
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    # a dangling link exists too: it is no directory
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
     if not existing.is_dir():  # checked before any work; --out is made only after training
         raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     train = _load_split(args, "train")
@@ -483,6 +486,9 @@ def main(argv=None) -> int:
         return 2
     except (netcore.NumericalFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (netcore.WorkerDied, MemoryError) as exc:
+        print(f"could not finish: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

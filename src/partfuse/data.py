@@ -123,11 +123,6 @@ def find_mnist(directory: Optional[Path] = None) -> Optional[dict]:
     return found
 
 
-def take_rows(data: LabeledDataset, rows: np.ndarray) -> LabeledDataset:
-    """The dataset of the given rows of data, in their order (a copy)."""
-    return LabeledDataset(data.inputs[rows], data.labels[rows])
-
-
 def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None) -> np.ndarray:
     """Mask of round(fraction * size) members of each class, drawn in class order.
 
@@ -146,24 +141,17 @@ def _per_class_draw(data: LabeledDataset, fraction: float, seed: int, whole=None
 
 
 def split_rows(data: LabeledDataset, special_digit: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """The row indices, ascending, of heterogeneous_split's split A and split B."""
+    """The paper's heterogeneous split, as the row indices, ascending, of split A and split B.
+
+    Split A gets every sample of the specialist digit plus a seeded
+    MINORITY_SHARE of each other class.  Split B is the exact complement,
+    so the two splits partition the data and B contains no specialist
+    samples at all.  Train on a split with train_mlp(..., rows=rows_a).
+    """
     if special_digit not in data.labels:
         raise ValueError(f"class {special_digit} not present in the data")
     in_a = _per_class_draw(data, MINORITY_SHARE, seed, whole=special_digit)
     return np.flatnonzero(in_a), np.flatnonzero(~in_a)
-
-
-def heterogeneous_split(
-    data: LabeledDataset, special_digit: int, seed: int = 0
-) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Split A gets every sample of the specialist digit plus a seeded
-    MINORITY_SHARE of each other class.
-
-    Split B is the exact complement, so the two splits partition the data
-    and B contains no specialist samples at all.
-    """
-    rows_a, rows_b = split_rows(data, special_digit, seed)
-    return take_rows(data, rows_a), take_rows(data, rows_b)
 
 
 def synthetic_blobs(

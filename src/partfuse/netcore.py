@@ -8,6 +8,7 @@ evaluation thread included.
 
 import functools
 import os
+import signal
 import struct
 import sys
 import threading
@@ -35,6 +36,10 @@ class PfnnFormatError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A training loss or a network's activations or logits became non-finite."""
+
+
+class WorkerDied(RuntimeError):
+    """A worker process of worker_map ended without sending back its result."""
 
 
 class ActivationKind(Enum):
@@ -373,7 +378,9 @@ def _fork_map(fn: Callable, items: Sequence) -> List:
                 result = receive.recv()
             except EOFError:
                 child.join()
-                raise RuntimeError(f"a worker process exited with code {child.exitcode}") from None
+                code = child.exitcode
+                how = f"was killed by signal {signal.Signals(-code).name}" if code < 0 else f"exited with code {code}"
+                raise WorkerDied(f"a worker process {how}") from None
             if isinstance(result, BaseException):
                 raise result
             results.append(result)

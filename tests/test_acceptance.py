@@ -382,9 +382,9 @@ def test_criterion_11_mnist_split_ordering():
     dims = [784, 100, 100, 100, 10]
     acc = {0.0: [], 0.4: [], 1.0: []}
     for pair in range(5):
-        part_a, part_b = pf.heterogeneous_split(train, 4, seed=pair)
-        net_a = train_mlp(dims, part_a, TrainConfig(epochs=50, seed=2 * pair))
-        net_b = train_mlp(dims, part_b, TrainConfig(epochs=50, seed=2 * pair + 1))
+        rows_a, rows_b = pf.split_rows(train, 4, seed=pair)
+        net_a = train_mlp(dims, train, TrainConfig(epochs=50, seed=2 * pair), rows=rows_a)
+        net_b = train_mlp(dims, train, TrainConfig(epochs=50, seed=2 * pair + 1), rows=rows_b)
         for alpha in acc:
             fused = pf.partial_fuse(net_a, net_b, pf.FusionConfig(lam=0.5, alpha=alpha))
             acc[alpha].append(100.0 * pf.evaluate_accuracy(fused, test))

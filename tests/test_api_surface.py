@@ -106,10 +106,10 @@ PUBLIC_NAMES = {
     "activations", "align", "apply_generalized_pruning", "assemble_partial_layer",
     "assignment_to_kernels", "cluster_prune", "cost_matrix", "count_params", "coupling_to_kernels",
     "evaluate_accuracy", "features_activation", "features_weight", "fine_tune", "fixed_point_align",
-    "forward", "greedy_align", "heterogeneous_split", "load", "load_idx", "make_ensemble",
-    "match_pair", "ot_fuse", "partial_fuse", "prune", "prune_with_postprocess",
-    "restrict_normalize_partial", "save", "similarity_stats", "solve_ot", "solve_partial_ot",
-    "stochastic_ward", "synthetic_blobs", "tradeoff_sweep", "train_mlp", "unstructured_prune",
+    "forward", "greedy_align", "load", "load_idx", "make_ensemble", "match_pair", "ot_fuse",
+    "partial_fuse", "prune", "prune_with_postprocess", "restrict_normalize_partial", "save",
+    "similarity_stats", "solve_ot", "solve_partial_ot", "split_rows", "stochastic_ward",
+    "synthetic_blobs", "tradeoff_sweep", "train_mlp", "unstructured_prune",
 }
 
 
@@ -128,7 +128,7 @@ CONFIG_FIELDS = {
 }
 PARAMETERS = {
     pf.train.init_network: ("dims", "seed"),
-    pf.heterogeneous_split: ("data", "special_digit", "seed"),
+    pf.split_rows: ("data", "special_digit", "seed"),
     pf.activations: ("net", "batch"),
     pf.features_activation: ("net", "data"),
     pf.similarity_stats: ("net_a", "net_b", "data"),

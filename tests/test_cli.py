@@ -2,6 +2,7 @@ import contextlib
 import errno
 import gzip
 import multiprocessing
+import os
 import struct
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import partfuse as pf
-from partfuse import analysis, cli, fusion, netcore, transport
+from partfuse import analysis, cli, clustering, fusion, netcore, transport
 from partfuse import train as trainmod
 from partfuse import data as datamod
 from partfuse.data import IDX_IMAGES_MAGIC, write_idx_images, write_idx_labels
@@ -88,6 +89,26 @@ class TestTrain:
             "--width", "5", "--depth", "2", "--epochs", "1", "--split-digit", "2",
         ])
         assert code == 0
+
+    def test_split_digit_trains_on_split_rows(self, data_dir, tmp_path, monkeypatch):
+        # one CPU: every network trains in this process, where the recording is
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 1)
+        seen, train_mlp = {}, trainmod.train_mlp
+
+        def recording(dims, part, cfg, rows=None):
+            seen[cfg.seed] = rows
+            return train_mlp(dims, part, cfg, rows)
+
+        monkeypatch.setattr(trainmod, "train_mlp", recording)
+        assert run(["train", "--data-dir", data_dir, "--out", tmp_path / "run", "--pairs", "2", "--width", "3",
+                    "--depth", "1", "--epochs", "0", "--split-digit", "2", "--seed-base", "5"]) == 0
+        paths = datamod.find_mnist(data_dir)
+        train = datamod.load_idx(paths["train_images"], paths["train_labels"])
+        assert sorted(seen) == [5, 6, 7, 8]
+        for k in range(2):
+            rows_a, rows_b = pf.split_rows(train, 2, seed=5 + k)
+            assert np.array_equal(seen[5 + 2 * k], rows_a)
+            assert np.array_equal(seen[5 + 2 * k + 1], rows_b)
 
     def test_absent_split_digit_leaves_no_out(self, data_dir, tmp_path, capsys):
         out = tmp_path / "run"
@@ -747,6 +768,68 @@ class TestExitCodes:
         assert run(["train", "--out", "x"]) == 3
 
 
+def _dies_in_a_child(monkeypatch, module, name):
+    """module.name ends any process but this one with os._exit(137), as a worker killed for memory does."""
+    caller, real = os.getpid(), getattr(module, name)
+
+    def dying(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(137)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, dying)
+
+
+class TestCouldNotFinish:
+    """A worker process that dies, or memory that runs out, exits 3 and publishes nothing."""
+
+    def test_a_dead_training_worker_exit_3(self, data_dir, tmp_path, monkeypatch, capsys, started):
+        _dies_in_a_child(monkeypatch, trainmod, "train_mlp")
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        monkeypatch.setattr(netcore, "blas_threads", lambda: 1)
+        out = tmp_path / "run"
+        assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "1", "--width", "3",
+                    "--depth", "1", "--epochs", "0"]) == 3
+        assert started == {"fork": 1}
+        assert capsys.readouterr().err == "could not finish: a worker process exited with code 137\n"
+        assert not out.exists()
+
+    def test_a_dead_sweep_worker_exit_3(self, data_dir, trained_dir, tmp_path, monkeypatch, capsys, started):
+        _dies_in_a_child(monkeypatch, analysis, "tradeoff_sweep")
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        monkeypatch.setattr(netcore, "blas_threads", lambda: 1)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--data-dir", data_dir, "--manifest", trained_dir / "manifest.txt",
+                    "--alphas", "0", "--lambdas", "0.5", "--jobs", "2", "--out", out]) == 3
+        assert started["fork"] == 1
+        assert "could not finish: a worker process exited with code 137" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_dead_ward_restart_worker_exit_3(self, data_dir, trained_dir, tmp_path, monkeypatch, capsys,
+                                               started):
+        _dies_in_a_child(monkeypatch, clustering, "_agglomerate")
+        monkeypatch.setattr(clustering, "_PARALLEL_MIN_WORK", 0)  # fork for the fixture's small layers
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 2)
+        out = tmp_path / "o.pfnn"
+        assert run(["prune", "--data-dir", data_dir, "--net", trained_dir / "pair0_A.pfnn", "--method", "cluster",
+                    "--cluster-restarts", "2", "--out", out]) == 3
+        assert started == {"fork": 1}
+        assert "could not finish: a worker process exited with code 137" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_error_in_the_caller_exit_3(self, data_dir, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(trainmod, "train_mlp", exhausted)
+        monkeypatch.setattr(netcore, "available_cpus", lambda: 1)
+        out = tmp_path / "run"
+        assert run(["train", "--data-dir", data_dir, "--out", out, "--pairs", "1", "--width", "3",
+                    "--depth", "1", "--epochs", "0"]) == 3
+        assert capsys.readouterr().err == "could not finish: out of memory\n"
+        assert not out.exists()
+
+
 class TestFuseCouplingExport:
     def test_export_couplings_csv(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "fused.pfnn"
@@ -868,17 +951,19 @@ class TestPublish:
                     "--width", "3", "--depth", "1", "--epochs", "0"]) == 2
         assert not (tmp_path / "new").exists()
 
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", "dangling"])
     def test_train_out_under_a_file_exit_2_before_training(self, data_dir, tmp_path, monkeypatch, capsys, out):
         calls = []
         monkeypatch.setattr(trainmod, "train_mlp", lambda *args: calls.append(args))
         taken = tmp_path / "taken"
         taken.write_bytes(b"precious")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")  # a link to nothing is no directory
         assert run(["train", "--data-dir", data_dir, "--out", tmp_path / out, "--pairs", "2", "--width", "3",
                     "--depth", "1", "--epochs", "0"]) == 2
         assert calls == []
-        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert f"{tmp_path / out.split('/')[0]} is not a directory" in capsys.readouterr().err
         assert taken.read_bytes() == b"precious"
+        assert (tmp_path / "dangling").is_symlink() and not (tmp_path / "nowhere").exists()
 
     def test_a_failed_fuse_removes_the_records_file_it_created(self, data_dir, trained_dir, tmp_path):
         records = tmp_path / "new.csv"

@@ -160,34 +160,35 @@ class TestHeterogeneousSplit:
 
     def test_exact_partition(self, rng):
         data = self._data(rng)
-        a, b = pf.heterogeneous_split(data, 2, seed=0)
-        assert len(a) + len(b) == len(data)
-        joined = np.vstack([a.inputs, b.inputs])
-        assert np.unique(joined, axis=0).shape[0] == len(data)
+        a, b = pf.split_rows(data, 2, seed=0)
+        np.testing.assert_array_equal(np.sort(np.concatenate([a, b])), np.arange(len(data)))
+        assert np.all(np.diff(a) > 0) and np.all(np.diff(b) > 0)
 
     def test_no_special_digit_in_b(self, rng):
         data = self._data(rng)
-        a, b = pf.heterogeneous_split(data, 2, seed=0)
-        assert np.sum(b.labels == 2) == 0
-        assert np.sum(a.labels == 2) == 40
+        a, b = pf.split_rows(data, 2, seed=0)
+        assert np.sum(data.labels[b] == 2) == 0
+        assert np.sum(data.labels[a] == 2) == 40
 
     def test_minority_fraction_per_class(self, rng):
         data = self._data(rng, per_class=50)
-        a, _ = pf.heterogeneous_split(data, 1, seed=3)
+        a, _ = pf.split_rows(data, 1, seed=3)
         for c in (0, 2, 3, 4):
-            assert abs(np.sum(a.labels == c) - round(0.1 * 50)) <= 1
+            assert abs(np.sum(data.labels[a] == c) - round(0.1 * 50)) <= 1
 
     def test_deterministic(self, rng):
         data = self._data(rng)
-        a1, _ = pf.heterogeneous_split(data, 0, seed=9)
-        a2, _ = pf.heterogeneous_split(data, 0, seed=9)
-        np.testing.assert_array_equal(a1.inputs, a2.inputs)
+        a1, b1 = pf.split_rows(data, 0, seed=9)
+        a2, b2 = pf.split_rows(data, 0, seed=9)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(b1, b2)
+        assert not np.array_equal(a1, pf.split_rows(data, 0, seed=10)[0])
 
     def test_missing_class_rejected(self, rng):
         data = self._data(rng)
         for digit in (17, -1):
             with pytest.raises(ValueError, match="not present"):
-                pf.heterogeneous_split(data, digit, seed=0)
+                pf.split_rows(data, digit, seed=0)
 
 
 class TestHoldout:

@@ -1,7 +1,9 @@
 import io
+import multiprocessing
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -420,3 +422,17 @@ class TestBlasThreads:
         before = netcore.blas_threads()
         with idle_thread():
             assert netcore.blas_threads() == before
+
+
+class TestWorkerMap:
+    def test_a_worker_killed_by_a_signal_is_named_by_it(self):
+        caller = os.getpid()
+
+        def work(x):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with pytest.raises(netcore.WorkerDied, match="^a worker process was killed by signal SIGKILL$"):
+            netcore.worker_map(work, [0, 1])
+        assert multiprocessing.active_children() == []
